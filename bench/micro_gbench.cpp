@@ -2,13 +2,17 @@
 //
 // The counting lane (`--counting`) is the regression-gated hot-path
 // microbench: it races the optimized single-scan engines (flat SoA and
-// shared-prefix trie) against the serial per-episode oracle across alphabet
-// size x expiry x prefix mass, cross-checks every engine's counts against the
-// oracle, and emits a schema-stamped BENCH_counting.json so the events/sec
-// trajectory is tracked commit over commit.  CI gates the reference shape
-// (large alphabet, no expiry) on a relative floor (optimized >= 2x serial)
-// and an absolute events/sec floor recorded in the artifact; both reproduce
-// locally with one command:
+// shared-prefix trie) and the episode-lane SIMD engine against the serial
+// per-episode oracle across alphabet size x expiry x prefix mass, plus the
+// paper's dense shape (26 symbols, all 17,576 level-3 episodes), cross-checks
+// every engine's counts against the oracle before reporting any timing, and
+// emits a schema-stamped BENCH_counting.json so the events/sec trajectory is
+// tracked commit over commit.  The lane engine has no expiry, so its column
+// is empty on the expiry shapes.  CI gates the reference shape (large
+// alphabet, no expiry) on a relative floor (optimized >= 2x serial) and an
+// absolute events/sec floor; a gated run (--min-speedup set) also holds the
+// lane engine to kDenseLaneGate x flat single-scan on the dense shape.  All
+// three reproduce locally with one command:
 //
 //   micro_gbench --counting --out BENCH_counting.json --min-speedup 2
 //                --min-events-per-sec 2e7   (one line)
@@ -27,7 +31,9 @@
 #include "bench_support/cli_args.hpp"
 #include "bench_support/json.hpp"
 #include "common/rng.hpp"
+#include "core/candidate_gen.hpp"
 #include "core/episode_trie.hpp"
+#include "core/lane_counter.hpp"
 #include "core/multi_counter.hpp"
 #include "core/serial_counter.hpp"
 #include "data/generators.hpp"
@@ -51,18 +57,34 @@ struct CountingOptions {
   double min_events_per_sec = 0.0;  ///< gate: absolute flat floor on the reference shape
 };
 
+/// Gated runs require the lane engine at this multiple of flat single-scan on
+/// the dense shape (measured 2.1-2.3x on a 4-vCPU x86-64 host, GCC 12 -O3).
+constexpr double kDenseLaneGate = 1.5;
+
+/// Stream length of the dense paper shape (the paper_mine benchmark's), or
+/// --db when that is shorter: the serial oracle steps all 17,576 automata
+/// over every event.
+constexpr std::int64_t kDenseEvents = 50'000;
+
 /// One point of the shape grid.  `prefix_pool` 0 draws fully random episodes;
 /// P > 0 draws each episode's (level-1)-prefix from a pool of P (the
-/// apriori-candidate shape the trie engine compresses).
+/// apriori-candidate shape the trie engine compresses).  A dense shape
+/// instead counts every level-3 episode over its alphabet.
 struct Shape {
   int alphabet = 26;
   std::int64_t expiry = 0;
   int prefix_pool = 0;
   bool reference = false;  ///< the gated large-alphabet shape
+  bool dense = false;      ///< the gated paper shape
 };
 
 std::vector<Episode> make_episodes(const Shape& shape, const CountingOptions& opt,
                                    gm::Rng& rng) {
+  if (shape.dense) {
+    const Alphabet alphabet(shape.alphabet);
+    return gm::core::generate_candidates(
+        gm::core::generate_candidates(gm::core::level1_candidates(alphabet), false), false);
+  }
   const auto symbol = [&] {
     return static_cast<Symbol>(rng.below(static_cast<std::uint64_t>(shape.alphabet)));
   };
@@ -104,10 +126,11 @@ double best_seconds(int repeat, std::vector<std::int64_t>& counts, Fn&& fn) {
 int run_counting_lane(const CountingOptions& opt) {
   // The alphabet axis tops out at 250: symbols are dense 8-bit ids, so the
   // "large alphabet" reference shape is the widest the layout supports.
-  const std::vector<Shape> shapes = {
+  std::vector<Shape> shapes = {
       {4, 0, 0, false},    {4, 17, 0, false},    {64, 0, 0, false},  {64, 17, 0, false},
       {64, 0, 8, false},   {250, 0, 0, true},    {250, 17, 0, false}, {250, 0, 8, false},
   };
+  shapes.push_back({.alphabet = 26, .dense = true});
 
   gm::bench::JsonWriter json;
   json.begin_object();
@@ -122,15 +145,16 @@ int run_counting_lane(const CountingOptions& opt) {
   json.key("shapes").begin_array();
 
   bool gate_failed = false;
-  std::printf("%9s %7s %12s %6s | %11s %11s %11s | %8s %8s\n", "alphabet", "expiry",
-              "prefix_pool", "rho", "serial_ev/s", "flat_ev/s", "trie_ev/s", "flat_x",
-              "trie_x");
+  std::printf("%9s %7s %12s %6s %8s | %11s %11s %11s %11s | %8s %8s %8s\n", "alphabet",
+              "expiry", "prefix_pool", "rho", "episodes", "serial_ev/s", "flat_ev/s",
+              "trie_ev/s", "lane_ev/s", "flat_x", "trie_x", "lane_x");
   for (const Shape& shape : shapes) {
     gm::Rng rng(opt.seed + static_cast<std::uint64_t>(shape.alphabet) * 1000 +
                 static_cast<std::uint64_t>(shape.expiry) * 7 +
                 static_cast<std::uint64_t>(shape.prefix_pool));
     const Alphabet alphabet(shape.alphabet);
-    const auto db = gm::data::uniform_database(alphabet, opt.db_size, opt.seed + 1);
+    const std::int64_t events = shape.dense ? std::min(opt.db_size, kDenseEvents) : opt.db_size;
+    const auto db = gm::data::uniform_database(alphabet, events, opt.seed + 1);
     const std::vector<Episode> episodes = make_episodes(shape, opt, rng);
     const double rho = gm::core::prefix_compression(episodes);
     const ExpiryPolicy expiry{shape.expiry};
@@ -139,6 +163,7 @@ int run_counting_lane(const CountingOptions& opt) {
     std::vector<std::int64_t> oracle;
     std::vector<std::int64_t> flat;
     std::vector<std::int64_t> trie;
+    std::vector<std::int64_t> lane;
     const double serial_s = best_seconds(opt.repeat, oracle, [&] {
       return gm::core::count_all(episodes, db, semantics, expiry);
     });
@@ -148,36 +173,62 @@ int run_counting_lane(const CountingOptions& opt) {
     const double trie_s = best_seconds(opt.repeat, trie, [&] {
       return gm::core::count_all_trie_scan(episodes, db, semantics, expiry);
     });
-    if (flat != oracle || trie != oracle) {
+    // The lane engine refuses expiry: its cells stay NaN (null in the JSON).
+    double lane_s = std::numeric_limits<double>::quiet_NaN();
+    if (!expiry.enabled()) {
+      lane_s = best_seconds(opt.repeat, lane, [&] {
+        return gm::core::count_all_lanes(episodes, db, semantics);
+      });
+    }
+    if (flat != oracle || trie != oracle || (!expiry.enabled() && lane != oracle)) {
       std::fprintf(stderr,
                    "FAIL: engine counts diverge from the serial oracle "
-                   "(alphabet %d, expiry %lld, prefix_pool %d)\n",
-                   shape.alphabet, static_cast<long long>(shape.expiry), shape.prefix_pool);
+                   "(alphabet %d, expiry %lld, prefix_pool %d, episodes %zu)\n",
+                   shape.alphabet, static_cast<long long>(shape.expiry), shape.prefix_pool,
+                   episodes.size());
       return 1;
     }
 
-    const double db_events = static_cast<double>(opt.db_size);
+    const double db_events = static_cast<double>(events);
     const double serial_eps = db_events / serial_s;
     const double flat_eps = db_events / flat_s;
     const double trie_eps = db_events / trie_s;
+    const double lane_eps = db_events / lane_s;
     const double flat_speedup = serial_s / flat_s;
     const double trie_speedup = serial_s / trie_s;
-    std::printf("%9d %7lld %12d %6.3f | %11.3e %11.3e %11.3e | %8.2f %8.2f\n",
+    const double lane_speedup = serial_s / lane_s;
+    const double lane_vs_flat = flat_s / lane_s;
+    std::printf("%9d %7lld %12d %6.3f %8zu | %11.3e %11.3e %11.3e %11.3e | %8.2f %8.2f %8.2f\n",
                 shape.alphabet, static_cast<long long>(shape.expiry), shape.prefix_pool, rho,
-                serial_eps, flat_eps, trie_eps, flat_speedup, trie_speedup);
+                episodes.size(), serial_eps, flat_eps, trie_eps, lane_eps, flat_speedup,
+                trie_speedup, lane_speedup);
 
     json.begin_object();
     json.field("alphabet", shape.alphabet);
     json.field("expiry", shape.expiry);
     json.field("prefix_pool", shape.prefix_pool);
     json.field("prefix_compression", rho);
+    json.field("episodes", static_cast<std::int64_t>(episodes.size()));
+    json.field("events", events);
     json.field("reference", shape.reference);
+    json.field("dense", shape.dense);
     json.field("serial_events_per_sec", serial_eps);
     json.field("flat_events_per_sec", flat_eps);
     json.field("trie_events_per_sec", trie_eps);
+    json.field("lane_events_per_sec", lane_eps);
     json.field("flat_speedup_vs_serial", flat_speedup);
     json.field("trie_speedup_vs_serial", trie_speedup);
+    json.field("lane_speedup_vs_serial", lane_speedup);
+    json.field("lane_speedup_vs_flat", lane_vs_flat);
     json.end_object();
+
+    if (shape.dense && opt.min_speedup > 0.0 && !(lane_vs_flat >= kDenseLaneGate)) {
+      std::fprintf(stderr,
+                   "GATE FAIL: lane engine %.2fx flat single-scan on the dense shape, "
+                   "gate requires >= %.2fx\n",
+                   lane_vs_flat, kDenseLaneGate);
+      gate_failed = true;
+    }
 
     if (shape.reference) {
       if (opt.min_speedup > 0.0 && flat_speedup < opt.min_speedup) {
@@ -214,7 +265,6 @@ constexpr const char* kUsage =
 #ifdef GM_HAVE_GBENCH
 #include <benchmark/benchmark.h>
 
-#include "core/candidate_gen.hpp"
 #include "core/segment_counter.hpp"
 #include "kernels/mining_kernels.hpp"
 #include "kernels/workload_model.hpp"

@@ -52,6 +52,8 @@ const std::vector<ParamRef>& calibration_params() {
        [](CalibrationProfile& p) -> double& { return p.cpu.trie_drain_ns; }},
       {"cpu.trie_accept_ns",
        [](CalibrationProfile& p) -> double& { return p.cpu.trie_accept_ns; }},
+      {"cpu.lane_block_ns",
+       [](CalibrationProfile& p) -> double& { return p.cpu.lane_block_ns; }},
       {"cpu.expiry_heap_ns",
        [](CalibrationProfile& p) -> double& { return p.cpu.expiry_heap_ns; }},
       {"cpu.thread_spawn_us",

@@ -72,6 +72,7 @@ double predict_sample_ms(const CalibrationProfile& profile, const FitSample& sam
     case BackendKind::kCpuSingleScan:
       return planner::predict_cpu_single_scan_ms(w, profile.cpu);
     case BackendKind::kCpuTrieScan: return planner::predict_cpu_trie_ms(w, profile.cpu);
+    case BackendKind::kCpuLaneScan: return planner::predict_cpu_lane_scan_ms(w, profile.cpu);
     case BackendKind::kDistrib: {
       if (sample.config.distrib_gpu) {
         const gpusim::CostModel model(sample.cost_params);

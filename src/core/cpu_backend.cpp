@@ -8,6 +8,7 @@
 
 #include "common/error.hpp"
 #include "core/episode_trie.hpp"
+#include "core/lane_counter.hpp"
 #include "core/multi_counter.hpp"
 #include "core/segment_counter.hpp"
 #include "core/serial_counter.hpp"
@@ -180,6 +181,17 @@ CountResult TrieCpuBackend::count(const CountRequest& request) {
   return result;
 }
 
+CountResult LaneCpuBackend::count(const CountRequest& request) {
+  const auto start = Clock::now();
+  CountResult result;
+  result.counts =
+      count_all_lanes(request.episodes, request.database, request.semantics, request.expiry);
+  result.host_ms = elapsed_ms(start);
+  return result;
+}
+
+int LaneCpuBackend::max_level() const { return kLaneMaxLevel; }
+
 std::unique_ptr<CountingBackend> make_cpu_backend(std::string_view name, int threads) {
   auto matches = [&](std::string_view canonical) {
     return name == canonical ||
@@ -190,6 +202,7 @@ std::unique_ptr<CountingBackend> make_cpu_backend(std::string_view name, int thr
   if (matches("cpu-sharded")) return std::make_unique<ShardedCpuBackend>(threads);
   if (matches("cpu-single-scan")) return std::make_unique<SingleScanCpuBackend>();
   if (matches("cpu-trie-scan")) return std::make_unique<TrieCpuBackend>();
+  if (matches("cpu-lane-scan")) return std::make_unique<LaneCpuBackend>();
   return nullptr;
 }
 

@@ -1,5 +1,5 @@
 // CPU counting backends: the serial single-core reference (the GMiner-class
-// baseline the paper motivates against) and three parallel/indexed
+// baseline the paper motivates against) and the parallel/indexed/vector
 // formulations covering both parallelization axes of the counting step:
 //
 //   backend            parallel axis     per-level cost (t threads)
@@ -8,13 +8,17 @@
 //   cpu-sharded        database          O(|DB| * |eps| * L / t) map + fold
 //   cpu-single-scan    — (indexed)       O(|DB| * (1 + |eps|/|alphabet|))
 //   cpu-trie-scan      — (shared)        O(|DB| * (1 + |prefixes|/|alphabet|))
+//   cpu-lane-scan      episodes (SIMD)   O(|DB| * ceil(|eps| / 64))
 //
 // cpu-parallel scales with the candidate count, cpu-sharded with the stream
 // length (the axis that matters when candidates are few but the database is
 // long), cpu-single-scan replaces brute-force rescans with one pass driving
 // all automata through a waiting-symbol bucket index, and cpu-trie-scan folds
 // prefix-sharing candidates into a trie so one partial match advances every
-// episode sharing that prefix (core/episode_trie.hpp).
+// episode sharing that prefix (core/episode_trie.hpp).  cpu-lane-scan runs
+// one episode per SIMD lane, 64 lanes per step (core/lane_counter.hpp): its
+// cost ignores the alphabet, so it wins on small alphabets where the bucket
+// index drains |eps|/|alphabet| automata per event.
 #pragma once
 
 #include <memory>
@@ -87,6 +91,16 @@ class TrieCpuBackend final : public CountingBackend {
   [[nodiscard]] CountResult count(const CountRequest& request) override;
 };
 
+/// Single-threaded episode-lane engine: one database pass steps 64 episode
+/// automata per event in uint8 SIMD lanes (core/lane_counter.hpp).  Levels
+/// 1..kLaneMaxLevel, no expiry: both are refused with ErrorCode::kCapability.
+class LaneCpuBackend final : public CountingBackend {
+ public:
+  [[nodiscard]] std::string name() const override { return "cpu-lane-scan"; }
+  [[nodiscard]] CountResult count(const CountRequest& request) override;
+  [[nodiscard]] int max_level() const override;
+};
+
 /// The worker count a CPU backend constructed with `threads` will actually
 /// use: 0 resolves to the hardware concurrency, and the result is never less
 /// than 1.  Exposed as a capability query so a planner predicting backend
@@ -94,8 +108,8 @@ class TrieCpuBackend final : public CountingBackend {
 [[nodiscard]] int resolved_thread_count(int threads) noexcept;
 
 /// Construct a CPU backend by name: "cpu-serial", "cpu-parallel",
-/// "cpu-sharded", "cpu-single-scan", or "cpu-trie-scan" (unprefixed aliases
-/// accepted).
+/// "cpu-sharded", "cpu-single-scan", "cpu-trie-scan", or "cpu-lane-scan"
+/// (unprefixed aliases accepted).
 /// Returns nullptr for unknown names so callers can layer their own backends
 /// (e.g. the simulated GPU) on top of the selection.
 [[nodiscard]] std::unique_ptr<CountingBackend> make_cpu_backend(std::string_view name,

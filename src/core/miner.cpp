@@ -41,7 +41,7 @@ MiningResult mine_frequent_episodes(std::span<const Symbol> database, const Alph
 
   std::vector<Episode> candidates = level1_candidates(alphabet);
   int level = 1;
-  while (!candidates.empty() && (config.max_level == 0 || level <= config.max_level)) {
+  while (!candidates.empty()) {
     // Surface a capped backend (e.g. the GPU kernels' kMaxLevel episode
     // staging bound) as a reportable error before issuing the request,
     // instead of an abort deep inside the kernel layer.
@@ -92,6 +92,10 @@ MiningResult mine_frequent_episodes(std::span<const Symbol> database, const Alph
 
     if (observer != nullptr) observer->on_level_done(report);
 
+    // The last allowed level never needs its successors: generating them
+    // anyway is a full join of this level's survivors (16.6M level-3
+    // episodes after an alphabet-255, support-0 level 2) thrown away here.
+    if (config.max_level != 0 && level == config.max_level) break;
     candidates = generate_candidates(frequent_here, config.apriori_prune);
     ++level;
   }

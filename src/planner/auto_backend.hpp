@@ -48,6 +48,10 @@ class AutoBackend final : public core::CountingBackend {
     return options_.measured_bias;
   }
 
+  /// Backends constructed so far: one per distinct picked label, however
+  /// many levels picked it.
+  [[nodiscard]] std::size_t constructed_backends() const noexcept { return backends_.size(); }
+
   /// EWMA weight of the newest measured/predicted observation.
   static constexpr double kFeedbackBlend = 0.4;
   /// Noise floor (ms) on both sides of the observed ratio, mirroring the

@@ -1,4 +1,4 @@
-// Analytic cost curves of the four CPU counting backends, the host-side
+// Analytic cost curves of the CPU counting backends, the host-side
 // counterpart of kernels/workload_model.hpp: given a workload shape, predict
 // each backend's wall-clock in milliseconds from measured per-operation
 // constants (the cost_constants.hpp calibration style, applied to host code).
@@ -15,6 +15,10 @@
 //                     + drains / L accepts (shared-prefix trie engine; same
 //                     dense fallback as cpu-single-scan under contiguous
 //                     restart, so the flat engine wins that tie by label)
+//
+//   cpu-lane-scan     |DB| * ceil(|eps| / 64) block steps (episode-lane SIMD
+//                     engine; alphabet- and semantics-blind, infeasible
+//                     under expiry or above level 8)
 //
 // drain_rate is the same skew-aware bucket-occupancy term the Algorithm-5
 // device model uses (kernels::bucket_drain_rate), so CPU and GPU predictions
@@ -62,6 +66,18 @@ struct CpuCostConstants {
   /// from the compact live-token list + idle-interval return).  Accepts are
   /// per episode — prefix sharing cannot compress them.
   double trie_accept_ns = 10.0;
+  /// Episode-lane engine: one event stepped through one 64-lane register
+  /// block (compare, advance and refill 4 x 16 uint8 lanes; the 255-event
+  /// counter flush amortized in).  Fitted with `backend_shootout
+  /// --fit-calibration --db 50000 --alphabet 26 --episodes 17576 --level 3
+  /// --threads 1` (the paper's dense shape) on a shared 4-vCPU x86-64 host,
+  /// GCC 12, -O3, SSE2 baseline: four runs gave 5.5-7.1 ns, and this is
+  /// their median.  The refill unrolls one compare per symbol column, so the
+  /// real cost grows with the level while the model's does not: the same
+  /// runs measured 4-6.4 ns per block at level 1, 5.4-6.3 ns at level 2 and
+  /// 6.3-10 ns at level 3.  Level-1 predictions can therefore run up to
+  /// ~1.5x high and level-3 ones up to ~1.5x low.
+  double lane_block_ns = 6.4;
   /// Expiry bookkeeping per match start (monotone deadline-FIFO append +
   /// eventual pop-and-validate; was a binary heap before the SoA rewrite).
   double expiry_heap_ns = 25.0;
@@ -98,6 +114,8 @@ inline constexpr int kPlannedStealGranularity = 4;
 [[nodiscard]] double predict_cpu_single_scan_ms(const Workload& w,
                                                 const CpuCostConstants& c = {});
 [[nodiscard]] double predict_cpu_trie_ms(const Workload& w, const CpuCostConstants& c = {});
+[[nodiscard]] double predict_cpu_lane_scan_ms(const Workload& w,
+                                              const CpuCostConstants& c = {});
 
 /// The distrib backend's host curve: the single-scan map split over `shards`
 /// work-stealing workers, plus the chunk-ordered fold, the expected

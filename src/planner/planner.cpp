@@ -5,6 +5,7 @@
 
 #include "common/error.hpp"
 #include "core/cpu_backend.hpp"
+#include "core/lane_counter.hpp"
 #include "distrib/distrib_backend.hpp"
 #include "distrib/scale_model.hpp"
 #include "kernels/gpu_backend.hpp"
@@ -55,6 +56,21 @@ ScoredCandidate score_cpu(const Workload& w, BackendKind kind, int threads,
                      : note;
       break;
     }
+    case BackendKind::kCpuLaneScan:
+      // Capability gates first, in the order a user could fix them.
+      if (w.expiry.enabled()) {
+        c.feasible = false;
+        c.reason = "no expiry support (episode lanes carry no match age)";
+      } else if (w.level > core::kLaneMaxLevel) {
+        c.feasible = false;
+        c.reason = "backend max_level " + std::to_string(core::kLaneMaxLevel) +
+                   " < requested level " + std::to_string(w.level) +
+                   " (unrolled symbol columns)";
+      } else {
+        c.predicted_ms = predict_cpu_lane_scan_ms(w, constants);
+        c.reason = "episode-lane SIMD scan";
+      }
+      break;
     case BackendKind::kGpuSim:
     case BackendKind::kDistrib:
       gm::raise_precondition("score_cpu called for a non-CPU kind");
@@ -219,6 +235,7 @@ std::string_view backend_kind_name(BackendKind kind) {
     case BackendKind::kCpuSharded: return "cpu-sharded";
     case BackendKind::kCpuSingleScan: return "cpu-single-scan";
     case BackendKind::kCpuTrieScan: return "cpu-trie-scan";
+    case BackendKind::kCpuLaneScan: return "cpu-lane-scan";
     case BackendKind::kGpuSim: return "gpusim";
     case BackendKind::kDistrib: return "distrib";
   }
@@ -261,6 +278,8 @@ Plan plan_level(const Workload& workload, const PlannerOptions& options) {
     plan.table.push_back(score_cpu(workload, BackendKind::kCpuSingleScan, 1,
                                    options.cpu_constants));
     plan.table.push_back(score_cpu(workload, BackendKind::kCpuTrieScan, 1,
+                                   options.cpu_constants));
+    plan.table.push_back(score_cpu(workload, BackendKind::kCpuLaneScan, 1,
                                    options.cpu_constants));
   }
   if (options.enable_gpu) {

@@ -1,7 +1,7 @@
 // The formulation planner: the paper's conclusion — "a MapReduce-based
 // implementation must dynamically adapt the type and level of parallelism" —
 // turned into a subsystem.  Given one level's workload shape and a device,
-// enumerate every counting formulation the repo implements (five CPU
+// enumerate every counting formulation the repo implements (six CPU
 // backends x five simulated-GPU algorithms x a threads-per-block sweep,
 // plus a shared-prefix trie variant of the block-bucketed kernel),
 // score each analytically (kernels::predict_mining_time for the device,
@@ -39,6 +39,8 @@ enum class BackendKind {
   kCpuSharded,
   kCpuSingleScan,
   kCpuTrieScan,
+  /// Episode-lane SIMD engine (core::LaneCpuBackend).
+  kCpuLaneScan,
   kGpuSim,
   /// Work-stealing shard engine over N devices (distrib::DistribBackend):
   /// host single-scan workers, or simulated cards when distrib_gpu is set.

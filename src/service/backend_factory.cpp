@@ -14,7 +14,7 @@ namespace gm::service {
 
 std::vector<std::string_view> backend_names() {
   return {"cpu-serial", "cpu-parallel", "cpu-sharded", "cpu-single-scan", "cpu-trie-scan",
-          "distrib", "distrib-gpu", "gpusim", "auto"};
+          "cpu-lane-scan", "distrib", "distrib-gpu", "gpusim", "auto"};
 }
 
 planner::PlannerOptions planner_options_for(const BackendSpec& spec) {

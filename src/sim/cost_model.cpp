@@ -33,6 +33,16 @@ struct SmWave {
   std::vector<BlockPath> paths;
 };
 
+/// One wave's cost: its slowest SM's cycles and their mechanism split.
+struct WaveCost {
+  double cycles = 0.0;
+  double issue = 0.0;
+  double latency = 0.0;
+  double bandwidth = 0.0;
+  double sync = 0.0;
+  double dispatch = 0.0;
+};
+
 }  // namespace
 
 TimeBreakdown CostModel::predict(const DeviceSpec& device, const LaunchConfig& launch,
@@ -63,8 +73,9 @@ TimeBreakdown CostModel::predict(const DeviceSpec& device, const LaunchConfig& l
   double sync_cycles_total = 0.0;
   double dispatch_cycles_total = 0.0;
 
-  while (remaining > 0) {
-    const std::int64_t wave_blocks = std::min<std::int64_t>(concurrent, remaining);
+  // Deal one wave's blocks from the cursor to the SMs and cost its slowest
+  // SM: the wave's cycles and their split by mechanism.
+  const auto walk_wave = [&](std::int64_t wave_blocks) {
     const int busy_sms =
         static_cast<int>(std::min<std::int64_t>(device.multiprocessors, wave_blocks));
     std::vector<SmWave> sms(static_cast<std::size_t>(busy_sms));
@@ -116,15 +127,8 @@ TimeBreakdown CostModel::predict(const DeviceSpec& device, const LaunchConfig& l
         ++group_idx;
       }
     }
-    remaining -= wave_blocks;
 
-    double wave_cycles = 0.0;
-    double wave_issue = 0.0;
-    double wave_latency = 0.0;
-    double wave_bw = 0.0;
-    double wave_sync = 0.0;
-    double wave_dispatch = 0.0;
-
+    WaveCost wave;
     for (const SmWave& sm : sms) {
       // --- texture traffic and effective latencies -------------------------
       double friendly_bytes = sm.friendly_private_bytes;
@@ -161,23 +165,50 @@ TimeBreakdown CostModel::predict(const DeviceSpec& device, const LaunchConfig& l
       const double dispatch = sm.blocks * params_.block_dispatch_cycles;
       const double sm_cycles = bound + sync + dispatch;
 
-      if (sm_cycles > wave_cycles) {
-        wave_cycles = sm_cycles;
-        wave_issue = issue;
-        wave_latency = latency;
-        wave_bw = bandwidth;
-        wave_sync = sync;
-        wave_dispatch = dispatch;
+      if (sm_cycles > wave.cycles) {
+        wave = {sm_cycles, issue, latency, bandwidth, sync, dispatch};
       }
     }
+    return wave;
+  };
 
-    total_cycles += wave_cycles;
-    sync_cycles_total += wave_sync;
-    dispatch_cycles_total += wave_dispatch;
-    const double bound = std::max({wave_issue, wave_latency, wave_bw});
-    if (bound == wave_issue) {
+  // A wave whose blocks all come from one group deals identical blocks to
+  // the same SMs, so it costs exactly what the last wave of that group and
+  // size cost: reuse it instead of re-walking thousands of blocks.  Waves
+  // are still accumulated one by one, so the sums stay bit-identical.
+  std::size_t reuse_group = profile.groups.size();
+  std::int64_t reuse_blocks = 0;
+  WaveCost reuse;
+
+  while (remaining > 0) {
+    const std::int64_t wave_blocks = std::min<std::int64_t>(concurrent, remaining);
+    const std::size_t wave_group = group_idx;
+    const bool one_group = profile.groups[group_idx].count - in_group >= wave_blocks;
+    WaveCost wave;
+    if (one_group && wave_group == reuse_group && wave_blocks == reuse_blocks) {
+      wave = reuse;
+      in_group += wave_blocks;
+      if (in_group == profile.groups[group_idx].count) {
+        in_group = 0;
+        ++group_idx;
+      }
+    } else {
+      wave = walk_wave(wave_blocks);
+      if (one_group) {
+        reuse_group = wave_group;
+        reuse_blocks = wave_blocks;
+        reuse = wave;
+      }
+    }
+    remaining -= wave_blocks;
+
+    total_cycles += wave.cycles;
+    sync_cycles_total += wave.sync;
+    dispatch_cycles_total += wave.dispatch;
+    const double bound = std::max({wave.issue, wave.latency, wave.bandwidth});
+    if (bound == wave.issue) {
       issue_bound_cycles += bound;
-    } else if (bound == wave_latency) {
+    } else if (bound == wave.latency) {
       latency_bound_cycles += bound;
     } else {
       bandwidth_bound_cycles += bound;

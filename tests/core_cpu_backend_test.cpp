@@ -8,6 +8,7 @@
 
 #include "common/rng.hpp"
 #include "core/cpu_backend.hpp"
+#include "core/lane_counter.hpp"
 #include "data/generators.hpp"
 #include "random_episode_util.hpp"
 
@@ -113,6 +114,8 @@ TEST(MakeCpuBackend, ResolvesNamesAndAliases) {
   EXPECT_EQ(make_cpu_backend("cpu-parallel", 3)->name(), "cpu-parallel-x3");
   EXPECT_EQ(make_cpu_backend("sharded", 2)->name(), "cpu-sharded-x2");
   EXPECT_EQ(make_cpu_backend("single-scan")->name(), "cpu-single-scan");
+  EXPECT_EQ(make_cpu_backend("lane-scan")->name(), "cpu-lane-scan");
+  EXPECT_EQ(make_cpu_backend("cpu-lane-scan")->max_level(), kLaneMaxLevel);
   EXPECT_EQ(make_cpu_backend("gpusim"), nullptr);
   EXPECT_EQ(make_cpu_backend("nope"), nullptr);
 }

@@ -2,7 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <span>
 #include <string>
 #include <utility>
@@ -12,6 +15,44 @@
 #include "core/cpu_backend.hpp"
 #include "core/miner.hpp"
 #include "data/generators.hpp"
+
+// Bytes requested from the global allocator while `g_tally_allocations` is
+// set, so a test can bound what one mine allocates.  Every replaceable
+// non-aligned form is replaced, so allocation and release always pair up
+// (sanitizer builds check that they do).
+namespace {
+std::atomic<bool> g_tally_allocations{false};
+std::atomic<std::size_t> g_allocated_bytes{0};
+
+void* tallied_malloc(std::size_t size) noexcept {
+  if (g_tally_allocations.load(std::memory_order_relaxed)) {
+    g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
+  }
+  return std::malloc(size == 0 ? 1 : size);
+}
+
+// Out of line so the compiler never sees free() meet a new-expression's
+// pointer after inlining (GCC's -Wmismatched-new-delete would flag it).
+[[gnu::noinline]] void tallied_free(void* p) noexcept { std::free(p); }
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (void* p = tallied_malloc(size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return tallied_malloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return tallied_malloc(size);
+}
+void operator delete(void* p) noexcept { tallied_free(p); }
+void operator delete[](void* p) noexcept { tallied_free(p); }
+void operator delete(void* p, std::size_t) noexcept { tallied_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { tallied_free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { tallied_free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { tallied_free(p); }
 
 namespace gm::core {
 namespace {
@@ -65,6 +106,28 @@ TEST(Miner, MaxLevelBoundsTheRun) {
   const auto result = mine(db, Alphabet(4), config);
   EXPECT_EQ(result.levels.size(), 2u);
   for (const auto& f : result.frequent) EXPECT_LE(f.episode.level(), 2);
+}
+
+TEST(Miner, StopsAtMaxLevelWithoutGeneratingTheNextLevel) {
+  // Alphabet 255 at support 0: all 65,025 level-2 candidates survive, and
+  // joining them would build 16.6M level-3 episodes (over 400 MB of
+  // requests) that a max_level-2 mine never counts.
+  const Alphabet alphabet(255);
+  const auto db = data::uniform_database(alphabet, 5000, 13);
+  MinerConfig config;
+  config.support_threshold = 0.0;
+  config.max_level = 2;
+  SingleScanCpuBackend backend;
+
+  g_allocated_bytes = 0;
+  g_tally_allocations = true;
+  const MiningResult result = mine_frequent_episodes(db, alphabet, backend, config);
+  g_tally_allocations = false;
+
+  ASSERT_EQ(result.levels.size(), 2u);
+  EXPECT_EQ(result.levels[0].frequent, 255);
+  EXPECT_EQ(result.levels[1].candidates, 255 * 255);
+  EXPECT_LT(g_allocated_bytes.load(), std::size_t{64} << 20);
 }
 
 TEST(Miner, UnboundedRunTerminatesWhenCandidatesDie) {

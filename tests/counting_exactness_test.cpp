@@ -10,15 +10,22 @@
 // It also pins the batched dispatch tier (`advance_batch`) to the
 // symbol-at-a-time path and checkpoints captured mid-stream — while expiry
 // deadlines are pending — across both engines and both restore directions.
+// The episode-lane engine is held to the same contract around its own
+// machinery: partial 64-lane blocks, the 255-event uint8 counter flush, the
+// unrolled symbol columns of every level it supports, and its refusal of
+// expiry.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <utility>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
+#include "core/alphabet.hpp"
 #include "core/episode.hpp"
 #include "core/episode_trie.hpp"
+#include "core/lane_counter.hpp"
 #include "core/multi_counter.hpp"
 #include "core/scan_checkpoint.hpp"
 #include "core/serial_counter.hpp"
@@ -78,6 +85,78 @@ TEST(CountingExactness, SoAEnginesMatchSerialAcrossShapes) {
       }
     }
   }
+}
+
+// Episodes of exactly `level` symbols (repeats allowed).
+std::vector<Episode> level_episodes(Rng& rng, int alphabet_size, int count, int level) {
+  std::vector<Episode> episodes;
+  for (int e = 0; e < count; ++e) {
+    std::vector<Symbol> symbols;
+    for (int i = 0; i < level; ++i) {
+      symbols.push_back(
+          static_cast<Symbol>(rng.below(static_cast<std::uint64_t>(alphabet_size))));
+    }
+    episodes.emplace_back(std::move(symbols));
+  }
+  return episodes;
+}
+
+TEST(CountingExactness, LaneEngineMatchesSerialAroundBlocksAndFlushes) {
+  // 70 episodes fill one 64-lane block and 6 lanes of a second; the stream
+  // lengths sit on both sides of one and two 255-event counter flushes.
+  Rng rng(0x1A4E5);
+  for (const Semantics semantics :
+       {Semantics::kNonOverlappedSubsequence, Semantics::kContiguousRestart}) {
+    for (const int alphabet : {4, 26, 64, 250}) {
+      for (int level = 1; level <= kLaneMaxLevel; ++level) {
+        for (const std::size_t events : {254, 255, 256, 511, 5000}) {
+          const auto db = data::uniform_database(Alphabet(alphabet), events, rng());
+          const auto episodes = level_episodes(rng, alphabet, 70, level);
+          EXPECT_EQ(count_all_lanes(episodes, db, semantics), count_all(episodes, db, semantics))
+              << "alphabet=" << alphabet << " level=" << level << " events=" << events
+              << " semantics=" << to_string(semantics);
+        }
+      }
+    }
+  }
+}
+
+TEST(CountingExactness, LaneEngineRepeatedSymbolsAndMixedLevels) {
+  // A 600-event run of A completes a level-1 lane on every event, so its
+  // uint8 counter reaches exactly 255 at each flush; repeated-symbol
+  // episodes exercise the column refill when the awaited symbol does not
+  // change, and one request mixes levels 1..8 inside the same blocks.
+  const Alphabet alphabet(3);
+  Rng rng(0xAAB);
+  Sequence db(600, 0);
+  const auto tail = data::uniform_database(alphabet, 2000, rng());
+  db.insert(db.end(), tail.begin(), tail.end());
+  std::vector<Episode> episodes;
+  for (const char* text : {"A", "AA", "AAA", "AAB", "ABA", "ABB", "BAA", "AAAAAAAA"}) {
+    episodes.push_back(Episode::from_text(alphabet, text));
+  }
+  for (Episode& e : random_episodes(rng, 3, 130, kLaneMaxLevel)) episodes.push_back(std::move(e));
+  for (const Semantics semantics :
+       {Semantics::kNonOverlappedSubsequence, Semantics::kContiguousRestart}) {
+    const auto expected = count_all(episodes, db, semantics);
+    EXPECT_EQ(count_all_lanes(episodes, db, semantics), expected) << to_string(semantics);
+    EXPECT_GT(expected[0], 600);
+  }
+}
+
+TEST(CountingExactness, LaneEngineRefusesExpiryAndLongEpisodes) {
+  const auto db = data::uniform_database(Alphabet(8), 300, 7);
+  Rng rng(0x5E7);
+  const auto expect_capability = [&](const std::vector<Episode>& episodes, ExpiryPolicy expiry) {
+    try {
+      (void)count_all_lanes(episodes, db, Semantics::kNonOverlappedSubsequence, expiry);
+      ADD_FAILURE() << "the lane engine should refuse this request";
+    } catch (const gm::Error& e) {
+      EXPECT_EQ(e.code(), gm::ErrorCode::kCapability) << e.what();
+    }
+  };
+  expect_capability(level_episodes(rng, 8, 5, 3), ExpiryPolicy{4});
+  expect_capability(level_episodes(rng, 8, 5, kLaneMaxLevel + 1), {});
 }
 
 TEST(CountingExactness, BatchDispatchEqualsSymbolAtATime) {

@@ -325,6 +325,27 @@ TEST(ServiceSession, LevelCapIsACapabilityRejection) {
   EXPECT_NE(response.rejection.reason.find("level"), std::string::npos);
 }
 
+TEST(ServiceSession, LaneEngineRefusesExpiryAsACapability) {
+  // The episode-lane engine has no expiry: a session serving it must turn an
+  // expiring count into a kCapability rejection, never an approximate count,
+  // while the same request without expiry is served exactly.
+  const data::Dataset dataset = make_dataset(6, 800, 17);
+  MiningSession session(dataset, {.backend = {.name = "cpu-lane-scan"}});
+  Rng rng(0x1A4E);
+  CountRequest request;
+  request.episodes = random_level_episodes(rng, 6, 70, 3);
+  request.expiry = core::ExpiryPolicy{5};
+  const CountResponse refused = session.count(request);
+  EXPECT_EQ(refused.disposition, Disposition::kRejected);
+  EXPECT_EQ(refused.rejection.code, ErrorCode::kCapability);
+  EXPECT_NE(refused.rejection.reason.find("expiry"), std::string::npos);
+
+  request.expiry = {};
+  const CountResponse served = session.count(request);
+  ASSERT_EQ(served.disposition, Disposition::kServed);
+  EXPECT_EQ(served.counts, oracle_counts(dataset, request.episodes, request.semantics, {}));
+}
+
 TEST(MiningServiceTest, PausedBurstBatchesCompatibleCounts) {
   data::Dataset dataset = make_dataset(10, 3000, 21);
   auto session = std::make_shared<MiningSession>(dataset,

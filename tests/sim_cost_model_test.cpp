@@ -94,6 +94,34 @@ TEST(CostModel, LaunchOverheadFloorsTinyKernels) {
   EXPECT_GE(t.total_ms, 0.5);
 }
 
+TEST(CostModel, SplitGroupPredictsBitForBitAsOneGroup) {
+  // Waves drawn from one group reuse that group's last wave cost; a wave
+  // straddling two identical groups is walked block by block.  Both routes
+  // must land on the same sums, bit for bit.
+  const CostModel model;
+  const auto gtx = geforce_gtx_280();
+  const auto spec = paper_spec(Algorithm::kBlockTexture, 3, 128);
+  const KernelProfile whole = model_profile(gtx, spec);
+  const LaunchConfig launch = model_launch_config(spec);
+  KernelProfile split = whole;
+  KernelProfile::Group tail = split.groups.back();
+  split.groups.back().count = tail.count / 2;  // not a whole number of waves
+  tail.count -= split.groups.back().count;
+  split.groups.push_back(tail);
+
+  const TimeBreakdown a = model.predict(gtx, launch, whole);
+  const TimeBreakdown b = model.predict(gtx, launch, split);
+  EXPECT_GT(a.waves, 50);
+  EXPECT_EQ(a.waves, b.waves);
+  EXPECT_EQ(a.total_ms, b.total_ms);
+  EXPECT_EQ(a.issue_ms, b.issue_ms);
+  EXPECT_EQ(a.latency_ms, b.latency_ms);
+  EXPECT_EQ(a.bandwidth_ms, b.bandwidth_ms);
+  EXPECT_EQ(a.sync_ms, b.sync_ms);
+  EXPECT_EQ(a.dispatch_ms, b.dispatch_ms);
+  EXPECT_EQ(a.bound_by, b.bound_by);
+}
+
 TEST(CostModel, RejectsMismatchedProfile) {
   const CostModel model;
   const auto gtx = geforce_gtx_280();

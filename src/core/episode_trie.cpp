@@ -374,8 +374,18 @@ void TrieCounter::advance_batch(std::span<const Symbol> symbols, std::int64_t st
         static_cast<std::int64_t>(dense_automata_.size() * symbols.size());
     return;
   }
+  const Impl& im = *impl_;
   for (std::size_t i = 0; i < symbols.size(); ++i) {
-    advance_sparse(symbols[i], start_pos + static_cast<std::int64_t>(i));
+    const Symbol symbol = symbols[i];
+    const std::int64_t pos = start_pos + static_cast<std::int64_t>(i);
+    // Nothing waits on this symbol, nothing idles under it and no deadline
+    // is due: advance_sparse would only count the probe.
+    if (im.buckets[symbol].empty() && im.idle[symbol].empty() &&
+        !(expiry_.enabled() && im.deadline_due(pos))) {
+      ++ops_.probes;
+      continue;
+    }
+    advance_sparse(symbol, pos);
   }
 }
 

@@ -97,8 +97,8 @@ class EpisodeTrie {
 class TrieCounter {
  public:
   /// Work counters, cumulative across `advance()` calls.  The gpusim trie
-  /// kernel charges instruction costs from the per-position deltas, so these
-  /// define the unit of work the cost models price.
+  /// kernel charges instruction costs from their deltas over each staged
+  /// buffer, so these define the unit of work the cost models price.
   struct Ops {
     std::int64_t probes = 0;       // bucket probes (one per sparse position)
     std::int64_t drains = 0;       // live token drains (each one a prefix step)
@@ -118,8 +118,10 @@ class TrieCounter {
   void advance(Symbol symbol, std::int64_t pos);
 
   /// Feed a contiguous batch: symbols[i] is at position start_pos + i.
-  /// Exactly equivalent to advancing one symbol at a time; the dense
-  /// fallback runs symbols innermost per automaton.
+  /// Exactly equivalent to advancing one symbol at a time, `ops()` included;
+  /// the dense fallback runs symbols innermost per automaton, and the sparse
+  /// path only counts the probe for a symbol nothing waits or idles on when
+  /// no deadline is due.
   void advance_batch(std::span<const Symbol> symbols, std::int64_t start_pos);
 
   /// Reinstate captured per-episode progress (ORIGINAL input order, parallel

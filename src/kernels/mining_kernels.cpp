@@ -147,11 +147,12 @@ gpusim::KernelTask algo2_kernel(ThreadCtx& ctx, Views v) {
                    v.db_tex.fetch(ctx, static_cast<std::size_t>(base + j)));
     }
     co_await ctx.syncthreads();
-    // Every thread scans the whole buffer for its own episode.
-    for (std::int64_t j = 0; j < n; ++j) {
-      ctx.charge(kBufferedScanInstr);
-      const Symbol c = buffer.load(static_cast<std::size_t>(j));
-      if (automaton.step(c, base + j)) ++count;
+    // Every thread scans the whole buffer for its own episode.  Counters are
+    // read only at barriers, so the buffer's per-symbol charges go in at once.
+    const std::span<const Symbol> staged = buffer.load_span(0, static_cast<std::size_t>(n));
+    ctx.charge(static_cast<std::uint64_t>(n * kBufferedScanInstr));
+    for (std::size_t j = 0; j < staged.size(); ++j) {
+      if (automaton.step(staged[j], base + static_cast<std::int64_t>(j))) ++count;
     }
     co_await ctx.syncthreads();
   }
@@ -325,43 +326,38 @@ gpusim::KernelTask algo4_kernel(ThreadCtx& ctx, Views v) {
     }
     co_await ctx.syncthreads();
 
+    // The slice is charged as one span: per symbol, loop control, the
+    // discarded re-read of the awaited episode symbol (an index inside this
+    // block's episode) and one automaton step per tracked entry state.
     const Range slice = thread_chunk(n, t, tid);
+    const std::span<const Symbol> staged = buffer.load_span(
+        static_cast<std::size_t>(slice.begin), static_cast<std::size_t>(slice.size()));
+    const auto steps = static_cast<std::uint64_t>(slice.size());
+    v.episodes.discard_loads(ctx, static_cast<std::size_t>(ep_off),
+                             static_cast<std::size_t>(ep_off + L), steps);
+    const std::int64_t first = base + slice.begin;
     if (!simple) {
-      std::vector<EpisodeAutomaton> automata;
-      std::vector<std::uint32_t> found(static_cast<std::size_t>(L), 0);
-      automata.reserve(static_cast<std::size_t>(L));
+      ctx.charge(steps * static_cast<std::uint64_t>(kBlockScanInstr + L * kAutomatonStepInstr));
+      // One automaton per entry state, each run over the whole slice.
       for (int a = 0; a < L; ++a) {
-        automata.emplace_back(episode, v.semantics, v.expiry);
-        automata.back().restore(a, base + slice.begin - 1);
-      }
-      for (std::int64_t j = slice.begin; j < slice.end; ++j) {
-        ctx.charge(kBlockScanInstr);
-        const Symbol c = buffer.load(static_cast<std::size_t>(j));
-        (void)v.episodes.load(ctx,
-                              static_cast<std::size_t>(ep_off + automata[0].state()));
-        for (int a = 0; a < L; ++a) {
-          ctx.charge(kAutomatonStepInstr);
-          if (automata[static_cast<std::size_t>(a)].step(c, base + j)) {
-            ++found[static_cast<std::size_t>(a)];
-          }
+        EpisodeAutomaton automaton(episode, v.semantics, v.expiry);
+        automaton.restore(a, first - 1);
+        std::uint32_t found = 0;
+        for (std::size_t j = 0; j < staged.size(); ++j) {
+          if (automaton.step(staged[j], first + static_cast<std::int64_t>(j))) ++found;
         }
-      }
-      for (int a = 0; a < L; ++a) {
         ctx.charge(1);
         v.scratch.store(ctx,
                         scratch_base + static_cast<std::size_t>(tid) * L +
                             static_cast<std::size_t>(a),
-                        pack_outcome(found[static_cast<std::size_t>(a)],
-                                     automata[static_cast<std::size_t>(a)].state()));
+                        pack_outcome(found, automaton.state()));
       }
     } else {
-      for (std::int64_t j = slice.begin; j < slice.end; ++j) {
-        ctx.charge(kBlockScanInstr);
-        const Symbol c = buffer.load(static_cast<std::size_t>(j));
-        (void)v.episodes.load(
-            ctx, static_cast<std::size_t>(ep_off + simple_automaton.state()));
-        ctx.charge(kAutomatonStepInstr);
-        if (simple_automaton.step(c, base + j)) ++simple_count;
+      ctx.charge(steps * static_cast<std::uint64_t>(kBlockScanInstr + kAutomatonStepInstr));
+      for (std::size_t j = 0; j < staged.size(); ++j) {
+        if (simple_automaton.step(staged[j], first + static_cast<std::int64_t>(j))) {
+          ++simple_count;
+        }
       }
       // Fresh automaton per slice: abandon carried progress to mirror the
       // independent-chunk map phase, then (expiry only) patch the slice's
@@ -522,8 +518,8 @@ gpusim::KernelTask algo5_kernel(ThreadCtx& ctx, Views v) {
       deadlines;
   std::vector<BucketEntry> drain;
   // Trie mode: the host shared-prefix engine runs the thread's contiguous
-  // episode range; device charges are replayed from its per-position op
-  // deltas below.
+  // episode range; device charges come from its op deltas over each staged
+  // buffer below.
   std::vector<core::Episode> trie_episodes;
   std::optional<core::TrieCounter> trie_counter;
   core::TrieCounter::Ops trie_prev{};
@@ -564,100 +560,100 @@ gpusim::KernelTask algo5_kernel(ThreadCtx& ctx, Views v) {
     co_await ctx.syncthreads();
 
     if (!owned.empty()) {
-      for (std::int64_t j = 0; j < n; ++j) {
-        const Symbol c = buffer.load(static_cast<std::size_t>(j));
-        const std::int64_t pos = base + j;
-        if (dense) {
-          ctx.charge(kBufferedScanInstr);
-          for (std::uint32_t u = 0; u < owned.size(); ++u) {
-            ctx.charge(kAutomatonStepInstr);
-            if (dense_automata[u].step(c, pos)) ++owned[u].count;
+      // Counters are read only at barriers, so each branch charges the
+      // staged buffer at once: one shared load per symbol, then the
+      // per-symbol loop control in closed form.
+      const std::span<const Symbol> staged = buffer.load_span(0, static_cast<std::size_t>(n));
+      const auto symbols = static_cast<std::uint64_t>(n);
+      if (dense) {
+        // Plus one step per owned automaton; each automaton runs over the
+        // whole buffer.
+        ctx.charge(symbols * (kBufferedScanInstr + owned.size() * kAutomatonStepInstr));
+        for (std::size_t u = 0; u < owned.size(); ++u) {
+          EpisodeAutomaton& automaton = dense_automata[u];
+          std::uint32_t accepted = 0;
+          for (std::size_t j = 0; j < staged.size(); ++j) {
+            if (automaton.step(staged[j], base + static_cast<std::int64_t>(j))) ++accepted;
           }
-          continue;
+          owned[u].count += accepted;
         }
-
-        if (trie) {
-          // One probe per position (loop control, deadline peek, bucket-head
-          // lookup — same shape as the flat path), then replay the host trie
-          // engine's op deltas as device charges: each token drain re-reads
-          // and writes back one automaton record in device scratch exactly
-          // like a flat drain, but one drain now advances every episode
-          // sharing the prefix.
-          ctx.charge(kBucketProbeInstr);
-          trie_counter->advance(c, pos);
-          const core::TrieCounter::Ops ops = trie_counter->ops();
-          const auto drains = static_cast<int>(ops.drains - trie_prev.drains);
-          const auto files = static_cast<int>(ops.files - trie_prev.files);
-          const auto accepts = static_cast<int>(ops.accepts - trie_prev.accepts);
-          const auto heap_ops = static_cast<int>(ops.heap_ops - trie_prev.heap_ops);
-          trie_prev = ops;
-          if (drains > 0) {
-            ctx.charge(drains * kTrieDrainInstr);
-            const auto record = static_cast<std::size_t>(owned.front().slot);
-            for (int d = 0; d < drains; ++d) {
-              (void)v.scratch.load(ctx, record);
-              v.scratch.store(ctx, record, 0);
-            }
-          }
-          if (files > 0) ctx.charge(files * kBucketFileInstr);
-          if (accepts > 0) ctx.charge(accepts * kTrieAcceptInstr);
-          if (heap_ops > 0) ctx.charge(heap_ops * kExpiryHeapInstr);
-          continue;
-        }
-
-        ctx.charge(kBucketProbeInstr);
-        // Expire matches that can no longer finish by this position: the
-        // serial automaton resets them at step time, so they must be back in
-        // their episode[0] bucket before this symbol is dispatched.
-        if (expiry.enabled()) {
-          while (!deadlines.empty() && deadlines.top().at <= pos) {
-            const BucketDeadline d = deadlines.top();
-            deadlines.pop();
-            ctx.charge(kExpiryHeapInstr);
-            BucketOwned& o = owned[d.u];
-            if (o.state > 0 && o.first_pos + expiry.window == d.at) {
-              o.state = 0;
-              ++o.gen;  // the entry filed under the old awaited symbol dies
-              v.scratch.store(ctx, static_cast<std::size_t>(o.slot), bucket_state_word(o));
-              ctx.charge(kBucketFileInstr);
-              buckets[o.episode[0]].push_back({d.u, o.gen});
-            }
-          }
-        }
-
-        auto& bucket = buckets[c];
-        if (bucket.empty()) continue;
-        // Swap the bucket out before advancing: an automaton whose next
-        // awaited symbol is also `c` (repeated-symbol episode) must re-file
-        // for the NEXT occurrence, not be stepped twice on this one.
-        drain.swap(bucket);
-        for (const BucketEntry entry : drain) {
-          ctx.charge(kBucketDrainInstr);
-          BucketOwned& o = owned[entry.u];
-          if (o.gen != entry.gen) continue;  // stale: expired/re-bucketed since
-          (void)v.scratch.load(ctx, static_cast<std::size_t>(o.slot));
-          if (o.state == 0) {
-            o.first_pos = pos;
-            // Level-1 episodes complete in this same step, so a deadline
-            // could never fire usefully — don't flood the heap.
-            if (expiry.enabled() && o.episode.size() > 1) {
+      } else if (trie) {
+        // One probe per position (loop control, deadline peek, bucket-head
+        // lookup — same shape as the flat path), then the host trie engine's
+        // op deltas over the buffer as device charges: each token drain
+        // re-reads and writes back one automaton record in device scratch
+        // exactly like a flat drain, but one drain advances every episode
+        // sharing the prefix.
+        trie_counter->advance_batch(staged, base);
+        const core::TrieCounter::Ops& ops = trie_counter->ops();
+        const auto delta = [](std::int64_t now, std::int64_t before) {
+          return static_cast<std::uint64_t>(now - before);
+        };
+        const std::uint64_t drains = delta(ops.drains, trie_prev.drains);
+        ctx.charge(symbols * kBucketProbeInstr + drains * kTrieDrainInstr +
+                   delta(ops.files, trie_prev.files) * kBucketFileInstr +
+                   delta(ops.accepts, trie_prev.accepts) * kTrieAcceptInstr +
+                   delta(ops.heap_ops, trie_prev.heap_ops) * kExpiryHeapInstr);
+        v.scratch.load_store(ctx, static_cast<std::size_t>(owned.front().slot), 0, drains);
+        trie_prev = ops;
+      } else {
+        ctx.charge(symbols * kBucketProbeInstr);
+        for (std::size_t j = 0; j < staged.size(); ++j) {
+          const Symbol c = staged[j];
+          const std::int64_t pos = base + static_cast<std::int64_t>(j);
+          // Expire matches that can no longer finish by this position: the
+          // serial automaton resets them at step time, so they must be back
+          // in their episode[0] bucket before this symbol is dispatched.
+          if (expiry.enabled()) {
+            while (!deadlines.empty() && deadlines.top().at <= pos) {
+              const BucketDeadline d = deadlines.top();
+              deadlines.pop();
               ctx.charge(kExpiryHeapInstr);
-              deadlines.push({pos + expiry.window, entry.u});
+              BucketOwned& o = owned[d.u];
+              if (o.state > 0 && o.first_pos + expiry.window == d.at) {
+                o.state = 0;
+                ++o.gen;  // the entry filed under the old awaited symbol dies
+                v.scratch.store(ctx, static_cast<std::size_t>(o.slot), bucket_state_word(o));
+                ctx.charge(kBucketFileInstr);
+                buckets[o.episode[0]].push_back({d.u, o.gen});
+              }
             }
           }
-          ctx.charge(kAutomatonStepInstr);
-          ++o.state;
-          ++o.gen;
-          if (o.state == static_cast<int>(o.episode.size())) {
-            ++o.count;
-            o.state = 0;
+
+          auto& bucket = buckets[c];
+          if (bucket.empty()) continue;
+          // Swap the bucket out before advancing: an automaton whose next
+          // awaited symbol is also `c` (repeated-symbol episode) must re-file
+          // for the NEXT occurrence, not be stepped twice on this one.
+          drain.swap(bucket);
+          for (const BucketEntry entry : drain) {
+            ctx.charge(kBucketDrainInstr);
+            BucketOwned& o = owned[entry.u];
+            if (o.gen != entry.gen) continue;  // stale: expired/re-bucketed since
+            (void)v.scratch.load(ctx, static_cast<std::size_t>(o.slot));
+            if (o.state == 0) {
+              o.first_pos = pos;
+              // Level-1 episodes complete in this same step, so a deadline
+              // could never fire usefully — don't flood the heap.
+              if (expiry.enabled() && o.episode.size() > 1) {
+                ctx.charge(kExpiryHeapInstr);
+                deadlines.push({pos + expiry.window, entry.u});
+              }
+            }
+            ctx.charge(kAutomatonStepInstr);
+            ++o.state;
+            ++o.gen;
+            if (o.state == static_cast<int>(o.episode.size())) {
+              ++o.count;
+              o.state = 0;
+            }
+            v.scratch.store(ctx, static_cast<std::size_t>(o.slot), bucket_state_word(o));
+            ctx.charge(kBucketFileInstr);
+            buckets[o.episode[static_cast<std::size_t>(o.state)]].push_back(
+                {entry.u, o.gen});
           }
-          v.scratch.store(ctx, static_cast<std::size_t>(o.slot), bucket_state_word(o));
-          ctx.charge(kBucketFileInstr);
-          buckets[o.episode[static_cast<std::size_t>(o.state)]].push_back(
-              {entry.u, o.gen});
+          drain.clear();
         }
-        drain.clear();
       }
     }
     co_await ctx.syncthreads();

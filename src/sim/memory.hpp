@@ -108,6 +108,22 @@ class GlobalView {
     data_[index] = value;
   }
 
+  /// `n` loads whose values the kernel drops, each at some index in
+  /// [begin, end): one bounds check covers them all.
+  void discard_loads(ThreadCtx& ctx, std::size_t begin, std::size_t end,
+                     std::uint64_t n) const {
+    gm::ensure(begin < end && end <= size_, "global load out of bounds");
+    ctx.note_global_access(sizeof(T), n);
+  }
+
+  /// `n` round trips on one word, each a load of `index` followed by a store
+  /// of `value` there.
+  void load_store(ThreadCtx& ctx, std::size_t index, T value, std::uint64_t n) {
+    gm::ensure(index < size_, "global load/store out of bounds");
+    ctx.note_global_access(sizeof(T), 2 * n);
+    if (n > 0) data_[index] = value;
+  }
+
   /// 32/64-bit atomic add; requires compute capability >= 1.1 (paper §4.2.1).
   /// Returns the previous value, like CUDA atomicAdd.
   T atomic_add(ThreadCtx& ctx, std::size_t index, T delta) {
@@ -146,6 +162,13 @@ class SharedArray {
     gm::ensure(index < count_, "shared load out of bounds");
     ctx_->note_shared_access();
     return data_[index];
+  }
+
+  /// `n` consecutive loads from `begin`, charged as `n` shared accesses.
+  [[nodiscard]] std::span<const T> load_span(std::size_t begin, std::size_t n) const {
+    gm::ensure(begin <= count_ && n <= count_ - begin, "shared load out of bounds");
+    ctx_->note_shared_access(n);
+    return {data_ + begin, n};
   }
 
   void store(std::size_t index, T value) {

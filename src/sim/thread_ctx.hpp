@@ -35,6 +35,8 @@ struct ThreadCounters {
   std::uint64_t tex_bytes = 0;
   std::uint64_t global_bytes = 0;
   std::uint64_t syncs = 0;
+
+  friend bool operator==(const ThreadCounters&, const ThreadCounters&) = default;
 };
 
 /// Coroutine handle wrapper for one simulated thread's kernel invocation.
@@ -124,7 +126,9 @@ class ThreadCtx {
   void charge(std::uint64_t n) noexcept { counters_.instructions += n; }
 
   // Called by the memory views; each memory operation also occupies one issue
-  // slot.
+  // slot.  The count-taking forms charge `n` identical accesses at once: the
+  // engine reads lane counters only at barriers and at block end, so a view
+  // may charge a whole staged buffer's accesses in one call.
   void note_tex_fetch(std::uint64_t address, int bytes) noexcept {
     ++counters_.instructions;
     ++counters_.tex_ops;
@@ -133,14 +137,14 @@ class ThreadCtx {
       env_->texture_cache->access_range(address, bytes);
     }
   }
-  void note_shared_access() noexcept {
-    ++counters_.instructions;
-    ++counters_.shared_ops;
+  void note_shared_access(std::uint64_t n = 1) noexcept {
+    counters_.instructions += n;
+    counters_.shared_ops += n;
   }
-  void note_global_access(int bytes) noexcept {
-    ++counters_.instructions;
-    ++counters_.global_ops;
-    counters_.global_bytes += static_cast<std::uint64_t>(bytes);
+  void note_global_access(int bytes, std::uint64_t n = 1) noexcept {
+    counters_.instructions += n;
+    counters_.global_ops += n;
+    counters_.global_bytes += static_cast<std::uint64_t>(bytes) * n;
   }
   void note_atomic() {
     if (!spec_->supports_atomics()) {

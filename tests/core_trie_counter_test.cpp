@@ -3,10 +3,14 @@
 // semantics and expiry windows, the degenerate trie shapes (singleton
 // candidate set, all-shared-prefix, no-shared-prefix), and the token
 // mechanics that differ from the flat single-scan engine (divergence at
-// accepting nodes, episodes that are prefixes of other episodes).
+// accepting nodes, episodes that are prefixes of other episodes), and the
+// parity of batched and per-symbol advancing down to the work counters.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -196,6 +200,77 @@ TEST(TrieCounter, ContiguousRestartDensePathMatchesSerial) {
     EXPECT_EQ(count_all_trie_scan(episodes, db, Semantics::kContiguousRestart,
                                   ExpiryPolicy{window}),
               count_all(episodes, db, Semantics::kContiguousRestart, ExpiryPolicy{window}));
+  }
+}
+
+void expect_same_engine_state(const TrieCounter& batched, const TrieCounter& stepped,
+                              const std::string& where) {
+  EXPECT_EQ(batched.counts(), stepped.counts()) << where;
+  EXPECT_EQ(batched.progress(), stepped.progress()) << where;
+  const TrieCounter::Ops& a = batched.ops();
+  const TrieCounter::Ops& b = stepped.ops();
+  EXPECT_EQ(a.probes, b.probes) << where;
+  EXPECT_EQ(a.drains, b.drains) << where;
+  EXPECT_EQ(a.files, b.files) << where;
+  EXPECT_EQ(a.accepts, b.accepts) << where;
+  EXPECT_EQ(a.heap_ops, b.heap_ops) << where;
+  EXPECT_EQ(a.starts, b.starts) << where;
+  EXPECT_EQ(a.dense_steps, b.dense_steps) << where;
+}
+
+// advance_batch over randomly split batches must be indistinguishable from
+// one advance() per symbol: counts, progress and all seven work counters,
+// which the gpusim trie kernel prices per staged buffer.  One- to
+// eight-episode sets leave most symbols with nothing waiting, idling or due
+// (the batch loop's skip case), and a mid-stream restore() regroups tokens
+// before both engines continue.
+TEST(TrieCounter, BatchAdvanceMatchesPerSymbolAdvanceIncludingOps) {
+  Rng rng(0xBA7C4ED);
+  const Semantics all_semantics[] = {Semantics::kNonOverlappedSubsequence,
+                                     Semantics::kContiguousRestart};
+  for (int trial = 0; trial < 16; ++trial) {
+    const int alphabet_size = trial % 2 == 0 ? 4 : 26;
+    const Alphabet alphabet(alphabet_size);
+    const auto db = data::uniform_database(alphabet, 700, rng());
+    const auto size = static_cast<std::int64_t>(db.size());
+    const auto episodes =
+        random_episodes(rng, alphabet_size, static_cast<int>(rng.between(1, 8)), 4);
+    const auto cut = static_cast<std::size_t>(rng.between(1, size - 1));
+    for (const Semantics semantics : all_semantics) {
+      for (const std::int64_t window : {std::int64_t{0}, std::int64_t{1}, std::int64_t{7}, size}) {
+        const ExpiryPolicy expiry{window};
+        const std::string where = "trial " + std::to_string(trial) + " " +
+                                  to_string(semantics) + " window " + std::to_string(window);
+        // Feeds [from, to) one symbol at a time into `stepped` and in random
+        // batches into `batched`.
+        const auto feed = [&](TrieCounter& batched, TrieCounter& stepped, std::size_t from,
+                              std::size_t to) {
+          for (std::size_t i = from; i < to; ++i) {
+            stepped.advance(db[i], static_cast<std::int64_t>(i));
+          }
+          for (std::size_t i = from; i < to;) {
+            const auto n = std::min(to - i, static_cast<std::size_t>(rng.between(1, 90)));
+            batched.advance_batch(std::span<const Symbol>(db).subspan(i, n),
+                                  static_cast<std::int64_t>(i));
+            i += n;
+          }
+        };
+
+        TrieCounter batched(episodes, semantics, expiry, size);
+        TrieCounter stepped(episodes, semantics, expiry, size);
+        feed(batched, stepped, 0, cut);
+        expect_same_engine_state(batched, stepped, where + " before the cut");
+
+        const auto progress = stepped.progress();
+        TrieCounter batched_resumed(episodes, semantics, expiry, size);
+        TrieCounter stepped_resumed(episodes, semantics, expiry, size);
+        batched_resumed.restore(progress);
+        stepped_resumed.restore(progress);
+        feed(batched_resumed, stepped_resumed, cut, db.size());
+        expect_same_engine_state(batched_resumed, stepped_resumed, where + " after restore");
+        EXPECT_EQ(batched_resumed.counts(), count_all(episodes, db, semantics, expiry)) << where;
+      }
+    }
   }
 }
 

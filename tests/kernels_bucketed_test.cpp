@@ -11,9 +11,13 @@
 //    reportable gm::PreconditionError from every entry point (geometry,
 //    kernel launch, backend, miner) instead of an invariant failure deep in
 //    the kernel layer;
-//  * bucketed launch geometry and the first-symbol staging permutation.
+//  * bucketed launch geometry and the first-symbol staging permutation;
+//  * a functional-profile pin: algorithms 2, 4 and 5 (flat and trie) on a
+//    multi-block, multi-buffer launch must keep every simulated counter.
 #include <gtest/gtest.h>
 
+#include <iomanip>
+#include <sstream>
 #include <string>
 
 #include "common/rng.hpp"
@@ -382,6 +386,134 @@ TEST(TrieBuckets, SharedPrefixSetDrainsFewerInstructionsThanFlat) {
             0.75 * flat.launch.totals.lane_instructions)
       << "trie " << trie.launch.totals.lane_instructions << " vs flat "
       << flat.launch.totals.lane_instructions;
+}
+
+// ---------------------------------------------------------------------------
+// Functional profile pin: every simulated counter of the data-dependent
+// formulations, so a host-side rewrite of a kernel's scan loop must leave
+// each BlockProfile field, group count, texture-cache stat and count alone.
+// ---------------------------------------------------------------------------
+
+struct PinCase {
+  const char* name;
+  Algorithm algorithm;
+  bool trie_buckets;
+  Semantics semantics;
+  int window;
+  int level;
+  int threads_per_block;
+  std::uint64_t digest;  ///< FNV-1a of profile_text(); a mismatch prints the text
+};
+
+/// Every group's count and BlockProfile field, the texture-cache stats and
+/// the counts as text.  The doubles hold integer sums, so the text is exact
+/// and the same under any conforming toolchain.
+std::string profile_text(const MiningRun& run) {
+  std::ostringstream out;
+  out << std::setprecision(17);
+  for (const auto& group : run.launch.profile.groups) {
+    const gpusim::BlockProfile& b = group.block;
+    out << "group " << group.count << '\n'
+        << b.warps << ' ' << b.syncs << '\n'
+        << b.warp_instructions << ' ' << b.warp_tex_ops << ' ' << b.warp_shared_ops << ' '
+        << b.warp_global_ops << ' ' << b.warp_atomic_ops << '\n'
+        << b.path_instructions << ' ' << b.path_tex_ops << ' ' << b.path_shared_ops << ' '
+        << b.path_global_ops << '\n'
+        << b.lane_instructions << ' ' << b.tex_requests << ' ' << b.tex_miss_bytes << ' '
+        << b.shared_requests << ' ' << b.global_requests << ' ' << b.global_bytes << ' '
+        << b.atomic_requests << '\n'
+        << static_cast<int>(b.texture.kind) << ' ' << b.texture.footprint_bytes << ' '
+        << b.texture.sharing_key << '\n';
+  }
+  const auto& cache = run.launch.texture_cache;
+  out << "cache " << cache.accesses << ' ' << cache.hits << ' ' << cache.misses << '\n';
+  out << "counts";
+  for (const std::int64_t count : run.counts) out << ' ' << count;
+  out << '\n';
+  return out.str();
+}
+
+std::uint64_t fnv1a(const std::string& text) {
+  std::uint64_t hash = 0xCBF29CE484222325ULL;
+  for (const char c : text) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001B3ULL;
+  }
+  return hash;
+}
+
+TEST(ProfilePin, DataDependentFormulationsKeepEverySimulatedCounter) {
+  // Every level-3 episode over six symbols (the paper's dense Apriori shape
+  // in miniature, repeated-symbol episodes included) handed over in
+  // scrambled order, and the six level-1 episodes.  The 1,200-symbol stream
+  // goes through eight 160-byte staging buffers; the texture cache is on.
+  constexpr int kAlphabet = 6;
+  const Alphabet alphabet(kAlphabet);
+  const Sequence db = data::uniform_database(alphabet, 1200, 0x9A9E5);
+  std::vector<Episode> level3;
+  for (int s = 0; s < kAlphabet * kAlphabet * kAlphabet; ++s) {
+    const int scrambled = (s * 97) % (kAlphabet * kAlphabet * kAlphabet);
+    level3.emplace_back(std::vector<Symbol>{static_cast<Symbol>(scrambled / 36),
+                                            static_cast<Symbol>(scrambled / 6 % 6),
+                                            static_cast<Symbol>(scrambled % 6)});
+  }
+  std::vector<Episode> level1;
+  for (int s = kAlphabet - 1; s >= 0; --s) {
+    level1.emplace_back(std::vector<Symbol>{static_cast<Symbol>(s)});
+  }
+
+  constexpr Semantics kSub = Semantics::kNonOverlappedSubsequence;
+  constexpr Semantics kRestart = Semantics::kContiguousRestart;
+  constexpr Algorithm k2 = Algorithm::kThreadBuffered;
+  constexpr Algorithm k4 = Algorithm::kBlockBuffered;
+  constexpr Algorithm k5 = Algorithm::kBlockBucketed;
+  // algo5 at 8 threads: 64-slot blocks, so 216 episodes make a 4-block grid
+  // with a short last block; algo2 pads 216 to 7 blocks of 32; algo4 runs
+  // one 16-thread block per episode.
+  const std::vector<PinCase> cases = {
+      {"algo5-flat/sub/W0", k5, false, kSub, 0, 3, 8, 0xb07471507041526b},
+      {"algo5-flat/sub/W7", k5, false, kSub, 7, 3, 8, 0x35fece05fccaad53},
+      {"algo5-flat/restart/W0", k5, false, kRestart, 0, 3, 8, 0x0d3e60ef4157b2e1},
+      {"algo5-flat/restart/W7", k5, false, kRestart, 7, 3, 8, 0x0d3e60ef4157b2e1},
+      {"algo5-trie/sub/W0", k5, true, kSub, 0, 3, 8, 0xa3b99d57d1fa4646},
+      {"algo5-trie/sub/W7", k5, true, kSub, 7, 3, 8, 0x5d54ed898873313b},
+      {"algo5-trie/restart/W0", k5, true, kRestart, 0, 3, 8, 0x0d3e60ef4157b2e1},
+      {"algo5-trie/restart/W7", k5, true, kRestart, 7, 3, 8, 0x0d3e60ef4157b2e1},
+      {"algo2/sub/W0", k2, false, kSub, 0, 3, 32, 0xf20bca1948db4f1d},
+      {"algo2/sub/W7", k2, false, kSub, 7, 3, 32, 0x55b04b3f8c26e06b},
+      {"algo2/restart/W7", k2, false, kRestart, 7, 3, 32, 0x790befdb89420053},
+      {"algo4/sub/W0", k4, false, kSub, 0, 3, 16, 0x53fe1409e6fc4820},
+      {"algo4/sub/W7", k4, false, kSub, 7, 3, 16, 0x18a19483fb25535a},
+      {"algo4/restart/W0", k4, false, kRestart, 0, 3, 16, 0xa7d14f2bada16f60},
+      {"algo4/restart/W7", k4, false, kRestart, 7, 3, 16, 0x49ffa93a9c9fcf54},
+      {"algo4-level1/sub/W0", k4, false, kSub, 0, 1, 16, 0x913efb0a2049fea0},
+  };
+
+  gpusim::EngineOptions options;
+  options.host_threads = 2;
+  options.simulate_texture_cache = true;
+  const gpusim::Engine engine(gpusim::geforce_8800_gts_512(), options);
+  for (const PinCase& c : cases) {
+    const std::vector<Episode>& episodes = c.level == 3 ? level3 : level1;
+    MiningLaunchParams params;
+    params.algorithm = c.algorithm;
+    params.threads_per_block = c.threads_per_block;
+    params.semantics = c.semantics;
+    params.expiry = core::ExpiryPolicy{c.window};
+    params.trie_buckets = c.trie_buckets;
+    params.buffer_bytes = 160;
+    const MiningRun run = run_mining_kernel(engine, db, episodes, params);
+
+    ASSERT_GT(run.launch.profile.total_blocks(), 1) << c.name;
+    if (c.algorithm != k4 || c.window == 0) {  // algo4's expiry rescans approximate
+      EXPECT_EQ(run.counts, core::count_all(episodes, db, c.semantics, params.expiry))
+          << c.name;
+    }
+    const std::string text = profile_text(run);
+    EXPECT_EQ(fnv1a(text), c.digest)
+        << c.name << ": digest 0x" << std::hex << fnv1a(text) << std::dec << " of\n"
+        << text;
+  }
 }
 
 TEST(TrieBuckets, RejectedOutsideAlgorithmFive) {

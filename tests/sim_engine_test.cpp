@@ -1,8 +1,10 @@
 // Functional-engine tests: kernel execution, barriers, SIMT warp accounting,
-// memory views, atomics, and failure modes.
+// memory views (including the bulk charge forms), atomics, and failure modes.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <numeric>
+#include <vector>
 
 #include "common/error.hpp"
 #include "sim/engine.hpp"
@@ -204,6 +206,93 @@ TEST(Engine, SharedArrayBoundsChecked) {
     co_return;
   };
   EXPECT_THROW((void)engine.launch(cfg(1, 1, 64), kernel), gm::InvariantError);
+}
+
+TEST(Engine, BulkAccessesAreBoundsChecked) {
+  const Engine engine = test_engine();
+  DeviceBuffer<int> buf{4};
+  auto g = buf.global();
+  using Access = std::function<void(ThreadCtx&, SharedArray<int>&)>;
+  const std::vector<Access> out_of_range = {
+      // A span running past the end, and one starting past it.
+      [](ThreadCtx&, SharedArray<int>& shared) { (void)shared.load_span(2, 3); },
+      [](ThreadCtx&, SharedArray<int>& shared) { (void)shared.load_span(5, 0); },
+      // A discarded-load range running past the end, and an empty one.
+      [g](ThreadCtx& ctx, SharedArray<int>&) { g.discard_loads(ctx, 2, 5, 1); },
+      [g](ThreadCtx& ctx, SharedArray<int>&) { g.discard_loads(ctx, 2, 2, 1); },
+      [g](ThreadCtx& ctx, SharedArray<int>&) mutable { g.load_store(ctx, 4, 0, 1); },
+  };
+  for (std::size_t i = 0; i < out_of_range.size(); ++i) {
+    const Access access = out_of_range[i];
+    const KernelFn kernel = [access](ThreadCtx& ctx) -> KernelTask {
+      SharedArray<int> shared(ctx, 4);
+      access(ctx, shared);
+      co_return;
+    };
+    EXPECT_THROW((void)engine.launch(cfg(1, 1, 64), kernel), gm::InvariantError) << i;
+  }
+}
+
+TEST(Engine, BulkChargesMatchPerElementCalls) {
+  // Lanes 2k and 2k+1 make the same n accesses per segment: in mode 2 the
+  // even lane charges them through the bulk forms and its odd sibling one
+  // call at a time.  Modes 0 and 1 run every lane one way.
+  const Engine engine = test_engine();
+  constexpr int kBlocks = 2;
+  constexpr int kThreads = 48;
+  DeviceBuffer<std::uint32_t> words{32};
+  auto g = words.global();
+  std::vector<ThreadCounters> lanes(static_cast<std::size_t>(kBlocks * kThreads));
+  ThreadCounters* out = lanes.data();
+  const auto run = [&](int mode) {
+    const KernelFn kernel = [=](ThreadCtx& ctx) mutable -> KernelTask {
+      SharedArray<std::uint8_t> shared(ctx, 64);
+      const auto n = static_cast<std::size_t>(ctx.thread_idx() / 2 % 20 + 1);
+      const bool bulk = mode == 1 || (mode == 2 && ctx.thread_idx() % 2 == 0);
+      const auto word = static_cast<std::size_t>(ctx.block_idx());  // per-block word
+      if (bulk) {
+        (void)shared.load_span(64 - n, n);
+        g.discard_loads(ctx, 8, 16, n);
+      } else {
+        for (std::size_t i = 0; i < n; ++i) {
+          (void)shared.load(64 - n + i);
+          (void)g.load(ctx, 8 + i % 8);
+        }
+      }
+      co_await ctx.syncthreads();
+      if (bulk) {
+        g.load_store(ctx, word, 7u, n);
+      } else {
+        for (std::size_t i = 0; i < n; ++i) {
+          (void)g.load(ctx, word);
+          g.store(ctx, word, 7u);
+        }
+      }
+      out[static_cast<std::size_t>(ctx.global_thread())] = ctx.counters();
+      co_return;
+    };
+    return engine.launch(cfg(kBlocks, kThreads, 64), kernel);
+  };
+
+  const LaunchResult single = run(0);
+  const std::vector<ThreadCounters> single_lanes = lanes;
+  const LaunchResult bulk = run(1);
+  EXPECT_EQ(lanes, single_lanes);
+  const LaunchResult mixed = run(2);
+  EXPECT_EQ(lanes, single_lanes);
+  for (std::size_t t = 0; t + 1 < lanes.size(); t += 2) {
+    EXPECT_EQ(lanes[t], lanes[t + 1]) << "lane " << t;
+    EXPECT_EQ(lanes[t].global_ops, 3 * lanes[t].shared_ops) << "lane " << t;
+  }
+  ASSERT_EQ(single.profile.groups.size(), 1u);
+  EXPECT_EQ(single.profile.groups[0].count, kBlocks);
+  for (const LaunchResult* other : {&bulk, &mixed}) {
+    ASSERT_EQ(other->profile.groups.size(), 1u);
+    EXPECT_EQ(other->profile.groups[0].count, kBlocks);
+    EXPECT_EQ(other->profile.groups[0].block, single.profile.groups[0].block);
+  }
+  EXPECT_EQ(words.host()[0], 7u);
+  EXPECT_EQ(words.host()[1], 7u);
 }
 
 TEST(Engine, SharedAllocationLimitEnforced) {

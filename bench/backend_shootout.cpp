@@ -3,7 +3,7 @@
 // backend returns bit-identical counts to the serial reference.
 //
 // The interesting axes are the ones the paper characterizes:
-//   * stream length (--db): favors database sharding (cpu-sharded)
+//   * stream length (--db): favors database sharding (distrib, --shard-sweep)
 //   * candidate count (--episodes): favors episode parallelism (cpu-parallel)
 //   * alphabet size (--alphabet): favors the waiting-symbol bucket index
 //     (cpu-single-scan), whose per-symbol work is |episodes|/|alphabet|, on
@@ -26,8 +26,8 @@
 // of P random prefixes instead of fully at random, mimicking the shared
 // prefixes of an apriori level-L candidate set; the measured prefix mass
 // lands near (P * (L-1) + |episodes|) / (|episodes| * L), the regime where
-// the shared-prefix trie formulations (cpu-trie-scan, gpusim-algo5-trie)
-// overtake the flat ones.  The planner-validation JSON records the measured
+// the shared-prefix trie kernel (gpusim-algo5-trie) overtakes the flat
+// formulations.  The planner-validation JSON records the measured
 // prefix_compression per level plus trie-vs-flat pick tallies.
 //
 // --gpu additionally runs every simulated-GPU formulation (algorithms 1-5)
@@ -726,8 +726,7 @@ int main(int argc, char** argv) {
   double single_scan_ms = 0.0;
 
   std::printf("%-20s %12s %10s %10s\n", "backend", "best ms", "vs serial", "agrees");
-  for (const auto name : {"cpu-serial", "cpu-parallel", "cpu-sharded", "cpu-single-scan",
-                          "cpu-trie-scan", "cpu-lane-scan"}) {
+  for (const auto name : {"cpu-serial", "cpu-parallel", "cpu-single-scan", "cpu-lane-scan"}) {
     gm::service::BackendSpec spec;
     spec.name = name;
     spec.threads = opt.threads;

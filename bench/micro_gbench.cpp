@@ -1,9 +1,9 @@
 // Microbenchmarks of the substrate, in two tiers.
 //
 // The counting lane (`--counting`) is the regression-gated hot-path
-// microbench: it races the optimized single-scan engines (flat SoA and
-// shared-prefix trie) and the episode-lane SIMD engine against the serial
-// per-episode oracle across alphabet size x expiry x prefix mass, plus the
+// microbench: it races the flat SoA single-scan engine and the episode-lane
+// SIMD engine against the serial per-episode oracle across alphabet size x
+// expiry x prefix mass, plus the
 // paper's dense shape (26 symbols, all 17,576 level-3 episodes), cross-checks
 // every engine's counts against the oracle before reporting any timing, and
 // emits a schema-stamped BENCH_counting.json so the events/sec trajectory is
@@ -68,7 +68,7 @@ constexpr std::int64_t kDenseEvents = 50'000;
 
 /// One point of the shape grid.  `prefix_pool` 0 draws fully random episodes;
 /// P > 0 draws each episode's (level-1)-prefix from a pool of P (the
-/// apriori-candidate shape the trie engine compresses).  A dense shape
+/// shared-prefix shape of an apriori candidate set).  A dense shape
 /// instead counts every level-3 episode over its alphabet.
 struct Shape {
   int alphabet = 26;
@@ -134,7 +134,7 @@ int run_counting_lane(const CountingOptions& opt) {
 
   gm::bench::JsonWriter json;
   json.begin_object();
-  json.field("schema", "gm-bench-counting/1");
+  json.field("schema", "gm-bench-counting/2");
   json.field("db_size", opt.db_size);
   json.field("episodes", opt.episodes);
   json.field("level", opt.level);
@@ -145,9 +145,9 @@ int run_counting_lane(const CountingOptions& opt) {
   json.key("shapes").begin_array();
 
   bool gate_failed = false;
-  std::printf("%9s %7s %12s %6s %8s | %11s %11s %11s %11s | %8s %8s %8s\n", "alphabet",
-              "expiry", "prefix_pool", "rho", "episodes", "serial_ev/s", "flat_ev/s",
-              "trie_ev/s", "lane_ev/s", "flat_x", "trie_x", "lane_x");
+  std::printf("%9s %7s %12s %6s %8s | %11s %11s %11s | %8s %8s\n", "alphabet", "expiry",
+              "prefix_pool", "rho", "episodes", "serial_ev/s", "flat_ev/s", "lane_ev/s",
+              "flat_x", "lane_x");
   for (const Shape& shape : shapes) {
     gm::Rng rng(opt.seed + static_cast<std::uint64_t>(shape.alphabet) * 1000 +
                 static_cast<std::uint64_t>(shape.expiry) * 7 +
@@ -162,16 +162,12 @@ int run_counting_lane(const CountingOptions& opt) {
 
     std::vector<std::int64_t> oracle;
     std::vector<std::int64_t> flat;
-    std::vector<std::int64_t> trie;
     std::vector<std::int64_t> lane;
     const double serial_s = best_seconds(opt.repeat, oracle, [&] {
       return gm::core::count_all(episodes, db, semantics, expiry);
     });
     const double flat_s = best_seconds(opt.repeat, flat, [&] {
       return gm::core::count_all_single_scan(episodes, db, semantics, expiry);
-    });
-    const double trie_s = best_seconds(opt.repeat, trie, [&] {
-      return gm::core::count_all_trie_scan(episodes, db, semantics, expiry);
     });
     // The lane engine refuses expiry: its cells stay NaN (null in the JSON).
     double lane_s = std::numeric_limits<double>::quiet_NaN();
@@ -180,7 +176,7 @@ int run_counting_lane(const CountingOptions& opt) {
         return gm::core::count_all_lanes(episodes, db, semantics);
       });
     }
-    if (flat != oracle || trie != oracle || (!expiry.enabled() && lane != oracle)) {
+    if (flat != oracle || (!expiry.enabled() && lane != oracle)) {
       std::fprintf(stderr,
                    "FAIL: engine counts diverge from the serial oracle "
                    "(alphabet %d, expiry %lld, prefix_pool %d, episodes %zu)\n",
@@ -192,16 +188,13 @@ int run_counting_lane(const CountingOptions& opt) {
     const double db_events = static_cast<double>(events);
     const double serial_eps = db_events / serial_s;
     const double flat_eps = db_events / flat_s;
-    const double trie_eps = db_events / trie_s;
     const double lane_eps = db_events / lane_s;
     const double flat_speedup = serial_s / flat_s;
-    const double trie_speedup = serial_s / trie_s;
     const double lane_speedup = serial_s / lane_s;
     const double lane_vs_flat = flat_s / lane_s;
-    std::printf("%9d %7lld %12d %6.3f %8zu | %11.3e %11.3e %11.3e %11.3e | %8.2f %8.2f %8.2f\n",
+    std::printf("%9d %7lld %12d %6.3f %8zu | %11.3e %11.3e %11.3e | %8.2f %8.2f\n",
                 shape.alphabet, static_cast<long long>(shape.expiry), shape.prefix_pool, rho,
-                episodes.size(), serial_eps, flat_eps, trie_eps, lane_eps, flat_speedup,
-                trie_speedup, lane_speedup);
+                episodes.size(), serial_eps, flat_eps, lane_eps, flat_speedup, lane_speedup);
 
     json.begin_object();
     json.field("alphabet", shape.alphabet);
@@ -214,10 +207,8 @@ int run_counting_lane(const CountingOptions& opt) {
     json.field("dense", shape.dense);
     json.field("serial_events_per_sec", serial_eps);
     json.field("flat_events_per_sec", flat_eps);
-    json.field("trie_events_per_sec", trie_eps);
     json.field("lane_events_per_sec", lane_eps);
     json.field("flat_speedup_vs_serial", flat_speedup);
-    json.field("trie_speedup_vs_serial", trie_speedup);
     json.field("lane_speedup_vs_serial", lane_speedup);
     json.field("lane_speedup_vs_flat", lane_vs_flat);
     json.end_object();

@@ -28,7 +28,6 @@
 //     --max-level <L>     episode level cap           (default 3)
 //     --expiry <w>        expiry window, 0 = off      (default 7)
 //     --semantics <s>     nonoverlap | contig         (default nonoverlap)
-//     --engine <e>        flat | trie monitor engine  (default flat)
 //     --shard-chunks <n>  out-of-order fold lane, 0 = off (default 8)
 //     --seed <s>          replay seed                 (default 42)
 //     --out <file>        artifact path               (default BENCH_streaming.json)
@@ -70,7 +69,6 @@ struct Options {
   int max_level = 3;
   std::int64_t expiry = 7;
   gm::core::Semantics semantics = gm::core::Semantics::kNonOverlappedSubsequence;
-  gm::core::ScanEngine engine = gm::core::ScanEngine::kSingleScan;
   int shard_chunks = 8;
   std::uint64_t seed = 42;
   std::string out = "BENCH_streaming.json";
@@ -81,7 +79,7 @@ int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--db N] [--alphabet K] [--batches B] [--batch-size S]\n"
                "       [--monitors M] [--episodes E] [--max-level L] [--expiry W]\n"
-               "       [--semantics nonoverlap|contig] [--engine flat|trie]\n"
+               "       [--semantics nonoverlap|contig]\n"
                "       [--shard-chunks N] [--seed S] [--out FILE] [--min-speedup X]\n",
                argv0);
   return 2;
@@ -125,11 +123,6 @@ int main(int argc, char** argv) {
         else if (value == "nonoverlap")
           opt.semantics = core::Semantics::kNonOverlappedSubsequence;
         else return usage(argv[0]);
-      } else if (arg == "--engine") {
-        const std::string value = next();
-        if (value == "trie") opt.engine = core::ScanEngine::kTrie;
-        else if (value == "flat") opt.engine = core::ScanEngine::kSingleScan;
-        else return usage(argv[0]);
       } else if (arg == "--shard-chunks")
         opt.shard_chunks = bench::parse_int(arg, next(), 0, 4096);
       else if (arg == "--seed")
@@ -172,7 +165,6 @@ int main(int argc, char** argv) {
       }
       spec.semantics = opt.semantics;
       spec.expiry = {opt.expiry};
-      spec.engine = opt.engine;
       const auto initial = core::count_all(spec.episodes, full, spec.semantics, spec.expiry);
       const std::int64_t peak = *std::max_element(initial.begin(), initial.end());
       // Halfway up the busiest episode's expected growth over the replay.
@@ -299,7 +291,6 @@ int main(int argc, char** argv) {
         .field("max_level", opt.max_level)
         .field("expiry", opt.expiry)
         .field("semantics", std::string(core::to_string(opt.semantics)))
-        .field("engine", opt.engine == core::ScanEngine::kTrie ? "trie" : "flat")
         .field("seed", static_cast<std::int64_t>(opt.seed));
     json.end_object();
     json.key("incremental_ms")

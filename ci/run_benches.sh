@@ -61,8 +61,8 @@ step_planner_gpu() {
     --json BENCH_shootout_gpu.json
 }
 
-# Shared-prefix candidate sets (--prefix-pool): the trie formulations enter
-# the measured table and the planner should pick gpusim-algo5-trie at levels
+# Shared-prefix candidate sets (--prefix-pool): the trie kernel enters the
+# measured table and the planner should pick gpusim-algo5-trie at levels
 # 2-3, so the 2x regret gate covers the trie-vs-flat decision too.
 step_planner_trie() {
   "$BENCH/backend_shootout" --validate-planner \

@@ -40,26 +40,18 @@ const std::vector<ParamRef>& calibration_params() {
        [](CalibrationProfile& p) -> double& { return p.cpu.serial_step_ns; }},
       {"cpu.serial_expiry_step_ns",
        [](CalibrationProfile& p) -> double& { return p.cpu.serial_expiry_step_ns; }},
-      {"cpu.sharded_step_ns",
-       [](CalibrationProfile& p) -> double& { return p.cpu.sharded_step_ns; }},
       {"cpu.scan_probe_ns",
        [](CalibrationProfile& p) -> double& { return p.cpu.scan_probe_ns; }},
       {"cpu.scan_drain_ns",
        [](CalibrationProfile& p) -> double& { return p.cpu.scan_drain_ns; }},
       {"cpu.scan_dense_step_ns",
        [](CalibrationProfile& p) -> double& { return p.cpu.scan_dense_step_ns; }},
-      {"cpu.trie_drain_ns",
-       [](CalibrationProfile& p) -> double& { return p.cpu.trie_drain_ns; }},
-      {"cpu.trie_accept_ns",
-       [](CalibrationProfile& p) -> double& { return p.cpu.trie_accept_ns; }},
       {"cpu.lane_block_ns",
        [](CalibrationProfile& p) -> double& { return p.cpu.lane_block_ns; }},
       {"cpu.expiry_heap_ns",
        [](CalibrationProfile& p) -> double& { return p.cpu.expiry_heap_ns; }},
       {"cpu.thread_spawn_us",
        [](CalibrationProfile& p) -> double& { return p.cpu.thread_spawn_us; }},
-      {"cpu.fold_step_ns",
-       [](CalibrationProfile& p) -> double& { return p.cpu.fold_step_ns; }},
       {"cpu.distrib_merge_ns",
        [](CalibrationProfile& p) -> double& { return p.cpu.distrib_merge_ns; }},
       {"cpu.distrib_rescan_ns",

@@ -27,7 +27,7 @@ struct PlannerOptions;
 namespace gm::calib {
 
 /// The JSON `schema` tag this build writes and accepts.
-inline constexpr std::string_view kProfileSchema = "gm-calibration/1";
+inline constexpr std::string_view kProfileSchema = "gm-calibration/2";
 
 struct CalibrationProfile {
   kernels::KernelCostProfile kernel;

@@ -67,11 +67,8 @@ double predict_sample_ms(const CalibrationProfile& profile, const FitSample& sam
     case BackendKind::kCpuSerial: return planner::predict_cpu_serial_ms(w, profile.cpu);
     case BackendKind::kCpuParallel:
       return planner::predict_cpu_parallel_ms(w, sample.config.threads, profile.cpu);
-    case BackendKind::kCpuSharded:
-      return planner::predict_cpu_sharded_ms(w, sample.config.threads, profile.cpu);
     case BackendKind::kCpuSingleScan:
       return planner::predict_cpu_single_scan_ms(w, profile.cpu);
-    case BackendKind::kCpuTrieScan: return planner::predict_cpu_trie_ms(w, profile.cpu);
     case BackendKind::kCpuLaneScan: return planner::predict_cpu_lane_scan_ms(w, profile.cpu);
     case BackendKind::kDistrib: {
       if (sample.config.distrib_gpu) {

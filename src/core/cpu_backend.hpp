@@ -1,24 +1,21 @@
 // CPU counting backends: the serial single-core reference (the GMiner-class
 // baseline the paper motivates against) and the parallel/indexed/vector
-// formulations covering both parallelization axes of the counting step:
+// formulations of the counting step:
 //
 //   backend            parallel axis     per-level cost (t threads)
 //   cpu-serial         —                 O(|DB| * |eps|)
 //   cpu-parallel       episodes          O(|DB| * |eps| / t)
-//   cpu-sharded        database          O(|DB| * |eps| * L / t) map + fold
 //   cpu-single-scan    — (indexed)       O(|DB| * (1 + |eps|/|alphabet|))
-//   cpu-trie-scan      — (shared)        O(|DB| * (1 + |prefixes|/|alphabet|))
 //   cpu-lane-scan      episodes (SIMD)   O(|DB| * ceil(|eps| / 64))
 //
-// cpu-parallel scales with the candidate count, cpu-sharded with the stream
-// length (the axis that matters when candidates are few but the database is
-// long), cpu-single-scan replaces brute-force rescans with one pass driving
-// all automata through a waiting-symbol bucket index, and cpu-trie-scan folds
-// prefix-sharing candidates into a trie so one partial match advances every
-// episode sharing that prefix (core/episode_trie.hpp).  cpu-lane-scan runs
-// one episode per SIMD lane, 64 lanes per step (core/lane_counter.hpp): its
-// cost ignores the alphabet, so it wins on small alphabets where the bucket
-// index drains |eps|/|alphabet| automata per event.
+// cpu-parallel scales with the candidate count over real cores (it wins with
+// few episodes over a long stream), cpu-single-scan replaces brute-force
+// rescans with one pass driving all automata through a waiting-symbol bucket
+// index, and cpu-lane-scan runs one episode per SIMD lane, 64 lanes per step
+// (core/lane_counter.hpp): its cost ignores the alphabet, so it wins on small
+// alphabets where the bucket index drains |eps|/|alphabet| automata per
+// event.  The database axis belongs to distrib/ (work-stealing shards with an
+// exact fold).
 #pragma once
 
 #include <memory>
@@ -53,41 +50,11 @@ class ParallelCpuBackend final : public CountingBackend {
   int threads_;
 };
 
-/// Database partitioned into `threads` shards (block-level parallelism in the
-/// paper's taxonomy).  Each (episode, shard) task computes the shard's
-/// transfer function; a cheap sequential fold composes them into exactly the
-/// serial count (segment_counter's kStateComposition).  With expiry enabled
-/// the transfer function is position-dependent, so each episode falls back to
-/// a sequential chunk-chain scan and the parallel axis degrades to episodes.
-class ShardedCpuBackend final : public CountingBackend {
- public:
-  /// `threads` = 0 picks the hardware concurrency; shards == threads.
-  explicit ShardedCpuBackend(int threads = 0);
-
-  [[nodiscard]] std::string name() const override;
-  [[nodiscard]] CountResult count(const CountRequest& request) override;
-
-  [[nodiscard]] int threads() const noexcept { return threads_; }
-
- private:
-  int threads_;
-};
-
 /// Single-threaded single-scan engine: one database pass drives all episode
 /// automata via the waiting-symbol bucket index (core/multi_counter.hpp).
 class SingleScanCpuBackend final : public CountingBackend {
  public:
   [[nodiscard]] std::string name() const override { return "cpu-single-scan"; }
-  [[nodiscard]] CountResult count(const CountRequest& request) override;
-};
-
-/// Single-threaded shared-prefix engine: one database pass drives trie-node
-/// tokens, advancing all prefix-sharing episodes together
-/// (core/episode_trie.hpp).  Strongest when the candidate set's
-/// prefix-compression factor is small (deep Apriori levels).
-class TrieCpuBackend final : public CountingBackend {
- public:
-  [[nodiscard]] std::string name() const override { return "cpu-trie-scan"; }
   [[nodiscard]] CountResult count(const CountRequest& request) override;
 };
 
@@ -108,8 +75,7 @@ class LaneCpuBackend final : public CountingBackend {
 [[nodiscard]] int resolved_thread_count(int threads) noexcept;
 
 /// Construct a CPU backend by name: "cpu-serial", "cpu-parallel",
-/// "cpu-sharded", "cpu-single-scan", "cpu-trie-scan", or "cpu-lane-scan"
-/// (unprefixed aliases accepted).
+/// "cpu-single-scan", or "cpu-lane-scan" (unprefixed aliases accepted).
 /// Returns nullptr for unknown names so callers can layer their own backends
 /// (e.g. the simulated GPU) on top of the selection.
 [[nodiscard]] std::unique_ptr<CountingBackend> make_cpu_backend(std::string_view name,

@@ -20,9 +20,15 @@
 // The machinery mirrors `multi_counter` deliberately: the same 256-entry
 // symbol -> waiting-bucket index (buckets hold trie tokens, not automata), the
 // same swap-the-bucket-before-draining discipline for repeated-symbol
-// prefixes, the same generation-tagged lazy expiry deadlines, and the same
-// dense per-episode fallback for kContiguousRestart (whose mismatch edges
-// defeat any waiting-symbol index).
+// prefixes, and the same generation-tagged lazy expiry deadlines.
+// kContiguousRestart is refused: its mismatch edges defeat any waiting-symbol
+// index, so there is nothing for a trie to share (the flat engine's dense
+// path serves it).
+//
+// On the host this engine loses to the flat single scan on every measured
+// shape; it exists as the functional model behind gpusim's trie mode
+// (kernels/mining_kernels, `gpusim-algo5-trie`), whose device charges come
+// from its `Ops` counters.
 //
 // Episode sets are represented as interval lists over the lexicographically
 // sorted candidate order, where every subtree is one contiguous index range:
@@ -38,7 +44,6 @@
 
 #include "core/automaton.hpp"
 #include "core/episode.hpp"
-#include "core/multi_counter.hpp"
 
 namespace gm::core {
 
@@ -54,7 +59,6 @@ class EpisodeTrie {
 
   struct Node {
     Symbol first_symbol = 0;  // depth-1 ancestor's edge symbol (== prefix[0])
-    std::int32_t depth = 0;
     std::uint32_t lo = 0;  // sorted-episode index range covered by this subtree
     std::uint32_t hi = 0;
     std::vector<Edge> children;             // sorted by symbol
@@ -92,8 +96,9 @@ class EpisodeTrie {
 [[nodiscard]] double prefix_compression(std::span<const Episode> episodes);
 
 /// Incremental shared-prefix counting engine: feed the stream one symbol at a
-/// time via `advance()`.  `database_size` clamps expiry deadlines exactly as
-/// the single-scan engine does (any window >= |DB| behaves identically).
+/// time via `advance()`, or a buffer at a time via `advance_batch()`.
+/// `database_size` clamps expiry deadlines exactly as the single-scan engine
+/// does (any window >= |DB| behaves identically).
 class TrieCounter {
  public:
   /// Work counters, cumulative across `advance()` calls.  The gpusim trie
@@ -106,57 +111,37 @@ class TrieCounter {
     std::int64_t accepts = 0;      // completed episode occurrences
     std::int64_t heap_ops = 0;     // deadline pushes + fired expiries
     std::int64_t starts = 0;       // episodes swept into a fresh root token
-    std::int64_t dense_steps = 0;  // dense-fallback automaton steps
   };
 
+  /// Refuses Semantics::kContiguousRestart (see the file comment).
   TrieCounter(std::span<const Episode> episodes, Semantics semantics, ExpiryPolicy expiry,
               std::int64_t database_size);
-  TrieCounter(TrieCounter&&) noexcept;
-  TrieCounter& operator=(TrieCounter&&) noexcept;
   ~TrieCounter();
 
   void advance(Symbol symbol, std::int64_t pos);
 
   /// Feed a contiguous batch: symbols[i] is at position start_pos + i.
   /// Exactly equivalent to advancing one symbol at a time, `ops()` included;
-  /// the dense fallback runs symbols innermost per automaton, and the sparse
-  /// path only counts the probe for a symbol nothing waits or idles on when
-  /// no deadline is due.
+  /// it only counts the probe for a symbol nothing waits or idles on when no
+  /// deadline is due.
   void advance_batch(std::span<const Symbol> symbols, std::int64_t start_pos);
-
-  /// Reinstate captured per-episode progress (ORIGINAL input order, parallel
-  /// to the construction episode list); must be called before the first
-  /// advance().  In-flight episodes regroup into shared-prefix tokens — two
-  /// episodes with the same matched prefix and first-match position are in
-  /// lockstep by definition, so the regrouped engine continues bit-exactly.
-  void restore(std::span<const EpisodeProgress> progress);
-
-  /// Per-episode scan configuration in the ORIGINAL input order, sufficient
-  /// to restore() into a fresh counter (an episode's state is its token's
-  /// trie depth; idle episodes report state 0).
-  [[nodiscard]] std::vector<EpisodeProgress> progress() const;
 
   /// Per-episode counts in the ORIGINAL input order.
   [[nodiscard]] std::vector<std::int64_t> counts() const;
   [[nodiscard]] const Ops& ops() const { return ops_; }
-  [[nodiscard]] const EpisodeTrie& trie() const { return *trie_; }
 
  private:
   struct Impl;
-  void advance_sparse(Symbol symbol, std::int64_t pos);
 
-  Semantics semantics_;
   ExpiryPolicy expiry_;
   Ops ops_;
-  std::unique_ptr<EpisodeTrie> trie_;              // sparse path
-  std::unique_ptr<Impl> impl_;                     // sparse path
-  std::vector<EpisodeAutomaton> dense_automata_;   // kContiguousRestart fallback
-  std::vector<std::int64_t> dense_counts_;
+  std::unique_ptr<EpisodeTrie> trie_;
+  std::unique_ptr<Impl> impl_;
 };
 
 /// Count every episode in one pass using the shared-prefix engine.  Exactly
-/// equals `count_occurrences(episodes[i], ...)` element-for-element for all
-/// inputs, like `count_all_single_scan`.
+/// equals `count_occurrences(episodes[i], ...)` element-for-element for every
+/// input the engine accepts (non-overlapped semantics, any expiry).
 [[nodiscard]] std::vector<std::int64_t> count_all_trie_scan(
     std::span<const Episode> episodes, std::span<const Symbol> database, Semantics semantics,
     ExpiryPolicy expiry = {});

@@ -1,6 +1,5 @@
 #include "core/scan_checkpoint.hpp"
 
-#include <limits>
 #include <utility>
 
 #include "common/error.hpp"
@@ -23,44 +22,25 @@ std::uint64_t stream_digest_extend(std::uint64_t digest, std::span<const Symbol>
   return digest;
 }
 
-StreamScan::StreamScan(std::vector<Episode> episodes, Semantics semantics, ExpiryPolicy expiry,
-                       ScanEngine engine)
+StreamScan::StreamScan(std::vector<Episode> episodes, Semantics semantics, ExpiryPolicy expiry)
     : episodes_(std::move(episodes)),
       semantics_(semantics),
       expiry_(expiry),
-      engine_(engine),
-      prefix_digest_(stream_digest_seed()) {
-  if (engine_ == ScanEngine::kTrie) {
-    // int64 max disables the trie's database-size window clamp — a streaming
-    // scan cannot know the eventual stream length, and deadline arithmetic
-    // saturates, so any window longer than the remaining stream simply never
-    // fires (identical counts).
-    trie_.emplace(episodes_, semantics_, expiry_, std::numeric_limits<std::int64_t>::max());
-  } else {
-    flat_.emplace(episodes_, semantics_, expiry_);
-  }
-}
+      prefix_digest_(stream_digest_seed()),
+      counter_(episodes_, semantics_, expiry_) {}
 
-StreamScan::StreamScan(const ScanCheckpoint& checkpoint, ScanEngine engine)
-    : StreamScan(checkpoint.episodes, checkpoint.semantics, checkpoint.expiry, engine) {
-  gm::expects(checkpoint.progress.size() == checkpoint.episodes.size(),
-              "checkpoint progress must be parallel to its episode list");
+StreamScan::StreamScan(const ScanCheckpoint& checkpoint)
+    : StreamScan(checkpoint.episodes, checkpoint.semantics, checkpoint.expiry) {
   gm::expects(checkpoint.high_water >= 0, "checkpoint high-water mark cannot be negative");
-  for (std::size_t i = 0; i < checkpoint.progress.size(); ++i) {
-    const EpisodeProgress& p = checkpoint.progress[i];
-    gm::expects(p.state >= 0 &&
-                    p.state < static_cast<int>(checkpoint.episodes[i].symbols().size()),
-                "restored state outside the episode's automaton");
+  for (const EpisodeProgress& p : checkpoint.progress) {
     gm::expects(p.state == 0 || (p.first_pos >= 0 && p.first_pos < checkpoint.high_water),
                 "in-flight match starts at or beyond the checkpoint high-water mark");
   }
+  // restore() refuses a progress list that is not parallel to the episodes
+  // or a state outside an episode's automaton.
+  counter_.restore(checkpoint.progress);
   high_water_ = checkpoint.high_water;
   prefix_digest_ = checkpoint.prefix_digest;
-  if (trie_.has_value()) {
-    trie_->restore(checkpoint.progress);
-  } else {
-    flat_->restore(checkpoint.progress);
-  }
 }
 
 StreamScan::StreamScan(StreamScan&&) noexcept = default;
@@ -68,11 +48,7 @@ StreamScan& StreamScan::operator=(StreamScan&&) noexcept = default;
 StreamScan::~StreamScan() = default;
 
 void StreamScan::feed(std::span<const Symbol> events) {
-  if (trie_.has_value()) {
-    trie_->advance_batch(events, high_water_);
-  } else {
-    flat_->advance_batch(events, high_water_);
-  }
+  counter_.advance_batch(events, high_water_);
   high_water_ += static_cast<std::int64_t>(events.size());
   prefix_digest_ = stream_digest_extend(prefix_digest_, events);
 }
@@ -85,17 +61,15 @@ ScanCheckpoint StreamScan::checkpoint(std::uint64_t generation) const {
   out.prefix_digest = prefix_digest_;
   out.generation = generation;
   out.episodes = episodes_;
-  out.progress = trie_.has_value() ? trie_->progress() : flat_->progress();
+  out.progress = counter_.progress();
   return out;
 }
 
-std::vector<std::int64_t> StreamScan::counts() const {
-  return trie_.has_value() ? trie_->counts() : flat_->counts();
-}
+std::vector<std::int64_t> StreamScan::counts() const { return counter_.counts(); }
 
 std::vector<std::int64_t> resume_scan(const ScanCheckpoint& checkpoint,
-                                      std::span<const Symbol> new_events, ScanEngine engine) {
-  StreamScan scan(checkpoint, engine);
+                                      std::span<const Symbol> new_events) {
+  StreamScan scan(checkpoint);
   scan.feed(new_events);
   return scan.counts();
 }

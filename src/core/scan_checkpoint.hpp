@@ -5,9 +5,8 @@
 // only on (state, first_match_pos) — expiry is evaluated at step time from
 // first_pos, never from hidden timers — so a scan over N episodes is fully
 // determined by N `EpisodeProgress` records plus the next stream position.
-// That capture is engine-agnostic: progress taken from the flat single-scan
-// engine restores into the shared-prefix trie engine and vice versa, because
-// both are bit-exact re-groupings of the same N serial automata.
+// The capture names no engine: it is the serial automata's own state, which
+// the flat single-scan engine (core/multi_counter) holds slot for slot.
 //
 // A `ScanCheckpoint` bundles the progress records with everything needed to
 // refuse a bogus resume: the scan parameters (semantics + expiry), the
@@ -24,30 +23,20 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
 #include "core/episode.hpp"
-#include "core/episode_trie.hpp"
 #include "core/multi_counter.hpp"
 
 namespace gm::core {
 
-/// Which incremental engine drives the scan.  Checkpoints do not record this:
-/// a capture from either engine restores into either engine.
-enum class ScanEngine {
-  kSingleScan,  // flat symbol -> waiting-automata index (core/multi_counter)
-  kTrie,        // shared-prefix token engine (core/episode_trie)
-};
-
-/// A paused scan, serializable and engine-agnostic.  `high_water` is the
-/// number of events consumed so far (== the absolute position the next fed
-/// event must carry); `prefix_digest` is FNV-1a over those events' symbols,
-/// so a resume against a database whose retained prefix changed is refused
-/// by callers that track digests; `generation` is whatever database version
-/// tag the caller wants round-tripped (the service layer stores its session
-/// generation here).
+/// A paused scan, serializable.  `high_water` is the number of events
+/// consumed so far (== the absolute position the next fed event must carry);
+/// `prefix_digest` is FNV-1a over those events' symbols, so a resume against
+/// a database whose retained prefix changed is refused by callers that track
+/// digests; `generation` is whatever database version tag the caller wants
+/// round-tripped (the service layer stores its session generation here).
 struct ScanCheckpoint {
   Semantics semantics = Semantics::kNonOverlappedSubsequence;
   ExpiryPolicy expiry;
@@ -72,16 +61,13 @@ struct ScanCheckpoint {
 class StreamScan {
  public:
   /// A fresh scan positioned before the first event.
-  StreamScan(std::vector<Episode> episodes, Semantics semantics, ExpiryPolicy expiry,
-             ScanEngine engine = ScanEngine::kSingleScan);
+  StreamScan(std::vector<Episode> episodes, Semantics semantics, ExpiryPolicy expiry);
 
-  /// Continues a captured scan on either engine.  Validates internal
-  /// consistency (progress parallel to episodes, states inside each
-  /// episode's automaton, in-flight first positions before the high-water
-  /// mark); database prefix identity is the caller's check via
-  /// `prefix_digest()`.
-  explicit StreamScan(const ScanCheckpoint& checkpoint,
-                      ScanEngine engine = ScanEngine::kSingleScan);
+  /// Continues a captured scan.  Validates internal consistency (progress
+  /// parallel to episodes, states inside each episode's automaton, in-flight
+  /// first positions before the high-water mark); database prefix identity
+  /// is the caller's check via `prefix_digest()`.
+  explicit StreamScan(const ScanCheckpoint& checkpoint);
 
   StreamScan(StreamScan&&) noexcept;
   StreamScan& operator=(StreamScan&&) noexcept;
@@ -102,7 +88,6 @@ class StreamScan {
   [[nodiscard]] std::span<const Episode> episodes() const { return episodes_; }
   [[nodiscard]] Semantics semantics() const { return semantics_; }
   [[nodiscard]] ExpiryPolicy expiry() const { return expiry_; }
-  [[nodiscard]] ScanEngine engine() const { return engine_; }
   [[nodiscard]] std::int64_t high_water() const { return high_water_; }
   [[nodiscard]] std::uint64_t prefix_digest() const { return prefix_digest_; }
 
@@ -110,18 +95,15 @@ class StreamScan {
   std::vector<Episode> episodes_;
   Semantics semantics_ = Semantics::kNonOverlappedSubsequence;
   ExpiryPolicy expiry_;
-  ScanEngine engine_ = ScanEngine::kSingleScan;
   std::int64_t high_water_ = 0;
   std::uint64_t prefix_digest_ = 0;
-  std::optional<MultiCounter> flat_;
-  std::optional<TrieCounter> trie_;
+  MultiCounter counter_;  // built from episodes_, so declared after it
 };
 
 /// One-shot resume: restores `checkpoint`, feeds `new_events`, and returns
 /// the per-episode counts over prefix + new_events.  Bit-exact with a full
 /// recount of the concatenated stream, for every semantics and expiry.
-[[nodiscard]] std::vector<std::int64_t> resume_scan(
-    const ScanCheckpoint& checkpoint, std::span<const Symbol> new_events,
-    ScanEngine engine = ScanEngine::kSingleScan);
+[[nodiscard]] std::vector<std::int64_t> resume_scan(const ScanCheckpoint& checkpoint,
+                                                    std::span<const Symbol> new_events);
 
 }  // namespace gm::core

@@ -147,17 +147,6 @@ std::int64_t count_overlap_rescan(const Episode& episode, std::span<const Symbol
 }  // namespace
 
 std::int64_t fold_cold_scans(std::span<const Symbol> episode, Semantics semantics,
-                             ExpiryPolicy expiry, std::span<const Symbol> database,
-                             std::span<const std::int64_t> bounds,
-                             std::span<const SegmentOutcome> cold,
-                             std::int64_t* rescanned_symbols) {
-  gm::expects(!bounds.empty() && bounds.front() == 0, "boundary list must cover the database");
-  return fold_cold_scans(episode, semantics, expiry, database, /*base=*/0, bounds, cold,
-                         /*entry_state=*/0, /*entry_first_pos=*/0, /*exit=*/nullptr,
-                         rescanned_symbols);
-}
-
-std::int64_t fold_cold_scans(std::span<const Symbol> episode, Semantics semantics,
                              ExpiryPolicy expiry, std::span<const Symbol> events,
                              std::int64_t base, std::span<const std::int64_t> bounds,
                              std::span<const SegmentOutcome> cold, int entry_state,

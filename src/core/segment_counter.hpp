@@ -76,43 +76,34 @@ struct SegmentTransfer {
                                          SpanningFix fix,
                                          std::int64_t overlap_window = 0);
 
-/// Exact fold of cold-start chunk scans — the distrib layer's recombination
-/// primitive, and the piece that makes database-partitioned counting exact
-/// UNDER EXPIRY (where blind transfer-function composition is not
-/// well-defined: a nonzero entry state carries an absolute first-match
-/// position the cold scan could not know).
+/// Exact fold of cold-start chunk scans over a window of the stream — the
+/// distrib layer's recombination primitive, and the piece that makes
+/// database-partitioned counting exact UNDER EXPIRY (where blind
+/// transfer-function composition is not well-defined: a nonzero entry state
+/// carries an absolute first-match position the cold scan could not know).
 ///
-/// `cold[c]` is chunk [bounds[c], bounds[c+1]) scanned from entry state 0,
-/// with `first_match_pos` absolute.  The fold threads the true entry state
-/// through in chunk order: a chunk entered in state 0 reuses the cold outcome
-/// verbatim (state 0 carries no position, so cold entry IS the true entry);
-/// otherwise the true automaton and a cold twin replay the chunk in lockstep
-/// until their configurations coincide — equal state, and equal first-match
-/// position whenever the state is nonzero and expiry makes positions matter —
-/// after which their futures are identical, so the cold outcome's remaining
+/// `events` holds positions [base, base + events.size()) of the stream,
+/// `bounds` are absolute chunk boundaries with `bounds.front() == base`, and
+/// `cold[c]` is chunk [bounds[c], bounds[c+1]) scanned from entry state 0
+/// with ABSOLUTE positions (see distrib/stream_fold's cold_scan_chunk).  The
+/// fold enters the first chunk in (`entry_state`, `entry_first_pos`) —
+/// typically a checkpoint's exit, or (0, 0) for a whole database with
+/// `base` 0 — and threads the true entry state through in chunk order: a
+/// chunk entered in state 0 reuses the cold outcome verbatim (state 0
+/// carries no position, so cold entry IS the true entry); otherwise the true
+/// automaton and a cold twin replay the chunk in lockstep until their
+/// configurations coincide — equal state, and equal first-match position
+/// whenever the state is nonzero and expiry makes positions matter — after
+/// which their futures are identical, so the cold outcome's remaining
 /// completions (cold count minus the twin's completions so far) are credited
 /// and the chunk's cold exit adopted.  A chunk where they never converge was
 /// re-scanned whole by the true automaton, which is simply the serial scan.
 ///
+/// Returns the occurrences completed inside the window; `exit`, when
+/// non-null, receives the configuration the next window resumes from.
 /// Exact for all semantics x expiry combinations.  `rescanned_symbols`, when
 /// non-null, receives the number of lockstep-replayed symbols (the fix-up
 /// work the distrib cost model charges for).
-[[nodiscard]] std::int64_t fold_cold_scans(std::span<const Symbol> episode,
-                                           Semantics semantics, ExpiryPolicy expiry,
-                                           std::span<const Symbol> database,
-                                           std::span<const std::int64_t> bounds,
-                                           std::span<const SegmentOutcome> cold,
-                                           std::int64_t* rescanned_symbols = nullptr);
-
-/// Entry-state fold over a window of the stream — the streaming/distrib
-/// generalization.  `events` holds positions [base, base + events.size()) of
-/// the stream, `bounds` are absolute chunk boundaries with
-/// `bounds.front() == base`, and `cold[c]` was scanned from state 0 with
-/// ABSOLUTE positions (see distrib/stream_fold's cold_scan_chunk).  The fold
-/// enters the first chunk in (`entry_state`, `entry_first_pos`) — typically a
-/// checkpoint's exit — and reports the occurrences completed inside the
-/// window plus, via `exit`, the configuration the next window resumes from.
-/// Exact for all semantics x expiry, by the same lockstep-replay argument.
 [[nodiscard]] std::int64_t fold_cold_scans(std::span<const Symbol> episode,
                                            Semantics semantics, ExpiryPolicy expiry,
                                            std::span<const Symbol> events, std::int64_t base,

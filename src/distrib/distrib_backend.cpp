@@ -25,7 +25,6 @@ double elapsed_ms(Clock::time_point start) {
 std::string to_string(WorkerKind kind) {
   switch (kind) {
     case WorkerKind::kSingleScan: return "cpu-single-scan";
-    case WorkerKind::kSerial: return "cpu-serial";
     case WorkerKind::kGpuSim: return "gpusim";
   }
   return "?";
@@ -88,13 +87,6 @@ core::CountResult DistribBackend::count(const core::CountRequest& request) {
                                            std::int64_t end) {
     auto& out = cold[static_cast<std::size_t>(chunk)];
     out.assign(episode_count, {});
-    if (options_.worker == WorkerKind::kSerial) {
-      for (std::size_t e = 0; e < episode_count; ++e) {
-        out[e] = core::scan_segment(request.episodes[e].symbols(), request.semantics,
-                                    request.expiry, request.database, begin, end, 0, 0);
-      }
-      return;
-    }
     // Single-scan engine on the chunk subspan: positions come back relative
     // to the chunk, and a cold scan is position-invariant (the automaton only
     // compares position differences), so normalizing the exit's first-match
@@ -122,10 +114,10 @@ core::CountResult DistribBackend::count(const core::CountRequest& request) {
       per_episode[static_cast<std::size_t>(c)] = cold[static_cast<std::size_t>(c)][e];
     }
     std::int64_t rescanned = 0;
-    result.counts[e] =
-        core::fold_cold_scans(request.episodes[e].symbols(), request.semantics,
-                              request.expiry, request.database, plan.chunk_bounds,
-                              per_episode, &rescanned);
+    result.counts[e] = core::fold_cold_scans(
+        request.episodes[e].symbols(), request.semantics, request.expiry, request.database,
+        /*base=*/0, plan.chunk_bounds, per_episode, /*entry_state=*/0,
+        /*entry_first_pos=*/0, /*exit=*/nullptr, &rescanned);
     telemetry_.rescanned_symbols += rescanned;
   }
 

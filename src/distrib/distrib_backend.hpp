@@ -9,13 +9,12 @@
 // serial reference for every semantics x expiry combination, including the
 // position-dependent expiry case that defeats blind transfer composition.
 //
-// Workers model three deployment shapes: the single-scan host engine (the
-// default, one pass per chunk driving all episodes), the per-episode serial
-// scanner (the reference worker), and a simulated GPU card per shard (host
-// cold scans for exact counts, the kernels workload model for the per-chunk
-// device charge; simulated_kernel_ms is the slowest card's accumulated time,
-// so N cards halve-and-again the simulated wall-clock the way the paper's
-// dual-die GX2 would).
+// Workers model two deployment shapes: the single-scan host engine (the
+// default, one pass per chunk driving all episodes) and a simulated GPU card
+// per shard (host cold scans for exact counts, the kernels workload model for
+// the per-chunk device charge; simulated_kernel_ms is the slowest card's
+// accumulated time, so N cards halve-and-again the simulated wall-clock the
+// way the paper's dual-die GX2 would).
 #pragma once
 
 #include <cstdint>
@@ -33,7 +32,6 @@ namespace gm::distrib {
 /// Inner engine each worker runs on the chunks it claims.
 enum class WorkerKind {
   kSingleScan,  ///< core single-scan engine: one pass per chunk, all episodes
-  kSerial,      ///< per-episode scan_segment (the reference worker)
   kGpuSim,      ///< simulated card per shard: host cold scans + analytic charge
 };
 

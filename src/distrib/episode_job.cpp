@@ -76,8 +76,9 @@ std::vector<std::int64_t> count_episodes_block_level(
   // core::fold_cold_scans).
   for (std::size_t e = 0; e < episodes.size(); ++e) {
     counts[e] = core::fold_cold_scans(
-        episodes[e].symbols(), options.semantics, options.expiry, database, bounds,
-        std::span<const core::SegmentOutcome>(cold).subspan(e * chunk_count, chunk_count));
+        episodes[e].symbols(), options.semantics, options.expiry, database, /*base=*/0, bounds,
+        std::span<const core::SegmentOutcome>(cold).subspan(e * chunk_count, chunk_count),
+        /*entry_state=*/0, /*entry_first_pos=*/0, /*exit=*/nullptr);
   }
   return counts;
 }

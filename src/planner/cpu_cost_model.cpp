@@ -55,24 +55,6 @@ double predict_cpu_parallel_ms(const Workload& w, int threads, const CpuCostCons
   return predict_cpu_serial_ms(w, c) / workers + spawn_ms(workers, c);
 }
 
-double predict_cpu_sharded_ms(const Workload& w, int threads, const CpuCostConstants& c) {
-  gm::expects(threads >= 1, "cpu cost model needs a positive thread count");
-  if (w.expiry.enabled()) {
-    // Position-dependent transfer functions force the per-episode fallback:
-    // the parallel axis degrades to episodes (see ShardedCpuBackend).
-    return predict_cpu_parallel_ms(w, threads, c);
-  }
-  const double steps = checked_shape(w);
-  // Each (episode, shard) task steps every entry state (level of them) per
-  // shard symbol; shards == threads, so total transfer work is steps * L
-  // spread over `threads` workers, plus the sequential compose fold.
-  const double map_ms = steps * static_cast<double>(w.level) * c.sharded_step_ns * kNsToMs /
-                        static_cast<double>(threads);
-  const double fold_ms = static_cast<double>(w.episode_count) *
-                         static_cast<double>(threads) * c.fold_step_ns * kNsToMs;
-  return map_ms + fold_ms + spawn_ms(threads, c);
-}
-
 double predict_cpu_single_scan_ms(const Workload& w, const CpuCostConstants& c) {
   const double steps = checked_shape(w);
   const double db = static_cast<double>(w.db_size);
@@ -87,34 +69,6 @@ double predict_cpu_single_scan_ms(const Workload& w, const CpuCostConstants& c) 
     // One deadline push per match start (~drains / level) plus its pop;
     // level-1 occurrences cannot expire mid-match.
     ms += drains / static_cast<double>(w.level) * c.expiry_heap_ns * kNsToMs;
-  }
-  return ms;
-}
-
-double predict_cpu_trie_ms(const Workload& w, const CpuCostConstants& c) {
-  const double steps = checked_shape(w);
-  const double db = static_cast<double>(w.db_size);
-  if (w.semantics == core::Semantics::kContiguousRestart) {
-    // Identical dense fallback to cpu-single-scan: the predicted times tie
-    // and the deterministic label tie-break hands the flat engine the win.
-    return steps * c.scan_dense_step_ns * kNsToMs;
-  }
-  gm::expects(w.prefix_compression > 0.0 && w.prefix_compression <= 1.0,
-              "trie cost model needs prefix_compression in (0, 1]");
-  const double rho = w.prefix_compression;
-  // Flat drains shrink to token drains by the distinct-prefix mass; accepts
-  // (one per completed occurrence, at rate drain_rate / L per episode) stay
-  // per-episode.  The curve sits well above cpu-single-scan for realistic
-  // prefix masses (trie_drain_ns >> scan_drain_ns: interval-set splits vs an
-  // integer step), which is the point — the planner should only leave the
-  // flat host engine for the trie when sharing is extreme; the routine
-  // shared-prefix win is the device formulation's.
-  const double drains = steps * drain_rate(w);
-  double ms = db * c.scan_probe_ns * kNsToMs + drains * rho * c.trie_drain_ns * kNsToMs +
-              drains / static_cast<double>(w.level) * c.trie_accept_ns * kNsToMs;
-  if (w.expiry.enabled() && w.level > 1) {
-    // Deadlines ride tokens, not episodes: the heap term compresses too.
-    ms += drains * rho / static_cast<double>(w.level) * c.expiry_heap_ns * kNsToMs;
   }
   return ms;
 }

@@ -7,15 +7,8 @@
 //
 //   cpu-serial        |DB| * |eps| automaton steps
 //   cpu-parallel      serial work / min(t, |eps|) + per-worker spawn cost
-//   cpu-sharded       |DB| * |eps| * L transfer steps / t + compose fold
-//                     (expiry degrades it to the episode-parallel curve)
 //   cpu-single-scan   |DB| probes + |DB| * |eps| * drain_rate drains
 //                     (contiguous restart falls back to the dense scan)
-//   cpu-trie-scan     |DB| probes + drains * prefix_compression token drains
-//                     + drains / L accepts (shared-prefix trie engine; same
-//                     dense fallback as cpu-single-scan under contiguous
-//                     restart, so the flat engine wins that tie by label)
-//
 //   cpu-lane-scan     |DB| * ceil(|eps| / 64) block steps (episode-lane SIMD
 //                     engine; alphabet- and semantics-blind, infeasible
 //                     under expiry or above level 8)
@@ -42,8 +35,6 @@ struct CpuCostConstants {
   /// match-start position and tests the window, roughly doubling the
   /// per-symbol cost (measured, not derived).
   double serial_expiry_step_ns = 2.0;
-  /// One (entry-state, symbol) step of segment_transfer in the sharded map.
-  double sharded_step_ns = 1.9;
   /// Single-scan per-position bucket probe (flat bucket-vector load + a
   /// deadline-queue front check; the SoA arena has no hashing or heap peek).
   double scan_probe_ns = 2.0;
@@ -55,17 +46,6 @@ struct CpuCostConstants {
   /// Dense contiguous-restart path: one automaton step per (symbol, episode),
   /// batched symbols-innermost so the episode stays register-resident.
   double scan_dense_step_ns = 1.2;
-  /// Trie scan per drained shared-prefix token (child lookup + the interval
-  /// split moving the survivors one trie level deeper).  Still a few times
-  /// scan_drain_ns — the pooled token arena removed the per-drain allocation,
-  /// but splitting interval sets remains heavier than stepping an integer —
-  /// so on the host the compression only pays at high prefix mass; the big
-  /// shared-prefix win belongs to the device formulation (gpusim-algo5-trie).
-  double trie_drain_ns = 50.0;
-  /// Trie scan per completed episode occurrence (count bump + swap-remove
-  /// from the compact live-token list + idle-interval return).  Accepts are
-  /// per episode — prefix sharing cannot compress them.
-  double trie_accept_ns = 10.0;
   /// Episode-lane engine: one event stepped through one 64-lane register
   /// block (compare, advance and refill 4 x 16 uint8 lanes; the 255-event
   /// counter flush amortized in).  Fitted with `backend_shootout
@@ -83,8 +63,6 @@ struct CpuCostConstants {
   double expiry_heap_ns = 25.0;
   /// Spawn + join cost per worker thread.
   double thread_spawn_us = 60.0;
-  /// Sharded fold: composing one (episode, shard) transfer outcome.
-  double fold_step_ns = 8.0;
   /// Distrib reduce: folding one (episode, chunk) cold outcome in chunk
   /// order (branch + count add; matches the scale model's merge charge).
   double distrib_merge_ns = 12.0;
@@ -109,11 +87,8 @@ inline constexpr int kPlannedStealGranularity = 4;
 [[nodiscard]] double predict_cpu_serial_ms(const Workload& w, const CpuCostConstants& c = {});
 [[nodiscard]] double predict_cpu_parallel_ms(const Workload& w, int threads,
                                              const CpuCostConstants& c = {});
-[[nodiscard]] double predict_cpu_sharded_ms(const Workload& w, int threads,
-                                            const CpuCostConstants& c = {});
 [[nodiscard]] double predict_cpu_single_scan_ms(const Workload& w,
                                                 const CpuCostConstants& c = {});
-[[nodiscard]] double predict_cpu_trie_ms(const Workload& w, const CpuCostConstants& c = {});
 [[nodiscard]] double predict_cpu_lane_scan_ms(const Workload& w,
                                               const CpuCostConstants& c = {});
 

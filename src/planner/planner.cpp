@@ -35,27 +35,12 @@ ScoredCandidate score_cpu(const Workload& w, BackendKind kind, int threads,
       c.predicted_ms = predict_cpu_parallel_ms(w, threads, constants);
       c.reason = "episode-parallel map";
       break;
-    case BackendKind::kCpuSharded:
-      c.predicted_ms = predict_cpu_sharded_ms(w, threads, constants);
-      c.reason = w.expiry.enabled() ? "expiry degrades sharding to episode parallelism"
-                                    : "database-sharded map + compose fold";
-      break;
     case BackendKind::kCpuSingleScan:
       c.predicted_ms = predict_cpu_single_scan_ms(w, constants);
       c.reason = w.semantics == core::Semantics::kContiguousRestart
                      ? "dense single scan (contiguous restart)"
                      : "bucket-indexed single scan";
       break;
-    case BackendKind::kCpuTrieScan: {
-      c.predicted_ms = predict_cpu_trie_ms(w, constants);
-      char note[64];
-      std::snprintf(note, sizeof(note), "shared-prefix trie scan (prefix mass %.2f)",
-                    w.prefix_compression);
-      c.reason = w.semantics == core::Semantics::kContiguousRestart
-                     ? "dense single scan (contiguous restart)"
-                     : note;
-      break;
-    }
     case BackendKind::kCpuLaneScan:
       // Capability gates first, in the order a user could fix them.
       if (w.expiry.enabled()) {
@@ -232,9 +217,7 @@ std::string_view backend_kind_name(BackendKind kind) {
   switch (kind) {
     case BackendKind::kCpuSerial: return "cpu-serial";
     case BackendKind::kCpuParallel: return "cpu-parallel";
-    case BackendKind::kCpuSharded: return "cpu-sharded";
     case BackendKind::kCpuSingleScan: return "cpu-single-scan";
-    case BackendKind::kCpuTrieScan: return "cpu-trie-scan";
     case BackendKind::kCpuLaneScan: return "cpu-lane-scan";
     case BackendKind::kGpuSim: return "gpusim";
     case BackendKind::kDistrib: return "distrib";
@@ -251,9 +234,7 @@ std::string CandidateConfig::label() const {
            (trie_buckets ? "-trie" : "") + "/t" + std::to_string(threads_per_block);
   }
   std::string name(backend_kind_name(kind));
-  if (kind == BackendKind::kCpuParallel || kind == BackendKind::kCpuSharded) {
-    name += "-x" + std::to_string(threads);
-  }
+  if (kind == BackendKind::kCpuParallel) name += "-x" + std::to_string(threads);
   return name;
 }
 
@@ -273,11 +254,7 @@ Plan plan_level(const Workload& workload, const PlannerOptions& options) {
                                    options.cpu_constants));
     plan.table.push_back(score_cpu(workload, BackendKind::kCpuParallel, threads,
                                    options.cpu_constants));
-    plan.table.push_back(score_cpu(workload, BackendKind::kCpuSharded, threads,
-                                   options.cpu_constants));
     plan.table.push_back(score_cpu(workload, BackendKind::kCpuSingleScan, 1,
-                                   options.cpu_constants));
-    plan.table.push_back(score_cpu(workload, BackendKind::kCpuTrieScan, 1,
                                    options.cpu_constants));
     plan.table.push_back(score_cpu(workload, BackendKind::kCpuLaneScan, 1,
                                    options.cpu_constants));

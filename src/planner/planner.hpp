@@ -1,7 +1,7 @@
 // The formulation planner: the paper's conclusion — "a MapReduce-based
 // implementation must dynamically adapt the type and level of parallelism" —
 // turned into a subsystem.  Given one level's workload shape and a device,
-// enumerate every counting formulation the repo implements (six CPU
+// enumerate every counting formulation the repo implements (four CPU
 // backends x five simulated-GPU algorithms x a threads-per-block sweep,
 // plus a shared-prefix trie variant of the block-bucketed kernel),
 // score each analytically (kernels::predict_mining_time for the device,
@@ -36,9 +36,7 @@ namespace gm::planner {
 enum class BackendKind {
   kCpuSerial,
   kCpuParallel,
-  kCpuSharded,
   kCpuSingleScan,
-  kCpuTrieScan,
   /// Episode-lane SIMD engine (core::LaneCpuBackend).
   kCpuLaneScan,
   kGpuSim,
@@ -66,7 +64,7 @@ struct CandidateConfig {
   /// kDistrib only: shards run as simulated cards instead of host workers.
   bool distrib_gpu = false;
 
-  /// Stable display / cache key, e.g. "cpu-sharded-x8", "gpusim-algo5/t128",
+  /// Stable display / cache key, e.g. "cpu-parallel-x8", "gpusim-algo5/t128",
   /// "gpusim-algo5-trie/t128", "distrib-x4", or "distrib-gpu-x2".
   [[nodiscard]] std::string label() const;
 };
@@ -129,8 +127,8 @@ struct PlannerOptions {
   /// (calib/) replaces both this and cpu_constants.
   kernels::KernelCostProfile kernel_costs = {};
   /// Online-feedback multipliers applied to predicted_ms after scoring,
-  /// keyed by candidate label (e.g. "cpu-sharded-x8") with the backend kind
-  /// name ("cpu-sharded") as fallback.  AutoBackend maintains these from
+  /// keyed by candidate label (e.g. "cpu-parallel-x8") with the backend kind
+  /// name ("cpu-parallel") as fallback.  AutoBackend maintains these from
   /// measured-vs-predicted count() ratios so long mining runs self-correct;
   /// empty (the default) leaves predictions untouched.
   std::map<std::string, double> measured_bias;

@@ -24,9 +24,10 @@ struct Workload {
   std::vector<double> symbol_freq;
   /// Distinct-prefix mass of the candidate set (trie nodes over total episode
   /// symbols, in (0, 1]), measured from the actual episodes via
-  /// core::prefix_compression.  Drives the shared-prefix trie formulations'
-  /// drain terms: 1.0 (the default, and any level-1 set) means no sharing,
-  /// apriori level-L sets sit near 1/L plus the last-symbol fringe.
+  /// core::prefix_compression.  Drives the drain terms of the shared-prefix
+  /// trie kernel (gpusim-algo5-trie): 1.0 (the default, and any level-1 set)
+  /// means no sharing, apriori level-L sets sit near 1/L plus the last-symbol
+  /// fringe.
   double prefix_compression = 1.0;
   core::Semantics semantics = core::Semantics::kNonOverlappedSubsequence;
   core::ExpiryPolicy expiry = {};

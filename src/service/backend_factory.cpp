@@ -13,8 +13,8 @@
 namespace gm::service {
 
 std::vector<std::string_view> backend_names() {
-  return {"cpu-serial", "cpu-parallel", "cpu-sharded", "cpu-single-scan", "cpu-trie-scan",
-          "cpu-lane-scan", "distrib", "distrib-gpu", "gpusim", "auto"};
+  return {"cpu-serial", "cpu-parallel", "cpu-single-scan", "cpu-lane-scan", "distrib",
+          "distrib-gpu", "gpusim", "auto"};
 }
 
 planner::PlannerOptions planner_options_for(const BackendSpec& spec) {

@@ -19,9 +19,8 @@ namespace gm::service {
 
 /// Everything needed to name a counting backend on a command line.
 struct BackendSpec {
-  /// "cpu-serial" | "cpu-parallel" | "cpu-sharded" | "cpu-single-scan" |
-  /// "cpu-trie-scan" | "cpu-lane-scan" | "distrib" | "distrib-gpu" |
-  /// "gpusim" | "auto" (unprefixed cpu aliases
+  /// "cpu-serial" | "cpu-parallel" | "cpu-single-scan" | "cpu-lane-scan" |
+  /// "distrib" | "distrib-gpu" | "gpusim" | "auto" (unprefixed cpu aliases
   /// accepted).  "auto" plans the formulation per counting level
   /// (planner::AutoBackend): `card` names the device its GPU candidates are
   /// scored for and `threads` its CPU worker budget; `launch` is ignored

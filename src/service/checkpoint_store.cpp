@@ -32,6 +32,14 @@ void write_episodes(bench::JsonWriter& json, std::span<const core::Episode> epis
   json.end_array();
 }
 
+core::Semantics read_semantics(const bench::JsonValue& value) {
+  const std::int64_t v = value.as_int64();
+  gm::expects(v == static_cast<int>(core::Semantics::kNonOverlappedSubsequence) ||
+                  v == static_cast<int>(core::Semantics::kContiguousRestart),
+              "checkpoint semantics must be 0 (non-overlapped) or 1 (contiguous restart)");
+  return static_cast<core::Semantics>(v);
+}
+
 std::vector<core::Episode> read_episodes(const bench::JsonValue& value) {
   gm::expects(value.is_array(), "checkpoint episodes must be an array");
   std::vector<core::Episode> episodes;
@@ -58,18 +66,27 @@ void write_spec(bench::JsonWriter& json, const MonitorSpec& spec) {
   json.field("semantics", static_cast<int>(spec.semantics));
   json.field("expiry_window", spec.expiry.window);
   json.field("threshold", spec.threshold);
-  json.field("engine", static_cast<int>(spec.engine));
+  json.field("idle_eviction_generations", spec.idle_eviction_generations);
   json.end_object();
 }
 
+// Older gm-checkpoint/1 files also carry an "engine" field (which incremental
+// engine ran the scan).  It is ignored: captured progress is engine-agnostic,
+// and every monitor scans on the flat engine.
 MonitorSpec read_spec(const bench::JsonValue& value) {
   MonitorSpec spec;
   spec.name = value.at("name").as_string();
   spec.episodes = read_episodes(value.at("episodes"));
-  spec.semantics = static_cast<core::Semantics>(value.at("semantics").as_int64());
+  spec.semantics = read_semantics(value.at("semantics"));
   spec.expiry.window = value.at("expiry_window").as_int64();
   spec.threshold = value.at("threshold").as_int64();
-  spec.engine = static_cast<core::ScanEngine>(value.at("engine").as_int64());
+  // Absent from older files, whose monitors did not evict after a restore;
+  // 0 keeps that behaviour.
+  if (const bench::JsonValue* idle = value.find("idle_eviction_generations")) {
+    spec.idle_eviction_generations = idle->as_int64();
+    gm::expects(spec.idle_eviction_generations >= 0,
+                "monitor idle_eviction_generations cannot be negative");
+  }
   return spec;
 }
 
@@ -99,7 +116,7 @@ void write_checkpoint(bench::JsonWriter& json, const core::ScanCheckpoint& check
 
 core::ScanCheckpoint read_checkpoint(const bench::JsonValue& value) {
   core::ScanCheckpoint checkpoint;
-  checkpoint.semantics = static_cast<core::Semantics>(value.at("semantics").as_int64());
+  checkpoint.semantics = read_semantics(value.at("semantics"));
   checkpoint.expiry.window = value.at("expiry_window").as_int64();
   checkpoint.high_water = value.at("high_water").as_int64();
   checkpoint.prefix_digest = from_hex(value.at("prefix_digest").as_string());

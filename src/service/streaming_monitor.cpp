@@ -12,7 +12,7 @@ namespace {
 core::StreamScan make_scan(const MonitorSpec& spec) {
   gm::expects(!spec.episodes.empty(), "monitor must watch at least one episode");
   gm::expects(spec.threshold >= 1, "monitor threshold must be at least 1");
-  return core::StreamScan(spec.episodes, spec.semantics, spec.expiry, spec.engine);
+  return core::StreamScan(spec.episodes, spec.semantics, spec.expiry);
 }
 
 }  // namespace
@@ -26,7 +26,7 @@ StreamingMonitor::StreamingMonitor(MonitorSpec spec)
 
 StreamingMonitor::StreamingMonitor(MonitorSpec spec, const core::ScanCheckpoint& checkpoint)
     : spec_(std::move(spec)),
-      scan_(checkpoint, spec_.engine),
+      scan_(checkpoint),
       fired_(spec_.episodes.size()),
       idle_batches_(spec_.episodes.size(), 0),
       last_counts_(spec_.episodes.size(), 0) {
@@ -62,7 +62,7 @@ void StreamingMonitor::evict_idle() {
     ++idle_evictions_;
     any = true;
   }
-  if (any) scan_ = core::StreamScan(ckpt, spec_.engine);
+  if (any) scan_ = core::StreamScan(ckpt);
 }
 
 void StreamingMonitor::on_append(std::span<const core::Symbol> events,

@@ -6,7 +6,7 @@
 // reaches the monitor's threshold raise an Alert on the batch that crossed
 // it.  Counts are always exact: after any sequence of appends the monitor
 // reports precisely what a from-scratch scan of the whole stream would, for
-// every semantics x expiry, because the underlying engines are bit-exact
+// every semantics x expiry, because the underlying engine is bit-exact
 // resumable (see core/scan_checkpoint.hpp).
 //
 // Monitors checkpoint like any stream scan, so a session can persist them
@@ -33,17 +33,18 @@ namespace gm::service {
 /// match of any episode whose count has not advanced for that many
 /// consecutive append batches: the automaton drops back to idle (count and
 /// alert latch untouched) so a long-dormant episode stops pinning mid-match
-/// state.  Eviction is per-episode — automata are independent in both scan
-/// engines — so episodes that keep advancing alert exactly as they would
-/// without eviction; only a dormant episode can lose an occurrence that
-/// would have straddled its idle stretch.  Zero disables eviction.
+/// state.  Eviction is per-episode — the scan's automata are independent —
+/// so episodes that keep advancing alert exactly as they would without
+/// eviction; only a dormant episode can lose an occurrence that would have
+/// straddled its idle stretch.  Zero disables eviction.  The setting is
+/// persisted with the monitor, but the per-episode idle counters are not:
+/// they restart at zero when a monitor is restored.
 struct MonitorSpec {
   std::string name;
   std::vector<core::Episode> episodes;
   core::Semantics semantics = core::Semantics::kNonOverlappedSubsequence;
   core::ExpiryPolicy expiry;
   std::int64_t threshold = 1;
-  core::ScanEngine engine = core::ScanEngine::kSingleScan;
   std::int64_t idle_eviction_generations = 0;
 };
 

@@ -44,10 +44,10 @@ CalibrationProfile perturbed_profile() {
 }
 
 TEST(CalibrationProfile, RegistryCoversEveryConstant) {
-  // 13 kernel instruction charges + 15 CPU cost constants.  If this fails
+  // 13 kernel instruction charges + 11 CPU cost constants.  If this fails
   // after adding a field to either struct, add the matching registry row
   // (and nothing else: JSON I/O and the fitter pick it up from there).
-  EXPECT_EQ(calibration_params().size(), 28u);
+  EXPECT_EQ(calibration_params().size(), 24u);
   std::set<std::string_view> names;
   for (const ParamRef& param : calibration_params()) {
     EXPECT_TRUE(names.insert(param.name).second) << "duplicate: " << param.name;
@@ -143,17 +143,27 @@ TEST(CalibrationProfile, JsonRejectsWrongSchemaUnknownParamsAndNegatives) {
   EXPECT_THROW((void)profile_from_json(R"({"params":{}})"), gm::PreconditionError);
   EXPECT_THROW((void)profile_from_json(R"({"schema":"gm-calibration/999","params":{}})"),
                gm::PreconditionError);
+  // Profiles written before the CPU registry shrank carry the previous tag;
+  // the refusal names both tags, so the cause (refit needed) is visible.
+  try {
+    (void)profile_from_json(R"({"schema":"gm-calibration/1","params":{}})");
+    ADD_FAILURE() << "a gm-calibration/1 profile should be refused";
+  } catch (const gm::PreconditionError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("gm-calibration/1"), std::string::npos) << what;
+    EXPECT_NE(what.find("gm-calibration/2"), std::string::npos) << what;
+  }
   EXPECT_THROW(
       (void)profile_from_json(
-          R"({"schema":"gm-calibration/1","params":{"kernel.typo_instr":3}})"),
+          R"({"schema":"gm-calibration/2","params":{"kernel.typo_instr":3}})"),
       gm::PreconditionError);
   EXPECT_THROW(
       (void)profile_from_json(
-          R"({"schema":"gm-calibration/1","params":{"cpu.serial_step_ns":-1}})"),
+          R"({"schema":"gm-calibration/2","params":{"cpu.serial_step_ns":-1}})"),
       gm::PreconditionError);
   // Missing params keep their shipped defaults (forward compatibility).
   const CalibrationProfile partial = profile_from_json(
-      R"({"schema":"gm-calibration/1","params":{"cpu.serial_step_ns":2.5}})");
+      R"({"schema":"gm-calibration/2","params":{"cpu.serial_step_ns":2.5}})");
   EXPECT_DOUBLE_EQ(partial.cpu.serial_step_ns, 2.5);
   EXPECT_DOUBLE_EQ(partial.cpu.scan_drain_ns, planner::CpuCostConstants{}.scan_drain_ns);
 }

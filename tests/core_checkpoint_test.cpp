@@ -1,8 +1,7 @@
 // Resumable-scan checkpoint suite: capture -> (serialize elsewhere) ->
 // restore -> resume must equal an uninterrupted scan bit-for-bit, across
-// semantics x expiry x capture points x engines — including cross-engine
-// resumes (flat capture into trie restore and back) and mid-window captures
-// whose expiry deadlines straddle the pause.
+// semantics x expiry x capture points — including mid-window captures whose
+// expiry deadlines straddle the pause.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -20,8 +19,6 @@ namespace {
 
 using test::random_episodes;
 
-constexpr ScanEngine kEngines[] = {ScanEngine::kSingleScan, ScanEngine::kTrie};
-
 std::span<const Symbol> prefix_of(const Sequence& db, std::size_t n) {
   return {db.data(), n};
 }
@@ -30,7 +27,7 @@ std::span<const Symbol> tail_of(const Sequence& db, std::size_t n) {
   return {db.data() + n, db.size() - n};
 }
 
-TEST(ScanCheckpoint, ResumeEqualsUninterruptedAcrossSemanticsExpiryAndEngines) {
+TEST(ScanCheckpoint, ResumeEqualsUninterruptedAcrossSemanticsAndExpiry) {
   Rng rng(0x5EED5CA7);
   const Semantics all_semantics[] = {Semantics::kNonOverlappedSubsequence,
                                      Semantics::kContiguousRestart};
@@ -48,18 +45,11 @@ TEST(ScanCheckpoint, ResumeEqualsUninterruptedAcrossSemanticsExpiryAndEngines) {
         const auto expected = count_all(episodes, db, semantics, expiry);
         for (const double frac : capture_fracs) {
           const auto cut = static_cast<std::size_t>(frac * static_cast<double>(db.size()));
-          for (const ScanEngine capture_engine : kEngines) {
-            StreamScan scan(episodes, semantics, expiry, capture_engine);
-            scan.feed(prefix_of(db, cut));
-            const ScanCheckpoint checkpoint = scan.checkpoint();
-            for (const ScanEngine resume_engine : kEngines) {
-              ASSERT_EQ(resume_scan(checkpoint, tail_of(db, cut), resume_engine), expected)
-                  << "trial " << trial << " semantics " << to_string(semantics) << " window "
-                  << window << " cut " << cut << " engines "
-                  << static_cast<int>(capture_engine) << "->"
-                  << static_cast<int>(resume_engine);
-            }
-          }
+          StreamScan scan(episodes, semantics, expiry);
+          scan.feed(prefix_of(db, cut));
+          ASSERT_EQ(resume_scan(scan.checkpoint(), tail_of(db, cut)), expected)
+              << "trial " << trial << " semantics " << to_string(semantics) << " window "
+              << window << " cut " << cut;
         }
       }
     }
@@ -74,27 +64,16 @@ TEST(ScanCheckpoint, MidWindowDeadlineFiresAtTheRightPositionAfterResume) {
   const std::vector<Episode> episodes = {Episode({0, 1})};
   const Sequence db = {0, 2, 2, 2, 1};
   const ExpiryPolicy expiry{4};
-  for (const ScanEngine capture_engine : kEngines) {
-    for (const ScanEngine resume_engine : kEngines) {
-      StreamScan scan(episodes, Semantics::kNonOverlappedSubsequence, expiry, capture_engine);
-      scan.feed(prefix_of(db, 3));
-      const auto counts =
-          resume_scan(scan.checkpoint(), tail_of(db, 3), resume_engine);
-      EXPECT_EQ(counts, (std::vector<std::int64_t>{0}));
-    }
-  }
+  StreamScan scan(episodes, Semantics::kNonOverlappedSubsequence, expiry);
+  scan.feed(prefix_of(db, 3));
+  EXPECT_EQ(resume_scan(scan.checkpoint(), tail_of(db, 3)), (std::vector<std::int64_t>{0}));
   // Same shape, window 5: the deadline now clears B's position, so the match
   // must survive the pause and complete.
   const ExpiryPolicy wider{5};
-  for (const ScanEngine capture_engine : kEngines) {
-    for (const ScanEngine resume_engine : kEngines) {
-      StreamScan scan(episodes, Semantics::kNonOverlappedSubsequence, wider, capture_engine);
-      scan.feed(prefix_of(db, 3));
-      const auto counts =
-          resume_scan(scan.checkpoint(), tail_of(db, 3), resume_engine);
-      EXPECT_EQ(counts, (std::vector<std::int64_t>{1}));
-    }
-  }
+  StreamScan wide_scan(episodes, Semantics::kNonOverlappedSubsequence, wider);
+  wide_scan.feed(prefix_of(db, 3));
+  EXPECT_EQ(resume_scan(wide_scan.checkpoint(), tail_of(db, 3)),
+            (std::vector<std::int64_t>{1}));
 }
 
 TEST(ScanCheckpoint, AnyBatchingIsBitExactWithOneShotFeed) {
@@ -104,17 +83,15 @@ TEST(ScanCheckpoint, AnyBatchingIsBitExactWithOneShotFeed) {
   const auto episodes = random_episodes(rng, 8, 15, 3);
   const ExpiryPolicy expiry{6};
   const auto expected = count_all(episodes, db, Semantics::kNonOverlappedSubsequence, expiry);
-  for (const ScanEngine engine : kEngines) {
-    StreamScan scan(episodes, Semantics::kNonOverlappedSubsequence, expiry, engine);
-    std::size_t fed = 0;
-    while (fed < db.size()) {
-      const auto batch = std::min<std::size_t>(rng.between(1, 97), db.size() - fed);
-      scan.feed({db.data() + fed, batch});
-      fed += batch;
-    }
-    EXPECT_EQ(scan.counts(), expected);
-    EXPECT_EQ(scan.high_water(), static_cast<std::int64_t>(db.size()));
+  StreamScan scan(episodes, Semantics::kNonOverlappedSubsequence, expiry);
+  std::size_t fed = 0;
+  while (fed < db.size()) {
+    const auto batch = std::min<std::size_t>(rng.between(1, 97), db.size() - fed);
+    scan.feed({db.data() + fed, batch});
+    fed += batch;
   }
+  EXPECT_EQ(scan.counts(), expected);
+  EXPECT_EQ(scan.high_water(), static_cast<std::int64_t>(db.size()));
 }
 
 TEST(ScanCheckpoint, DigestIsBatchingInvariantAndGenerationRoundTrips) {

@@ -1,7 +1,6 @@
-// CPU counting backend tests: randomized bit-exact agreement of the sharded
-// and single-scan backends with the serial reference across semantics,
-// expiry windows, and shard counts, plus regressions for the
-// episode-parallel backend (thread-count narrowing, private accumulation).
+// CPU counting backend tests: bit-exact agreement of the single-scan backend
+// with the serial reference, regressions for the episode-parallel backend
+// (thread-count narrowing, private accumulation), and name resolution.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -16,44 +15,6 @@ namespace gm::core {
 namespace {
 
 using test::random_episodes;
-
-TEST(ShardedCpuBackend, BitIdenticalToSerialAcrossShardCountsAndSemantics) {
-  Rng rng(42);
-  const Alphabet alphabet(9);
-  const auto db = data::markov_database(alphabet, 4000, 0.55, 7);
-  const auto episodes = random_episodes(rng, 9, 30, 4);
-
-  SerialCpuBackend serial;
-  const Semantics all_semantics[] = {Semantics::kNonOverlappedSubsequence,
-                                     Semantics::kContiguousRestart};
-  for (const Semantics semantics : all_semantics) {
-    for (const std::int64_t window : {std::int64_t{0}, std::int64_t{5}}) {
-      CountRequest request;
-      request.database = db;
-      request.episodes = episodes;
-      request.semantics = semantics;
-      request.expiry = ExpiryPolicy{window};
-      const auto expected = serial.count(request).counts;
-      for (const int shards : {1, 2, 3, 5, 8, 16}) {
-        ShardedCpuBackend sharded(shards);
-        ASSERT_EQ(sharded.count(request).counts, expected)
-            << "shards " << shards << " semantics " << to_string(semantics) << " window "
-            << window;
-      }
-    }
-  }
-}
-
-TEST(ShardedCpuBackend, MoreShardsThanSymbolsStillExact) {
-  const std::vector<Episode> episodes = {Episode({0, 1}), Episode({1, 0})};
-  const Sequence db = {0, 1, 0, 1, 1, 0};
-  CountRequest request;
-  request.database = db;
-  request.episodes = episodes;
-  SerialCpuBackend serial;
-  ShardedCpuBackend sharded(16);  // shards outnumber the 6 symbols
-  EXPECT_EQ(sharded.count(request).counts, serial.count(request).counts);
-}
 
 TEST(SingleScanCpuBackend, AgreesWithSerialBackend) {
   Rng rng(4242);
@@ -101,10 +62,8 @@ TEST(CpuBackends, EmptyEpisodeListYieldsEmptyCounts) {
   CountRequest request;
   request.database = db;
   ParallelCpuBackend parallel(4);
-  ShardedCpuBackend sharded(4);
   SingleScanCpuBackend single_scan;
   EXPECT_TRUE(parallel.count(request).counts.empty());
-  EXPECT_TRUE(sharded.count(request).counts.empty());
   EXPECT_TRUE(single_scan.count(request).counts.empty());
 }
 
@@ -112,7 +71,6 @@ TEST(MakeCpuBackend, ResolvesNamesAndAliases) {
   EXPECT_EQ(make_cpu_backend("cpu-serial")->name(), "cpu-serial");
   EXPECT_EQ(make_cpu_backend("serial")->name(), "cpu-serial");
   EXPECT_EQ(make_cpu_backend("cpu-parallel", 3)->name(), "cpu-parallel-x3");
-  EXPECT_EQ(make_cpu_backend("sharded", 2)->name(), "cpu-sharded-x2");
   EXPECT_EQ(make_cpu_backend("single-scan")->name(), "cpu-single-scan");
   EXPECT_EQ(make_cpu_backend("lane-scan")->name(), "cpu-lane-scan");
   EXPECT_EQ(make_cpu_backend("cpu-lane-scan")->max_level(), kLaneMaxLevel);

@@ -1,10 +1,11 @@
-// Exact-equality tests for the shared-prefix trie engine: randomized
-// cross-checks against the per-episode serial reference across both counting
-// semantics and expiry windows, the degenerate trie shapes (singleton
-// candidate set, all-shared-prefix, no-shared-prefix), and the token
-// mechanics that differ from the flat single-scan engine (divergence at
-// accepting nodes, episodes that are prefixes of other episodes), and the
-// parity of batched and per-symbol advancing down to the work counters.
+// Exact-equality tests for the shared-prefix trie engine (the host model
+// behind gpusim's trie kernel): randomized cross-checks against the
+// per-episode serial reference across expiry windows, the degenerate trie
+// shapes (singleton candidate set, all-shared-prefix, no-shared-prefix), the
+// token mechanics that differ from the flat single-scan engine (divergence
+// at accepting nodes, episodes that are prefixes of other episodes), the
+// refusal of contiguous-restart semantics, and the parity of batched and
+// per-symbol advancing down to the work counters.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,8 +14,8 @@
 #include <string>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
-#include "core/cpu_backend.hpp"
 #include "core/episode_trie.hpp"
 #include "core/serial_counter.hpp"
 #include "data/generators.hpp"
@@ -27,8 +28,7 @@ using test::random_episodes;
 
 TEST(TrieCounter, MatchesSerialOnRandomizedWorkloads) {
   Rng rng(0xBEEFCAFE);
-  const Semantics all_semantics[] = {Semantics::kNonOverlappedSubsequence,
-                                     Semantics::kContiguousRestart};
+  const Semantics semantics = Semantics::kNonOverlappedSubsequence;
   const std::int64_t windows[] = {0, 1, 2, 3, 7, 16};
   for (int trial = 0; trial < 40; ++trial) {
     const auto alphabet_size = static_cast<int>(rng.between(2, 24));
@@ -38,15 +38,12 @@ TEST(TrieCounter, MatchesSerialOnRandomizedWorkloads) {
                         : data::markov_database(alphabet, 1500, 0.6, rng());
     const auto episodes =
         random_episodes(rng, alphabet_size, static_cast<int>(rng.between(1, 40)), 4);
-    for (const Semantics semantics : all_semantics) {
-      for (const std::int64_t window : windows) {
-        const ExpiryPolicy expiry{window};
-        const auto expected = count_all(episodes, db, semantics, expiry);
-        const auto actual = count_all_trie_scan(episodes, db, semantics, expiry);
-        ASSERT_EQ(actual, expected)
-            << "trial " << trial << " alphabet " << alphabet_size << " semantics "
-            << to_string(semantics) << " window " << window;
-      }
+    for (const std::int64_t window : windows) {
+      const ExpiryPolicy expiry{window};
+      const auto expected = count_all(episodes, db, semantics, expiry);
+      const auto actual = count_all_trie_scan(episodes, db, semantics, expiry);
+      ASSERT_EQ(actual, expected)
+          << "trial " << trial << " alphabet " << alphabet_size << " window " << window;
     }
   }
 }
@@ -191,43 +188,28 @@ TEST(TrieCounter, EmptyInputsHandled) {
   EXPECT_DOUBLE_EQ(prefix_compression({}), 1.0);
 }
 
-TEST(TrieCounter, ContiguousRestartDensePathMatchesSerial) {
-  Rng rng(77);
-  const Alphabet alphabet(5);
-  const auto db = data::markov_database(alphabet, 3000, 0.5, 123);
-  const auto episodes = random_episodes(rng, 5, 25, 3);
-  for (const std::int64_t window : {std::int64_t{0}, std::int64_t{4}}) {
-    EXPECT_EQ(count_all_trie_scan(episodes, db, Semantics::kContiguousRestart,
-                                  ExpiryPolicy{window}),
-              count_all(episodes, db, Semantics::kContiguousRestart, ExpiryPolicy{window}));
+TEST(TrieCounter, RefusesContiguousRestart) {
+  // Mismatch edges let any symbol move any in-flight automaton, so there is
+  // no waiting-symbol index to share; the flat engine's dense path serves
+  // this semantics instead.
+  const std::vector<Episode> episodes = {Episode({0, 1}), Episode({0, 2})};
+  const Sequence db = {0, 1, 0, 2};
+  try {
+    (void)count_all_trie_scan(episodes, db, Semantics::kContiguousRestart);
+    ADD_FAILURE() << "the trie engine should refuse contiguous restart";
+  } catch (const gm::Error& e) {
+    EXPECT_EQ(e.code(), gm::ErrorCode::kPrecondition) << e.what();
   }
 }
 
-void expect_same_engine_state(const TrieCounter& batched, const TrieCounter& stepped,
-                              const std::string& where) {
-  EXPECT_EQ(batched.counts(), stepped.counts()) << where;
-  EXPECT_EQ(batched.progress(), stepped.progress()) << where;
-  const TrieCounter::Ops& a = batched.ops();
-  const TrieCounter::Ops& b = stepped.ops();
-  EXPECT_EQ(a.probes, b.probes) << where;
-  EXPECT_EQ(a.drains, b.drains) << where;
-  EXPECT_EQ(a.files, b.files) << where;
-  EXPECT_EQ(a.accepts, b.accepts) << where;
-  EXPECT_EQ(a.heap_ops, b.heap_ops) << where;
-  EXPECT_EQ(a.starts, b.starts) << where;
-  EXPECT_EQ(a.dense_steps, b.dense_steps) << where;
-}
-
 // advance_batch over randomly split batches must be indistinguishable from
-// one advance() per symbol: counts, progress and all seven work counters,
-// which the gpusim trie kernel prices per staged buffer.  One- to
-// eight-episode sets leave most symbols with nothing waiting, idling or due
-// (the batch loop's skip case), and a mid-stream restore() regroups tokens
-// before both engines continue.
+// one advance() per symbol: counts and all six work counters, which the
+// gpusim trie kernel prices per staged buffer, agree at every batch
+// boundary.  One- to eight-episode sets leave most symbols with nothing
+// waiting, idling or due (the batch loop's skip case).
 TEST(TrieCounter, BatchAdvanceMatchesPerSymbolAdvanceIncludingOps) {
   Rng rng(0xBA7C4ED);
-  const Semantics all_semantics[] = {Semantics::kNonOverlappedSubsequence,
-                                     Semantics::kContiguousRestart};
+  const Semantics semantics = Semantics::kNonOverlappedSubsequence;
   for (int trial = 0; trial < 16; ++trial) {
     const int alphabet_size = trial % 2 == 0 ? 4 : 26;
     const Alphabet alphabet(alphabet_size);
@@ -235,61 +217,36 @@ TEST(TrieCounter, BatchAdvanceMatchesPerSymbolAdvanceIncludingOps) {
     const auto size = static_cast<std::int64_t>(db.size());
     const auto episodes =
         random_episodes(rng, alphabet_size, static_cast<int>(rng.between(1, 8)), 4);
-    const auto cut = static_cast<std::size_t>(rng.between(1, size - 1));
-    for (const Semantics semantics : all_semantics) {
-      for (const std::int64_t window : {std::int64_t{0}, std::int64_t{1}, std::int64_t{7}, size}) {
-        const ExpiryPolicy expiry{window};
-        const std::string where = "trial " + std::to_string(trial) + " " +
-                                  to_string(semantics) + " window " + std::to_string(window);
-        // Feeds [from, to) one symbol at a time into `stepped` and in random
-        // batches into `batched`.
-        const auto feed = [&](TrieCounter& batched, TrieCounter& stepped, std::size_t from,
-                              std::size_t to) {
-          for (std::size_t i = from; i < to; ++i) {
-            stepped.advance(db[i], static_cast<std::int64_t>(i));
-          }
-          for (std::size_t i = from; i < to;) {
-            const auto n = std::min(to - i, static_cast<std::size_t>(rng.between(1, 90)));
-            batched.advance_batch(std::span<const Symbol>(db).subspan(i, n),
-                                  static_cast<std::int64_t>(i));
-            i += n;
-          }
-        };
+    for (const std::int64_t window : {std::int64_t{0}, std::int64_t{1}, std::int64_t{7}, size}) {
+      const ExpiryPolicy expiry{window};
+      TrieCounter batched(episodes, semantics, expiry, size);
+      TrieCounter stepped(episodes, semantics, expiry, size);
+      for (std::size_t fed = 0; fed < db.size();) {
+        const auto n = std::min(db.size() - fed, static_cast<std::size_t>(rng.between(1, 90)));
+        batched.advance_batch(std::span<const Symbol>(db).subspan(fed, n),
+                              static_cast<std::int64_t>(fed));
+        for (std::size_t i = fed; i < fed + n; ++i) {
+          stepped.advance(db[i], static_cast<std::int64_t>(i));
+        }
+        fed += n;
 
-        TrieCounter batched(episodes, semantics, expiry, size);
-        TrieCounter stepped(episodes, semantics, expiry, size);
-        feed(batched, stepped, 0, cut);
-        expect_same_engine_state(batched, stepped, where + " before the cut");
-
-        const auto progress = stepped.progress();
-        TrieCounter batched_resumed(episodes, semantics, expiry, size);
-        TrieCounter stepped_resumed(episodes, semantics, expiry, size);
-        batched_resumed.restore(progress);
-        stepped_resumed.restore(progress);
-        feed(batched_resumed, stepped_resumed, cut, db.size());
-        expect_same_engine_state(batched_resumed, stepped_resumed, where + " after restore");
-        EXPECT_EQ(batched_resumed.counts(), count_all(episodes, db, semantics, expiry)) << where;
+        const std::string where =
+            "trial " + std::to_string(trial) + " window " + std::to_string(window) + " at " +
+            std::to_string(fed);
+        ASSERT_EQ(batched.counts(), stepped.counts()) << where;
+        const TrieCounter::Ops& a = batched.ops();
+        const TrieCounter::Ops& b = stepped.ops();
+        ASSERT_EQ(a.probes, b.probes) << where;
+        ASSERT_EQ(a.drains, b.drains) << where;
+        ASSERT_EQ(a.files, b.files) << where;
+        ASSERT_EQ(a.accepts, b.accepts) << where;
+        ASSERT_EQ(a.heap_ops, b.heap_ops) << where;
+        ASSERT_EQ(a.starts, b.starts) << where;
       }
+      EXPECT_EQ(batched.counts(), count_all(episodes, db, semantics, expiry))
+          << "trial " << trial << " window " << window;
     }
   }
-}
-
-TEST(TrieCounter, BackendAndFactoryExposeTheEngine) {
-  TrieCpuBackend backend;
-  EXPECT_EQ(backend.name(), "cpu-trie-scan");
-  const std::vector<Episode> episodes = {Episode({0, 1}), Episode({0, 2})};
-  const Sequence db = {0, 1, 0, 2, 0, 1};
-  CountRequest request;
-  request.database = db;
-  request.episodes = episodes;
-  request.semantics = Semantics::kNonOverlappedSubsequence;
-  const auto result = backend.count(request);
-  EXPECT_EQ(result.counts, count_all(episodes, db, request.semantics, request.expiry));
-
-  const auto by_name = make_cpu_backend("cpu-trie-scan");
-  ASSERT_NE(by_name, nullptr);
-  EXPECT_EQ(by_name->name(), "cpu-trie-scan");
-  EXPECT_NE(make_cpu_backend("trie-scan"), nullptr);  // unprefixed alias
 }
 
 TEST(EpisodeTrie, SubtreeRangesCoverSortedOrder) {

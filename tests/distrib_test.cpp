@@ -73,7 +73,9 @@ TEST(FoldColdScans, ExactOnAdversarialSmallInputs) {
                                         bounds[static_cast<std::size_t>(c)],
                                         bounds[static_cast<std::size_t>(c) + 1], 0, 0));
     }
-    const auto folded = core::fold_cold_scans(symbols, semantics, expiry, db, bounds, cold);
+    const auto folded = core::fold_cold_scans(symbols, semantics, expiry, db, /*base=*/0, bounds,
+                                              cold, /*entry_state=*/0, /*entry_first_pos=*/0,
+                                              /*exit=*/nullptr);
     const auto expected = core::count_occurrences(episodes[0], db, semantics, expiry);
     ASSERT_EQ(folded, expected)
         << "trial " << trial << " |DB|=" << size << " chunks=" << chunks
@@ -208,8 +210,6 @@ TEST(DistribBackendProperty, BitExactVsSerialAcrossShardsSemanticsExpiry) {
                                         std::int64_t{4001}}) {
         for (const int shards : {1, 2, 3, 5, 16}) {
           const int granularity = 1 + trial % 4;
-          const WorkerKind worker =
-              trial % 3 == 0 ? WorkerKind::kSerial : WorkerKind::kSingleScan;
           ++trial;
 
           const auto episodes = random_episodes(rng, 24, 4, 6);
@@ -219,7 +219,6 @@ TEST(DistribBackendProperty, BitExactVsSerialAcrossShardsSemanticsExpiry) {
           DistribOptions options;
           options.shards = shards;
           options.steal_granularity = granularity;
-          options.worker = worker;
           DistribBackend backend(options);
           core::CountRequest request;
           request.database = *db;
@@ -229,7 +228,7 @@ TEST(DistribBackendProperty, BitExactVsSerialAcrossShardsSemanticsExpiry) {
           const auto result = backend.count(request);
           ASSERT_EQ(result.counts, expected)
               << "shards=" << shards << " granularity=" << granularity
-              << " worker=" << to_string(worker) << " window=" << window
+              << " window=" << window
               << " semantics=" << core::to_string(semantics);
           EXPECT_EQ(backend.last_run().chunks, shards * granularity);
           // The fold's boundary fix-up replays at most the whole database per

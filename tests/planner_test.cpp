@@ -95,8 +95,8 @@ TEST(Planner, FlipsToTrieFormulationsOnSharedPrefixCandidateSets) {
   // bucket-friendly shape with no prefix sharing (prefix mass 1, e.g. a
   // level-1 set) must stay on a flat formulation: the trie's heavier
   // per-drain constant buys nothing.  The same shape with an apriori-style
-  // candidate set (prefix mass ~ 1/L) must flip to a trie formulation, CPU
-  // or GPU — one token drain advances every prefix-sharer.
+  // candidate set (prefix mass ~ 1/L) must flip to the device trie
+  // formulation — one token drain advances every prefix-sharer.
   Workload w;
   w.db_size = 2'000'000;
   w.episode_count = 12'000;
@@ -117,23 +117,16 @@ TEST(Planner, FlipsToTrieFormulationsOnSharedPrefixCandidateSets) {
   EXPECT_NE(trie_plan.winner().config.label().find("trie"), std::string::npos)
       << trie_plan.winner().config.label();
 
-  // Both trie families are in the scored table: the host engine and a trie
-  // variant of every bucketed tpb point.
-  bool saw_cpu_trie = false;
+  // The scored table holds a trie variant of every bucketed tpb point.
   bool saw_gpu_trie = false;
   for (const ScoredCandidate& c : trie_plan.table) {
-    saw_cpu_trie |= c.config.kind == BackendKind::kCpuTrieScan;
     saw_gpu_trie |= c.config.kind == BackendKind::kGpuSim && c.config.trie_buckets;
   }
-  EXPECT_TRUE(saw_cpu_trie);
   EXPECT_TRUE(saw_gpu_trie);
 
-  // Model pins behind the flip.  Device side: the trie spec predicts
-  // strictly less kernel time than the flat bucketed spec once prefixes are
-  // shared, and strictly more when they are not (heavier per-drain charge,
-  // nothing compressed).  Host side: the trie engine's interval-set splits
-  // price it above the flat single scan even with sharing — the host curve
-  // only flips under extreme compression, by design.
+  // Model pins behind the flip: the trie spec predicts strictly less kernel
+  // time than the flat bucketed spec once prefixes are shared, and strictly
+  // more when they are not (heavier per-drain charge, nothing compressed).
   const auto gpu_ms = [](const Workload& workload, bool trie) {
     const PlannerOptions options;
     return kernels::predict_mining_time(
@@ -144,18 +137,6 @@ TEST(Planner, FlipsToTrieFormulationsOnSharedPrefixCandidateSets) {
   };
   EXPECT_LT(gpu_ms(shared_set, true), gpu_ms(shared_set, false));
   EXPECT_GT(gpu_ms(flat_set, true), gpu_ms(flat_set, false));
-  const CpuCostConstants constants;
-  EXPECT_GT(predict_cpu_trie_ms(flat_set, constants),
-            predict_cpu_single_scan_ms(flat_set, constants));
-  EXPECT_GT(predict_cpu_trie_ms(shared_set, constants),
-            predict_cpu_single_scan_ms(shared_set, constants));
-
-  // Contiguous restart runs the identical dense fallback on both engines:
-  // the curves tie exactly and the label tie-break hands flat the win.
-  Workload dense = shared_set;
-  dense.semantics = core::Semantics::kContiguousRestart;
-  EXPECT_DOUBLE_EQ(predict_cpu_trie_ms(dense, constants),
-                   predict_cpu_single_scan_ms(dense, constants));
 }
 
 /// A host-only planner with one worker, as a CPU-only mining session builds.

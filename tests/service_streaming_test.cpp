@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -92,64 +93,59 @@ TEST(AppendEvents, RejectsSymbolsOutsideTheAlphabetAtomically) {
   EXPECT_EQ(session.database_size(), size);
 }
 
-TEST(StreamingMonitorTest, AlertsFireOnceWithExactCountsAcrossEngines) {
-  for (const core::ScanEngine engine :
-       {core::ScanEngine::kSingleScan, core::ScanEngine::kTrie}) {
-    Rng rng(0xA1E27);
-    data::Dataset dataset = make_dataset(6, 200, rng());
-    std::vector<core::Symbol> full = dataset.events;
-    MiningSession session(std::move(dataset), serial_options());
+TEST(StreamingMonitorTest, AlertsFireOnceWithExactCounts) {
+  Rng rng(0xA1E27);
+  data::Dataset dataset = make_dataset(6, 200, rng());
+  std::vector<core::Symbol> full = dataset.events;
+  MiningSession session(std::move(dataset), serial_options());
 
-    MonitorSpec spec;
-    spec.name = "watch";
-    spec.episodes = {core::Episode({0, 1}), core::Episode({2, 3, 2})};
-    spec.expiry = {9};
-    spec.engine = engine;
-    const auto initial_counts = [&] {
-      std::vector<std::int64_t> counts;
-      for (const core::Episode& e : spec.episodes) {
-        counts.push_back(core::count_occurrences(e, full, spec.semantics, spec.expiry));
-      }
-      return counts;
-    }();
-    // Threshold above the current count of episode 0 so the crossing happens
-    // mid-stream, during one specific later batch.
-    spec.threshold = initial_counts[0] + 5;
-    std::vector<Alert> alerts = session.register_monitor(spec);
-    for (const Alert& alert : alerts) {
-      EXPECT_GE(alert.count, spec.threshold);  // only already-over episodes fire here
+  MonitorSpec spec;
+  spec.name = "watch";
+  spec.episodes = {core::Episode({0, 1}), core::Episode({2, 3, 2})};
+  spec.expiry = {9};
+  const auto initial_counts = [&] {
+    std::vector<std::int64_t> counts;
+    for (const core::Episode& e : spec.episodes) {
+      counts.push_back(core::count_occurrences(e, full, spec.semantics, spec.expiry));
     }
-
-    int fired_for_episode0 = 0;
-    for (const Alert& a : alerts) fired_for_episode0 += a.episode_index == 0 ? 1 : 0;
-    for (int batch = 0; batch < 20; ++batch) {
-      const auto events = data::uniform_database(core::Alphabet(6), 60, rng());
-      const auto outcome = session.append_events(events);
-      full.insert(full.end(), events.begin(), events.end());
-      std::vector<std::int64_t> expected;
-      for (const core::Episode& e : spec.episodes) {
-        expected.push_back(core::count_occurrences(e, full, spec.semantics, spec.expiry));
-      }
-      ASSERT_EQ(session.monitor_counts("watch"), expected) << "batch " << batch;
-      for (const Alert& alert : outcome.alerts) {
-        EXPECT_EQ(alert.monitor, "watch");
-        EXPECT_GE(alert.count, spec.threshold);
-        EXPECT_EQ(alert.position, static_cast<std::int64_t>(full.size()));
-        fired_for_episode0 += alert.episode_index == 0 ? 1 : 0;
-      }
-    }
-    // The stream is long enough that episode 0 must have crossed — and the
-    // alert-once latch means exactly one alert total.
-    EXPECT_EQ(fired_for_episode0, 1) << "engine " << static_cast<int>(engine);
+    return counts;
+  }();
+  // Threshold above the current count of episode 0 so the crossing happens
+  // mid-stream, during one specific later batch.
+  spec.threshold = initial_counts[0] + 5;
+  std::vector<Alert> alerts = session.register_monitor(spec);
+  for (const Alert& alert : alerts) {
+    EXPECT_GE(alert.count, spec.threshold);  // only already-over episodes fire here
   }
+
+  int fired_for_episode0 = 0;
+  for (const Alert& a : alerts) fired_for_episode0 += a.episode_index == 0 ? 1 : 0;
+  for (int batch = 0; batch < 20; ++batch) {
+    const auto events = data::uniform_database(core::Alphabet(6), 60, rng());
+    const auto outcome = session.append_events(events);
+    full.insert(full.end(), events.begin(), events.end());
+    std::vector<std::int64_t> expected;
+    for (const core::Episode& e : spec.episodes) {
+      expected.push_back(core::count_occurrences(e, full, spec.semantics, spec.expiry));
+    }
+    ASSERT_EQ(session.monitor_counts("watch"), expected) << "batch " << batch;
+    for (const Alert& alert : outcome.alerts) {
+      EXPECT_EQ(alert.monitor, "watch");
+      EXPECT_GE(alert.count, spec.threshold);
+      EXPECT_EQ(alert.position, static_cast<std::int64_t>(full.size()));
+      fired_for_episode0 += alert.episode_index == 0 ? 1 : 0;
+    }
+  }
+  // The stream is long enough that episode 0 must have crossed — and the
+  // alert-once latch means exactly one alert total.
+  EXPECT_EQ(fired_for_episode0, 1);
 }
 
 TEST(StreamingMonitorTest, CheckpointJsonRoundTripsLosslessly) {
   Rng rng(0x77AA);
   const auto events = data::uniform_database(core::Alphabet(9), 150, rng());
   core::StreamScan scan({core::Episode({1, 2, 3}), core::Episode({4, 4})},
-                        core::Semantics::kNonOverlappedSubsequence, {11},
-                        core::ScanEngine::kTrie);
+                        core::Semantics::kNonOverlappedSubsequence, {11});
   scan.feed(events);
   const core::ScanCheckpoint original = scan.checkpoint(97);
 
@@ -232,47 +228,148 @@ TEST(StreamingMonitorTest, IdleEvictionKeepsLiveEpisodeAlertsExact) {
   // sees nothing until its second symbol finally arrives long past the idle
   // horizon.  Eviction must drop exactly that straddling occurrence — and
   // nothing about the live episode's counts or alerts.
-  for (const core::ScanEngine engine :
-       {core::ScanEngine::kSingleScan, core::ScanEngine::kTrie}) {
-    MonitorSpec spec;
-    spec.name = "evict";
-    spec.episodes = {core::Episode({0, 1}), core::Episode({2, 3})};
-    spec.threshold = 5;
-    spec.engine = engine;
-    MonitorSpec evicting = spec;
-    evicting.idle_eviction_generations = 3;
-    StreamingMonitor plain(spec);
-    StreamingMonitor pruned(evicting);
+  MonitorSpec spec;
+  spec.name = "evict";
+  spec.episodes = {core::Episode({0, 1}), core::Episode({2, 3})};
+  spec.threshold = 5;
+  MonitorSpec evicting = spec;
+  evicting.idle_eviction_generations = 3;
+  StreamingMonitor plain(spec);
+  StreamingMonitor pruned(evicting);
 
-    const std::vector<std::vector<core::Symbol>> batches = {
-        {2}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {3}, {0, 1}};
-    std::vector<Alert> plain_alerts;
-    std::vector<Alert> pruned_alerts;
-    std::uint64_t generation = 1;
-    for (const auto& batch : batches) {
-      plain.on_append(batch, generation, plain_alerts);
-      pruned.on_append(batch, generation, pruned_alerts);
-      ++generation;
-    }
-
-    EXPECT_EQ(plain.idle_evictions(), 0);
-    EXPECT_EQ(pruned.idle_evictions(), 1) << "engine " << static_cast<int>(engine);
-    // The live episode is untouched: same exact counts, same single alert at
-    // the same crossing.
-    EXPECT_EQ(plain.counts()[0], pruned.counts()[0]);
-    ASSERT_EQ(plain_alerts.size(), pruned_alerts.size());
-    for (std::size_t i = 0; i < plain_alerts.size(); ++i) {
-      EXPECT_EQ(plain_alerts[i].episode_index, 0u);
-      EXPECT_EQ(plain_alerts[i].episode_index, pruned_alerts[i].episode_index);
-      EXPECT_EQ(plain_alerts[i].count, pruned_alerts[i].count);
-      EXPECT_EQ(plain_alerts[i].position, pruned_alerts[i].position);
-      EXPECT_EQ(plain_alerts[i].generation, pruned_alerts[i].generation);
-    }
-    // The idle episode's half-built match was really dropped: only the
-    // non-evicting monitor completes it when symbol 3 finally shows up.
-    EXPECT_EQ(plain.counts()[1], 1);
-    EXPECT_EQ(pruned.counts()[1], 0);
+  const std::vector<std::vector<core::Symbol>> batches = {
+      {2}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {3}, {0, 1}};
+  std::vector<Alert> plain_alerts;
+  std::vector<Alert> pruned_alerts;
+  std::uint64_t generation = 1;
+  for (const auto& batch : batches) {
+    plain.on_append(batch, generation, plain_alerts);
+    pruned.on_append(batch, generation, pruned_alerts);
+    ++generation;
   }
+
+  EXPECT_EQ(plain.idle_evictions(), 0);
+  EXPECT_EQ(pruned.idle_evictions(), 1);
+  // The live episode is untouched: same exact counts, same single alert at
+  // the same crossing.
+  EXPECT_EQ(plain.counts()[0], pruned.counts()[0]);
+  ASSERT_EQ(plain_alerts.size(), pruned_alerts.size());
+  for (std::size_t i = 0; i < plain_alerts.size(); ++i) {
+    EXPECT_EQ(plain_alerts[i].episode_index, 0u);
+    EXPECT_EQ(plain_alerts[i].episode_index, pruned_alerts[i].episode_index);
+    EXPECT_EQ(plain_alerts[i].count, pruned_alerts[i].count);
+    EXPECT_EQ(plain_alerts[i].position, pruned_alerts[i].position);
+    EXPECT_EQ(plain_alerts[i].generation, pruned_alerts[i].generation);
+  }
+  // The idle episode's half-built match was really dropped: only the
+  // non-evicting monitor completes it when symbol 3 finally shows up.
+  EXPECT_EQ(plain.counts()[1], 1);
+  EXPECT_EQ(pruned.counts()[1], 0);
+}
+
+TEST(StreamingMonitorTest, IdleEvictionSurvivesCheckpointRestore) {
+  // Episode 1 starts a match in the prefix and then idles.  A monitor saved
+  // and restored must keep evicting it: the idle counters restart at the
+  // restore, so three idle batches later the half-built match is dropped
+  // and the late symbol 3 no longer completes it.
+  MonitorSpec spec;
+  spec.name = "evict";
+  spec.episodes = {core::Episode({0, 1}), core::Episode({2, 3})};
+  spec.threshold = 5;
+  spec.idle_eviction_generations = 3;
+  const data::Dataset dataset{core::Alphabet(4), {2}};
+  MiningSession session(dataset, serial_options());
+  (void)session.register_monitor(spec);
+  const std::string persisted = monitors_to_json(session.monitor_snapshots());
+
+  const auto snapshots = monitors_from_json(persisted);
+  ASSERT_EQ(snapshots.size(), 1u);
+  EXPECT_EQ(snapshots.front().spec.idle_eviction_generations, 3);
+  MiningSession restarted(dataset, serial_options());
+  (void)restarted.restore_monitor(snapshots.front());
+  EXPECT_EQ(restarted.monitor_snapshots().front().spec.idle_eviction_generations, 3);
+  StreamingMonitor restored(snapshots.front().spec, snapshots.front().checkpoint);
+  EXPECT_EQ(restored.spec().idle_eviction_generations, 3);
+
+  const std::vector<std::vector<core::Symbol>> batches = {{0, 1}, {0, 1}, {0, 1}, {3}};
+  std::vector<Alert> alerts;
+  std::uint64_t generation = 2;
+  for (std::size_t b = 0; b < batches.size(); ++b) {
+    restored.on_append(batches[b], generation++, alerts);
+    (void)restarted.append_events(batches[b]);
+    EXPECT_EQ(restored.idle_evictions(), b < 2 ? 0 : 1) << "after batch " << b;
+  }
+  EXPECT_EQ(restored.counts()[1], 0);
+  EXPECT_EQ(restarted.monitor_counts("evict")[1], 0);
+  EXPECT_EQ(restarted.monitor_counts("evict")[0], 3);
+}
+
+TEST(StreamingMonitorTest, CheckpointRefusesOutOfRangeSemantics) {
+  // The spec and the checkpoint each carry a semantics value; anything but
+  // the two enum values (0 and 1) is refused in either place.
+  const auto document = [](const std::string& spec_semantics,
+                           const std::string& checkpoint_semantics,
+                           const std::string& idle_eviction = "0") {
+    return R"({"schema":"gm-checkpoint/1","monitors":[{"spec":{"name":"m","episodes":[[0,1]],)"
+           R"("semantics":)" + spec_semantics +
+           R"(,"expiry_window":0,"threshold":1,"idle_eviction_generations":)" + idle_eviction +
+           R"(},"checkpoint":{"semantics":)" + checkpoint_semantics +
+           R"(,"expiry_window":0,"high_water":0,"prefix_digest":"cbf29ce484222325",)"
+           R"("generation":0,"episodes":[[0,1]],"progress":[[0,0,0]]}}]})";
+  };
+  EXPECT_EQ(monitors_from_json(document("0", "0")).front().spec.semantics,
+            core::Semantics::kNonOverlappedSubsequence);
+  EXPECT_EQ(monitors_from_json(document("1", "1")).front().checkpoint.semantics,
+            core::Semantics::kContiguousRestart);
+  for (const std::string bad : {"2", "-1", "7"}) {
+    EXPECT_THROW((void)monitors_from_json(document(bad, "0")), gm::Error) << "spec " << bad;
+    EXPECT_THROW((void)monitors_from_json(document("0", bad)), gm::Error)
+        << "checkpoint " << bad;
+  }
+  // A negative idle-eviction setting is refused too.
+  EXPECT_THROW((void)monitors_from_json(document("0", "0", "-1")), gm::Error);
+}
+
+TEST(StreamingMonitorTest, EarlierBuildsTrieMonitorRestoresExactly) {
+  // A gm-checkpoint/1 document in the format earlier builds wrote: the spec
+  // names the retired trie scan engine ("engine": 1) and carries no idle
+  // eviction setting, and the capture is mid-window under expiry — episodes
+  // 0, 1 and 3 are in flight, and episode 3's deadline (12 + 4) lies past
+  // the pause at 14.  It must restore onto the flat engine and keep counting
+  // exactly what a full serial recount does.
+  constexpr std::string_view kDocument =
+      R"({"schema":"gm-checkpoint/1","monitors":[{"spec":{"name":"legacy",)"
+      R"("episodes":[[0,1,2],[0,2],[1,0],[0,3]],"semantics":0,"expiry_window":4,)"
+      R"("threshold":3,"engine":1},"checkpoint":{"semantics":0,"expiry_window":4,)"
+      R"("high_water":14,"prefix_digest":"d4fdd33a47c0d9e8","generation":1,)"
+      R"("episodes":[[0,1,2],[0,2],[1,0],[0,3]],)"
+      R"("progress":[[1,10,1],[1,10,1],[3,0,0],[1,12,1]]}}]})";
+  const auto snapshots = monitors_from_json(kDocument);
+  ASSERT_EQ(snapshots.size(), 1u);
+  const MonitorSpec& spec = snapshots.front().spec;
+  EXPECT_EQ(spec.idle_eviction_generations, 0);
+
+  // The reloaded stream also holds events appended after the capture, which
+  // the restore replays before live appends continue.
+  data::Dataset dataset{core::Alphabet(5), {0, 1, 2, 0, 3, 1, 0, 2, 4, 1, 0, 3, 0, 4}};
+  dataset.events.insert(dataset.events.end(), {3, 2, 0});
+  std::vector<core::Symbol> full = dataset.events;
+  MiningSession session(std::move(dataset), serial_options());
+  (void)session.restore_monitor(snapshots.front());
+  const auto recount = [&] {
+    std::vector<std::int64_t> counts;
+    for (const core::Episode& e : spec.episodes) {
+      counts.push_back(core::count_occurrences(e, full, spec.semantics, spec.expiry));
+    }
+    return counts;
+  };
+  EXPECT_EQ(session.monitor_counts("legacy"), recount());
+  EXPECT_EQ(session.monitor_counts("legacy")[3], 2);  // the straddling match completed
+
+  const std::vector<core::Symbol> more = {1, 0, 1, 2, 0, 0, 3, 4, 1, 0, 2};
+  (void)session.append_events(more);
+  full.insert(full.end(), more.begin(), more.end());
+  EXPECT_EQ(session.monitor_counts("legacy"), recount());
 }
 
 TEST(StreamingMonitorTest, TicksRecordEveryAppendBatch) {

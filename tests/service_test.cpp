@@ -23,6 +23,7 @@
 #include "core/serial_counter.hpp"
 #include "data/generators.hpp"
 #include "kernels/mining_kernels.hpp"
+#include "service/backend_factory.hpp"
 #include "service/result_cache.hpp"
 #include "service/service.hpp"
 #include "service/session.hpp"
@@ -152,6 +153,16 @@ TEST(ServiceSession, ReloadInvalidatesCachesAndBumpsGeneration) {
   ASSERT_EQ(warm.disposition, Disposition::kServed);
   ASSERT_EQ(session.mine(request).disposition, Disposition::kCached);
 
+  // A dataset with a symbol outside its alphabet is refused and leaves the
+  // loaded one in place.
+  data::Dataset bad = make_dataset(8, 3000, 7);
+  bad.events[1500] = 8;
+  const std::vector<double> before = session.measured_frequencies();
+  EXPECT_THROW(session.reload(bad), gm::Error);
+  EXPECT_EQ(session.generation(), 1u);
+  EXPECT_EQ(session.measured_frequencies(), before);
+  ASSERT_EQ(session.mine(request).disposition, Disposition::kCached);
+
   data::Dataset second = make_dataset(8, 3000, 999);
   session.reload(second);
   EXPECT_EQ(session.generation(), 2u);
@@ -247,6 +258,26 @@ TEST(ServiceSession, InvalidConfigsAreRejectedWithStableCodes) {
   const CountResponse r5 = session.count(outside);
   EXPECT_EQ(r5.disposition, Disposition::kRejected);
   EXPECT_EQ(r5.rejection.code, ErrorCode::kInvalidConfig);
+}
+
+TEST(ServiceSession, RetiredBackendNamesAreRefusedWithTheValidList) {
+  // Configs naming a deleted host backend fail at construction with the
+  // precondition code and the list of names that do exist.
+  for (const char* retired : {"cpu-sharded", "cpu-trie-scan", "sharded", "trie-scan"}) {
+    try {
+      (void)make_backend({.name = retired});
+      ADD_FAILURE() << retired << " should be refused";
+    } catch (const gm::Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kPrecondition) << retired;
+      const std::string what = e.what();
+      EXPECT_NE(what.find(std::string("unknown backend '") + retired + "'"), std::string::npos)
+          << what;
+      for (const std::string_view name : backend_names()) {
+        EXPECT_NE(what.find(name), std::string::npos) << name << " missing from: " << what;
+      }
+    }
+  }
+  EXPECT_EQ(backend_names().size(), 8u);
 }
 
 TEST(ServiceSession, AdmissionRejectsWorkOverTheLatencyBudget) {

@@ -86,6 +86,7 @@
 #include "common/rng.hpp"
 #include "core/candidate_gen.hpp"
 #include "core/cpu_backend.hpp"
+#include "core/lane_counter.hpp"
 #include "core/serial_counter.hpp"
 #include "data/generators.hpp"
 #include "distrib/distrib_backend.hpp"
@@ -197,10 +198,13 @@ int run_planner_validation(const Options& opt, const gm::core::Alphabet& alphabe
   }
   gm::calib::apply_profile(profile, popt);
 
-  std::printf("planner validation: card=%s gpu=%s levels=1..%d max-regret=%s calibration=%s\n\n",
-              opt.card.c_str(), opt.gpu ? "yes" : "no", opt.level,
-              opt.max_regret > 0 ? std::to_string(opt.max_regret).c_str() : "off",
-              opt.calibration_path.empty() ? "shipped" : opt.calibration_path.c_str());
+  std::printf(
+      "planner validation: card=%s gpu=%s levels=1..%d max-regret=%s calibration=%s "
+      "lane-isa=%s\n\n",
+      opt.card.c_str(), opt.gpu ? "yes" : "no", opt.level,
+      opt.max_regret > 0 ? std::to_string(opt.max_regret).c_str() : "off",
+      opt.calibration_path.empty() ? "shipped" : opt.calibration_path.c_str(),
+      std::string(gm::core::lane_isa()).c_str());
 
   gm::bench::JsonWriter json;
   json.begin_object();
@@ -219,6 +223,7 @@ int run_planner_validation(const Options& opt, const gm::core::Alphabet& alphabe
       .field("cpu_threads", gm::core::resolved_thread_count(opt.threads))
       .field("seed", static_cast<std::int64_t>(opt.seed));
   json.end_object();
+  json.field("lane_isa", gm::core::lane_isa());
   json.field("max_regret_gate", opt.max_regret);
   json.field("regret_floor_ms", kRegretFloorMs);
   json.field("calibration",

@@ -36,7 +36,8 @@ EXAMPLES="$BUILD_DIR/examples"
 # regression (not runner noise) trips it.  Because --min-speedup makes the
 # run gated, the episode-lane engine must also stay at least 1.5x flat
 # single-scan on the paper's dense shape (26 symbols, all 17,576 level-3
-# episodes; measured ~2.3x).  Every shape is
+# episodes; measured 1.7-2.4x with 16-byte lanes, 3.8-5.3x with the AVX2
+# kernel; the BENCH file's lane_isa says which ran).  Every shape is
 # cross-checked bit-exact against the serial counts before any timing is
 # reported.
 step_counting() {

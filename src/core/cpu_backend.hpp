@@ -6,12 +6,13 @@
 //   cpu-serial         —                 O(|DB| * |eps|)
 //   cpu-parallel       episodes          O(|DB| * |eps| / t)
 //   cpu-single-scan    — (indexed)       O(|DB| * (1 + |eps|/|alphabet|))
-//   cpu-lane-scan      episodes (SIMD)   O(|DB| * ceil(|eps| / 64))
+//   cpu-lane-scan      episodes (SIMD)   O(|DB| * ceil(|eps| / W)), W = 64 or 128
 //
 // cpu-parallel scales with the candidate count over real cores (it wins with
 // few episodes over a long stream), cpu-single-scan replaces brute-force
 // rescans with one pass driving all automata through a waiting-symbol bucket
 // index, and cpu-lane-scan runs one episode per SIMD lane, 64 lanes per step
+// in 16-byte vectors or 128 with AVX2, picked at run time
 // (core/lane_counter.hpp): its cost ignores the alphabet, so it wins on small
 // alphabets where the bucket index drains |eps|/|alphabet| automata per
 // event.  The database axis belongs to distrib/ (work-stealing shards with an
@@ -59,7 +60,8 @@ class SingleScanCpuBackend final : public CountingBackend {
 };
 
 /// Single-threaded episode-lane engine: one database pass steps 64 episode
-/// automata per event in uint8 SIMD lanes (core/lane_counter.hpp).  Levels
+/// automata per event in uint8 SIMD lanes, 128 on AVX2 CPUs
+/// (core/lane_counter.hpp).  Levels
 /// 1..kLaneMaxLevel, no expiry: both are refused with ErrorCode::kCapability.
 class LaneCpuBackend final : public CountingBackend {
  public:

@@ -15,17 +15,20 @@
 // kContiguousRestart adds Figure 3's mismatch edge (fall back to start, or to
 // state 1 when the event equals the first symbol) as one more mask.
 //
-// Register blocking.  Lanes are processed in blocks of 4 x 16: a block's
+// Register blocking.  Lanes are processed in blocks of 4 vectors: a block's
 // states, awaited symbols and uint8 completion counters stay in registers
 // across a run of at most 255 events (a lane completes at most once per
 // event, so its counter cannot wrap), then the counters are flushed into the
 // int64 totals.  Each run's events are broadcast into vectors once and
 // shared by every block.
 //
-// Vector type.  Lanes are 16-byte GCC/Clang vector extensions, which lower to
-// SSE2 on x86-64 and NEON on AArch64 with no intrinsics and no -march flag.
-// Wider vectors are deliberately not used: without a matching target ISA the
-// compiler splits them into scalar code.
+// Vector widths.  The kernel body (core/lane_kernel.hpp) is compiled twice:
+// at 16 bytes, GCC/Clang vector extensions that lower to SSE2 on x86-64 and
+// NEON on AArch64 with no intrinsics and no -march flag (64 lanes per
+// block), and on x86-64 builds at 32 bytes in a file of its own built with
+// -mavx2 (128 lanes per block).  count_all_lanes runs the AVX2 kernel
+// whenever the CPU reports AVX2 and the baseline otherwise; nothing else
+// chooses the width, and lane_isa() reports which one runs.
 //
 // Scope.  Levels 1..kLaneMaxLevel and both counting semantics.  Expiry is a
 // capability the engine does not have (it would need per-lane age counters),
@@ -35,6 +38,7 @@
 
 #include <cstdint>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "core/automaton.hpp"
@@ -46,16 +50,36 @@ namespace gm::core {
 /// unrolled over at most this many symbol columns.
 inline constexpr int kLaneMaxLevel = 8;
 
-/// Episodes one register block advances per event (4 vectors x 16 lanes).
-inline constexpr int kLaneBlock = 64;
-
-/// Count every episode by streaming `database` through the episode lanes.
-/// Equals count_occurrences(episodes[i], ...) element for element.  Episodes
-/// may mix levels.  Throws gm::PreconditionError tagged ErrorCode::kCapability
-/// when expiry is enabled or an episode is longer than kLaneMaxLevel.
+/// Count every episode by streaming `database` through the episode lanes, at
+/// the widest vector width this CPU runs.  Equals count_occurrences(episodes[i],
+/// ...) element for element.  Episodes may mix levels.  Throws
+/// gm::PreconditionError tagged ErrorCode::kCapability when expiry is enabled
+/// or an episode is longer than kLaneMaxLevel.
 [[nodiscard]] std::vector<std::int64_t> count_all_lanes(std::span<const Episode> episodes,
                                                         std::span<const Symbol> database,
                                                         Semantics semantics,
                                                         ExpiryPolicy expiry = {});
+
+/// The instruction set count_all_lanes runs on this CPU: "avx2", or the
+/// 16-byte baseline's "sse2", "neon" or "generic".
+[[nodiscard]] std::string_view lane_isa();
+
+/// The vector widths the lane kernel is built at.  count_all_lanes is
+/// count_all_lanes_at the widest one lane_width_runs accepts.
+enum class LaneWidth {
+  kBaseline,  ///< 16 bytes: 64 lanes per block, on every CPU
+  kAvx2,      ///< 32 bytes: 128 lanes per block, x86-64 builds on AVX2 CPUs
+};
+
+/// Whether this binary holds the `width` kernel and this CPU can run it.
+[[nodiscard]] bool lane_width_runs(LaneWidth width);
+
+/// count_all_lanes at one width, which must pass lane_width_runs (the
+/// dispatcher's per-width entry point, public so tests reach every width).
+[[nodiscard]] std::vector<std::int64_t> count_all_lanes_at(LaneWidth width,
+                                                           std::span<const Episode> episodes,
+                                                           std::span<const Symbol> database,
+                                                           Semantics semantics,
+                                                           ExpiryPolicy expiry = {});
 
 }  // namespace gm::core

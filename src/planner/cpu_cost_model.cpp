@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "core/lane_counter.hpp"
 #include "kernels/workload_model.hpp"
 
 namespace gm::planner {
@@ -77,9 +76,9 @@ double predict_cpu_lane_scan_ms(const Workload& w, const CpuCostConstants& c) {
   checked_shape(w);
   // Every event steps every register block once, whatever the alphabet,
   // semantics or level: the lanes never skip work, they only share it.
-  const double blocks =
-      std::ceil(static_cast<double>(w.episode_count) / static_cast<double>(core::kLaneBlock));
-  return static_cast<double>(w.db_size) * blocks * c.lane_block_ns * kNsToMs;
+  const double units = std::ceil(static_cast<double>(w.episode_count) /
+                                 static_cast<double>(kLanePriceEpisodes));
+  return static_cast<double>(w.db_size) * units * c.lane_block_ns * kNsToMs;
 }
 
 double predict_cpu_distrib_ms(const Workload& w, int shards, const CpuCostConstants& c) {

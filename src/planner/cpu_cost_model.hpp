@@ -9,9 +9,10 @@
 //   cpu-parallel      serial work / min(t, |eps|) + per-worker spawn cost
 //   cpu-single-scan   |DB| probes + |DB| * |eps| * drain_rate drains
 //                     (contiguous restart falls back to the dense scan)
-//   cpu-lane-scan     |DB| * ceil(|eps| / 64) block steps (episode-lane SIMD
-//                     engine; alphabet- and semantics-blind, infeasible
-//                     under expiry or above level 8)
+//   cpu-lane-scan     |DB| * ceil(|eps| / 64) price units (episode-lane SIMD
+//                     engine, priced at its 16-byte width on every host;
+//                     alphabet- and semantics-blind, infeasible under
+//                     expiry or above level 8)
 //
 // drain_rate is the same skew-aware bucket-occupancy term the Algorithm-5
 // device model uses (kernels::bucket_drain_rate), so CPU and GPU predictions
@@ -46,9 +47,10 @@ struct CpuCostConstants {
   /// Dense contiguous-restart path: one automaton step per (symbol, episode),
   /// batched symbols-innermost so the episode stays register-resident.
   double scan_dense_step_ns = 1.2;
-  /// Episode-lane engine: one event stepped through one 64-lane register
-  /// block (compare, advance and refill 4 x 16 uint8 lanes; the 255-event
-  /// counter flush amortized in).  Fitted with `backend_shootout
+  /// Episode-lane engine: one event stepped through one kLanePriceEpisodes
+  /// price unit, a 64-lane register block of the 16-byte baseline kernel
+  /// (compare, advance and refill 4 x 16 uint8 lanes; the 255-event counter
+  /// flush amortized in).  Fitted with `backend_shootout
   /// --fit-calibration --db 50000 --alphabet 26 --episodes 17576 --level 3
   /// --threads 1` (the paper's dense shape) on a shared 4-vCPU x86-64 host,
   /// GCC 12, -O3, SSE2 baseline: four runs gave 5.5-7.1 ns, and this is
@@ -56,7 +58,13 @@ struct CpuCostConstants {
   /// real cost grows with the level while the model's does not: the same
   /// runs measured 4-6.4 ns per block at level 1, 5.4-6.3 ns at level 2 and
   /// 6.3-10 ns at level 3.  Level-1 predictions can therefore run up to
-  /// ~1.5x high and level-3 ones up to ~1.5x low.
+  /// ~1.5x high and level-3 ones up to ~1.5x low.  AVX2 hosts run the
+  /// 32-byte kernel, 128 lanes per block, about 1.9x under this price (dense
+  /// level 3 on the same host: 46.5-58.0 ms against 91.4-115.3 ms at 16
+  /// bytes).  The price stays at the baseline width on purpose: charged per
+  /// 128-lane block it would predict 1.92 ms for paper_sim's level 2 and
+  /// take it off the GTX 280 (2.00 ms); ROADMAP item 4 keeps the ISA-aware
+  /// price open.
   double lane_block_ns = 6.4;
   /// Expiry bookkeeping per match start (monotone deadline-FIFO append +
   /// eventual pop-and-validate; was a binary heap before the SoA rewrite).
@@ -73,6 +81,11 @@ struct CpuCostConstants {
   /// victim scan amortized) plus dispatch into the worker closure.
   double distrib_steal_ns = 400.0;
 };
+
+/// Episodes per lane price unit: one 16-byte-baseline register block, 4
+/// vectors x 16 lanes.  The price keeps this unit on every host, whatever
+/// width core::count_all_lanes runs there.
+inline constexpr int kLanePriceEpisodes = 64;
 
 /// Chunks per shard the planner assumes when costing distrib candidates —
 /// kept equal to distrib::ShardPlanOptions{}.steal_granularity so the model

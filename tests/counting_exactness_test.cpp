@@ -12,13 +12,14 @@
 // and checkpoints captured mid-stream — while expiry deadlines are pending —
 // to the serial automata's own configuration and to an uninterrupted scan.
 // The episode-lane engine is held to the same contract around its own
-// machinery: partial 64-lane blocks, the 255-event uint8 counter flush, the
-// unrolled symbol columns of every level it supports, and its refusal of
-// expiry.
+// machinery, at every vector width it is built for: partial 64- and 128-lane
+// blocks, the 255-event uint8 counter flush, the unrolled symbol columns of
+// every level it supports, and its refusal of expiry.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -103,27 +104,43 @@ std::vector<Episode> level_episodes(Rng& rng, int alphabet_size, int count, int 
   return episodes;
 }
 
-TEST(CountingExactness, LaneEngineMatchesSerialAroundBlocksAndFlushes) {
-  // 70 episodes fill one 64-lane block and 6 lanes of a second; the stream
-  // lengths sit on both sides of one and two 255-event counter flushes.
+// The lane cases below run once per kernel width, through the per-width
+// entry point count_all_lanes dispatches to.  The AVX2 twins skip, naming the
+// missing feature, where this binary or CPU cannot run that kernel.
+std::string missing_avx2() {
+#if defined(__x86_64__)
+  return "this CPU lacks AVX2 (__builtin_cpu_supports(\"avx2\") is false)";
+#else
+  return "AVX2 lane kernel is built on x86-64 only";
+#endif
+}
+
+void lanes_match_serial_around_blocks_and_flushes(LaneWidth width) {
+  // 70 episodes fill one 64-lane block and 6 lanes of a second, 140 fill one
+  // 128-lane block and 12 lanes of a second (two 64-lane blocks and 12 lanes
+  // of a third); the stream lengths sit on both sides of one and two
+  // 255-event counter flushes.
   Rng rng(0x1A4E5);
   for (const Semantics semantics :
        {Semantics::kNonOverlappedSubsequence, Semantics::kContiguousRestart}) {
     for (const int alphabet : {4, 26, 64, 250}) {
       for (int level = 1; level <= kLaneMaxLevel; ++level) {
         for (const std::size_t events : {254, 255, 256, 511, 5000}) {
-          const auto db = data::uniform_database(Alphabet(alphabet), events, rng());
-          const auto episodes = level_episodes(rng, alphabet, 70, level);
-          EXPECT_EQ(count_all_lanes(episodes, db, semantics), count_all(episodes, db, semantics))
-              << "alphabet=" << alphabet << " level=" << level << " events=" << events
-              << " semantics=" << to_string(semantics);
+          for (const int count : {70, 140}) {
+            const auto db = data::uniform_database(Alphabet(alphabet), events, rng());
+            const auto episodes = level_episodes(rng, alphabet, count, level);
+            EXPECT_EQ(count_all_lanes_at(width, episodes, db, semantics),
+                      count_all(episodes, db, semantics))
+                << "alphabet=" << alphabet << " level=" << level << " events=" << events
+                << " episodes=" << count << " semantics=" << to_string(semantics);
+          }
         }
       }
     }
   }
 }
 
-TEST(CountingExactness, LaneEngineRepeatedSymbolsAndMixedLevels) {
+void lanes_count_repeated_symbols_and_mixed_levels(LaneWidth width) {
   // A 600-event run of A completes a level-1 lane on every event, so its
   // uint8 counter reaches exactly 255 at each flush; repeated-symbol
   // episodes exercise the column refill when the awaited symbol does not
@@ -141,17 +158,19 @@ TEST(CountingExactness, LaneEngineRepeatedSymbolsAndMixedLevels) {
   for (const Semantics semantics :
        {Semantics::kNonOverlappedSubsequence, Semantics::kContiguousRestart}) {
     const auto expected = count_all(episodes, db, semantics);
-    EXPECT_EQ(count_all_lanes(episodes, db, semantics), expected) << to_string(semantics);
+    EXPECT_EQ(count_all_lanes_at(width, episodes, db, semantics), expected)
+        << to_string(semantics);
     EXPECT_GT(expected[0], 600);
   }
 }
 
-TEST(CountingExactness, LaneEngineRefusesExpiryAndLongEpisodes) {
+void lanes_refuse_expiry_and_long_episodes(LaneWidth width) {
   const auto db = data::uniform_database(Alphabet(8), 300, 7);
   Rng rng(0x5E7);
   const auto expect_capability = [&](const std::vector<Episode>& episodes, ExpiryPolicy expiry) {
     try {
-      (void)count_all_lanes(episodes, db, Semantics::kNonOverlappedSubsequence, expiry);
+      (void)count_all_lanes_at(width, episodes, db, Semantics::kNonOverlappedSubsequence,
+                               expiry);
       ADD_FAILURE() << "the lane engine should refuse this request";
     } catch (const gm::Error& e) {
       EXPECT_EQ(e.code(), gm::ErrorCode::kCapability) << e.what();
@@ -159,6 +178,57 @@ TEST(CountingExactness, LaneEngineRefusesExpiryAndLongEpisodes) {
   };
   expect_capability(level_episodes(rng, 8, 5, 3), ExpiryPolicy{4});
   expect_capability(level_episodes(rng, 8, 5, kLaneMaxLevel + 1), {});
+}
+
+TEST(CountingExactness, LaneEngineMatchesSerialAroundBlocksAndFlushes) {
+  lanes_match_serial_around_blocks_and_flushes(LaneWidth::kBaseline);
+}
+
+TEST(CountingExactness, LaneEngineRepeatedSymbolsAndMixedLevels) {
+  lanes_count_repeated_symbols_and_mixed_levels(LaneWidth::kBaseline);
+}
+
+TEST(CountingExactness, LaneEngineRefusesExpiryAndLongEpisodes) {
+  lanes_refuse_expiry_and_long_episodes(LaneWidth::kBaseline);
+}
+
+TEST(CountingExactness, LaneEngineAvx2MatchesSerialAroundBlocksAndFlushes) {
+  if (!lane_width_runs(LaneWidth::kAvx2)) GTEST_SKIP() << missing_avx2();
+  lanes_match_serial_around_blocks_and_flushes(LaneWidth::kAvx2);
+}
+
+TEST(CountingExactness, LaneEngineAvx2RepeatedSymbolsAndMixedLevels) {
+  if (!lane_width_runs(LaneWidth::kAvx2)) GTEST_SKIP() << missing_avx2();
+  lanes_count_repeated_symbols_and_mixed_levels(LaneWidth::kAvx2);
+}
+
+TEST(CountingExactness, LaneEngineAvx2RefusesExpiryAndLongEpisodes) {
+  if (!lane_width_runs(LaneWidth::kAvx2)) GTEST_SKIP() << missing_avx2();
+  lanes_refuse_expiry_and_long_episodes(LaneWidth::kAvx2);
+}
+
+TEST(CountingExactness, LaneEngineDispatchesToTheWidestWidth) {
+  // count_all_lanes runs the AVX2 kernel exactly when the CPU reports AVX2
+  // (x86-64 builds), and lane_isa() names the width that ran.
+#if defined(__x86_64__)
+  const bool avx2 = __builtin_cpu_supports("avx2") != 0;
+  EXPECT_EQ(lane_width_runs(LaneWidth::kAvx2), avx2);
+  EXPECT_EQ(lane_isa(), avx2 ? "avx2" : "sse2");
+#else
+  EXPECT_FALSE(lane_width_runs(LaneWidth::kAvx2));
+  EXPECT_NE(lane_isa(), "avx2");
+#endif
+  const LaneWidth widest =
+      lane_width_runs(LaneWidth::kAvx2) ? LaneWidth::kAvx2 : LaneWidth::kBaseline;
+  Rng rng(0xD15);
+  const auto db = data::uniform_database(Alphabet(26), 3000, rng());
+  const auto episodes = level_episodes(rng, 26, 300, 3);
+  for (const Semantics semantics :
+       {Semantics::kNonOverlappedSubsequence, Semantics::kContiguousRestart}) {
+    EXPECT_EQ(count_all_lanes(episodes, db, semantics),
+              count_all_lanes_at(widest, episodes, db, semantics))
+        << to_string(semantics);
+  }
 }
 
 TEST(CountingExactness, BatchDispatchEqualsSymbolAtATime) {

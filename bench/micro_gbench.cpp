@@ -262,6 +262,7 @@ constexpr const char* kUsage =
 #include <benchmark/benchmark.h>
 
 #include "core/segment_counter.hpp"
+#include "kernels/cost_constants.hpp"
 #include "kernels/mining_kernels.hpp"
 #include "kernels/workload_model.hpp"
 #include "sim/cache.hpp"
@@ -307,6 +308,32 @@ void BM_ChunkedComposition(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ChunkedComposition)->Arg(8)->Arg(64);
+
+// One simulated thread's engine work in `gpusim-algo5-trie` at the paper's
+// level 3, which the kernel repeats for each of its 2,304 threads: the
+// thread's share of kBucketEpisodesPerThread consecutive lexicographic
+// episodes (the first, AAA..AAH), counted over the 50k-event stream in
+// staged-buffer batches.
+void BM_TrieKernelThreadSlice(benchmark::State& state) {
+  const auto db = gm::data::uniform_database(kAlphabet, kDenseEvents, 1);
+  std::vector<Episode> episodes;
+  for (int last = 0; last < gm::kernels::kBucketEpisodesPerThread; ++last) {
+    episodes.push_back(Episode({0, 0, static_cast<Symbol>(last)}));
+  }
+  const auto batch = static_cast<std::size_t>(gm::kernels::kDefaultBufferBytes);
+  for (auto _ : state) {
+    gm::core::TrieCounter counter(episodes, Semantics::kNonOverlappedSubsequence, {},
+                                  kDenseEvents);
+    for (std::size_t base = 0; base < db.size(); base += batch) {
+      counter.advance_batch(std::span<const Symbol>(db).subspan(
+                                base, std::min(batch, db.size() - base)),
+                            static_cast<std::int64_t>(base));
+    }
+    benchmark::DoNotOptimize(counter.ops());
+  }
+  state.SetItemsProcessed(state.iterations() * kDenseEvents);
+}
+BENCHMARK(BM_TrieKernelThreadSlice);
 
 void BM_CacheSimStream(benchmark::State& state) {
   gpusim::CacheSim cache(8192, 32, 4);

@@ -1,6 +1,8 @@
 #include "core/episode_trie.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cassert>
 #include <limits>
 #include <numeric>
 #include <utility>
@@ -8,83 +10,6 @@
 #include "common/error.hpp"
 
 namespace gm::core {
-namespace {
-
-/// Contiguous run [lo, hi) of lexicographically sorted episode indices.
-struct Interval {
-  std::uint32_t lo = 0;
-  std::uint32_t hi = 0;
-};
-
-/// Removes episode `e` from a sorted disjoint interval list.  Returns false
-/// (list untouched) when `e` is not a member.
-bool remove_point(std::vector<Interval>& intervals, std::uint32_t e) {
-  auto it = std::upper_bound(
-      intervals.begin(), intervals.end(), e,
-      [](std::uint32_t value, const Interval& iv) { return value < iv.lo; });
-  if (it == intervals.begin()) return false;
-  --it;
-  if (e >= it->hi) return false;
-  const Interval old = *it;
-  if (old.lo == e && old.hi == e + 1) {
-    intervals.erase(it);
-  } else if (old.lo == e) {
-    it->lo = e + 1;
-  } else if (old.hi == e + 1) {
-    it->hi = e;
-  } else {
-    it->hi = e;
-    intervals.insert(it + 1, Interval{e + 1, old.hi});
-  }
-  return true;
-}
-
-/// Moves `intervals ∩ [lo, hi)` into `out` (appended in order), keeping the
-/// rest.  At most the two boundary intervals are split.
-void extract_range(std::vector<Interval>& intervals, std::uint32_t lo, std::uint32_t hi,
-                   std::vector<Interval>& out) {
-  auto first = std::partition_point(intervals.begin(), intervals.end(),
-                                    [&](const Interval& iv) { return iv.hi <= lo; });
-  auto it = first;
-  Interval right_keep{0, 0};
-  while (it != intervals.end() && it->lo < hi) {
-    out.push_back({std::max(it->lo, lo), std::min(it->hi, hi)});
-    if (it->hi > hi) right_keep = {hi, it->hi};
-    ++it;
-  }
-  if (first == it) return;  // nothing overlapped
-  if (first->lo < lo) {
-    first->hi = lo;  // keep the left remainder in place
-    ++first;
-  }
-  it = intervals.erase(first, it);
-  if (right_keep.hi > right_keep.lo) intervals.insert(it, right_keep);
-}
-
-/// Sorts a batch of returned intervals and coalesces adjacent runs.  Kept out
-/// of line: inlined into its one caller, TrieCounter::advance(), it made the
-/// paper-shape trie kernel ~7% slower (GCC 12 -O3, 4-vCPU x86-64).
-[[gnu::noinline]] void normalize(std::vector<Interval>& intervals) {
-  std::sort(intervals.begin(), intervals.end(),
-            [](const Interval& a, const Interval& b) { return a.lo < b.lo; });
-  std::size_t w = 0;
-  for (std::size_t r = 0; r < intervals.size(); ++r) {
-    if (w > 0 && intervals[w - 1].hi == intervals[r].lo) {
-      intervals[w - 1].hi = intervals[r].hi;
-    } else {
-      intervals[w++] = intervals[r];
-    }
-  }
-  intervals.resize(w);
-}
-
-std::int64_t member_count(const std::vector<Interval>& intervals) {
-  std::int64_t total = 0;
-  for (const Interval& iv : intervals) total += iv.hi - iv.lo;
-  return total;
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // EpisodeTrie
@@ -148,280 +73,191 @@ double prefix_compression(std::span<const Episode> episodes) {
 
 namespace {
 
-struct BucketEntry {
-  std::uint32_t token = 0;
-  std::uint64_t gen = 0;
-};
+std::uint64_t bit(std::uint32_t index) { return std::uint64_t{1} << index; }
+
+/// Bits [lo, hi) of a 64-bit mask, lo < hi <= 64.
+std::uint64_t range_mask(std::uint32_t lo, std::uint32_t hi) {
+  const std::uint64_t below_hi = hi == 64 ? ~std::uint64_t{0} : bit(hi) - 1;
+  return below_hi & ~(bit(lo) - 1);
+}
 
 }  // namespace
-
-// Token storage is struct-of-arrays: a token — one in-flight partial match,
-// a trie node plus the episodes mid-match with exactly that prefix since
-// `first_pos`, all in lockstep — is a dense id into the parallel `tok_*`
-// arrays.  Member interval vectors are pooled: release() clears but keeps
-// capacity and the freelist hands the storage to the next token, so steady
-// state allocates nothing per event.  `tok_gen` invalidates bucket entries
-// left behind by released tokens (a token files under several child edges at
-// once, so physical removal would need per-edge backrefs; one generation
-// compare per drained entry is cheaper).
-//
-// Expiry is a monotone deadline queue plus a linear sweep.  Every live
-// token's first_pos is the stream position of some root dispatch, and root
-// dispatches happen at strictly increasing positions, so pushing
-// `first_pos + window` at root-token creation yields a nondecreasing queue —
-// a FIFO of plain positions, no token refs, no heap.  When the front
-// matures, one linear pass over the token arrays expires every due token
-// (child tokens inherited their root's first_pos, so the sweep catches them
-// under the same queue entry).  The constructor clamps the window to the
-// database size, so `first_pos + window` cannot overflow.
-struct TrieCounter::Impl {
-  std::vector<std::int64_t> counts;  // sorted-episode order
-
-  // SoA token arena, indexed by dense token id.
-  std::vector<std::uint32_t> tok_node;
-  std::vector<std::int64_t> tok_first;
-  std::vector<std::uint64_t> tok_gen;
-  std::vector<std::vector<Interval>> tok_members;  // empty <=> not live
-  std::vector<std::uint32_t> free_tokens;
-
-  // Compact live-token list (swap-remove via tok_live_idx backrefs): the
-  // expiry sweep touches exactly the in-flight tokens, not the arena's peak.
-  std::vector<std::uint32_t> live;
-  std::vector<std::uint32_t> tok_live_idx;
-
-  // Symbol is 8-bit, so direct-mapped tables cover every alphabet: waiting
-  // tokens by awaited symbol, and idle (state-0) episodes by first symbol.
-  std::vector<std::vector<BucketEntry>> buckets{256};
-  std::vector<std::vector<Interval>> idle{256};
-  std::vector<BucketEntry> scratch;
-
-  // Monotone deadline FIFO: live window is [deadline_head, deadlines.size()).
-  std::vector<std::int64_t> deadlines;
-  std::size_t deadline_head = 0;
-
-  [[nodiscard]] bool deadlines_empty() const { return deadline_head == deadlines.size(); }
-  [[nodiscard]] bool deadline_due(std::int64_t pos) const {
-    return deadline_head < deadlines.size() && deadlines[deadline_head] <= pos;
-  }
-
-  void push_deadline(std::int64_t at) {
-    if (deadlines.empty() || at >= deadlines.back()) {
-      deadlines.push_back(at);
-      return;
-    }
-    // Out-of-order (caller violated monotone positions): insert sorted so
-    // expiry stays correct anyway.
-    deadlines.insert(std::upper_bound(deadlines.begin() +
-                                          static_cast<std::ptrdiff_t>(deadline_head),
-                                      deadlines.end(), at),
-                     at);
-  }
-
-  std::uint32_t acquire() {
-    std::uint32_t id = 0;
-    if (!free_tokens.empty()) {
-      id = free_tokens.back();
-      free_tokens.pop_back();
-    } else {
-      id = static_cast<std::uint32_t>(tok_members.size());
-      tok_node.push_back(0);
-      tok_first.push_back(0);
-      tok_gen.push_back(0);
-      tok_members.emplace_back();
-      tok_live_idx.push_back(0);
-    }
-    tok_live_idx[id] = static_cast<std::uint32_t>(live.size());
-    live.push_back(id);
-    return id;
-  }
-
-  void release(std::uint32_t id) {
-    tok_members[id].clear();  // keeps capacity: the interval pool is reused
-    ++tok_gen[id];
-    free_tokens.push_back(id);
-    const std::uint32_t hole = tok_live_idx[id];
-    const std::uint32_t moved = live.back();
-    live[hole] = moved;
-    tok_live_idx[moved] = hole;
-    live.pop_back();
-  }
-
-  /// Linear expiry sweep: return every due token's members to the idle sets
-  /// and release it.  One pass over the live list — no per-token heap
-  /// entries to chase.  Members go back BEFORE dispatch, so they can catch a
-  /// fresh first symbol at this very position — exactly the single-scan
-  /// re-bucketing.
-  void expire_due(std::int64_t pos, const EpisodeTrie& trie, std::int64_t window, Ops& ops) {
-    for (std::size_t i = 0; i < live.size();) {
-      const std::uint32_t id = live[i];
-      if (tok_first[id] + window > pos) {
-        ++i;
-        continue;
-      }
-      const Symbol first = trie.node(tok_node[id]).first_symbol;
-      for (const Interval& iv : tok_members[id]) {
-        idle[first].push_back(iv);
-        ++ops.files;
-      }
-      release(id);  // swap-remove refills live[i]; revisit the same index
-      ++ops.heap_ops;
-    }
-    while (deadline_due(pos)) ++deadline_head;
-    // Amortized O(1) compaction keeps the FIFO bounded by live entries.
-    if (deadline_head > 1024 && deadline_head * 2 >= deadlines.size()) {
-      deadlines.erase(deadlines.begin(),
-                      deadlines.begin() + static_cast<std::ptrdiff_t>(deadline_head));
-      deadline_head = 0;
-    }
-  }
-
-  /// Accept terminals and file the surviving token under every child edge it
-  /// still has members for.  Call right after the token lands on
-  /// `trie.node(tok_node[id])` — filings go into the live buckets, so a
-  /// repeated prefix symbol waits for its NEXT occurrence.
-  void arrive(std::uint32_t id, const EpisodeTrie& trie, Ops& ops) {
-    std::vector<Interval>& members = tok_members[id];
-    const EpisodeTrie::Node& node = trie.node(tok_node[id]);
-    for (const std::uint32_t e : node.terminals) {
-      if (!remove_point(members, e)) continue;
-      ++counts[e];
-      ++ops.accepts;
-      ++ops.files;
-      idle[node.first_symbol].push_back({e, e + 1});
-    }
-    if (members.empty()) {
-      release(id);
-      return;
-    }
-    // Children and member intervals are both ordered by sorted-episode index,
-    // so one merge walk finds every child edge with members behind it.
-    std::size_t j = 0;
-    for (const EpisodeTrie::Edge& edge : node.children) {
-      const EpisodeTrie::Node& child = trie.node(edge.node);
-      while (j < members.size() && members[j].hi <= child.lo) ++j;
-      if (j == members.size()) break;
-      if (members[j].lo < child.hi) {
-        buckets[edge.symbol].push_back({id, tok_gen[id]});
-        ++ops.files;
-      }
-    }
-  }
-};
 
 TrieCounter::TrieCounter(std::span<const Episode> episodes, Semantics semantics,
                          ExpiryPolicy expiry, std::int64_t database_size)
     : expiry_(expiry) {
   gm::expects(semantics != Semantics::kContiguousRestart,
               "the trie engine has no contiguous-restart path (use the flat engine)");
+  gm::expects(episodes.size() <= kMaxEpisodes,
+              "a trie counter holds at most 64 episodes (one uint64_t member mask); "
+              "count_all_trie_scan splits larger sets");
   for (const auto& e : episodes) gm::expects(!e.empty(), "cannot count an empty episode");
+  const EpisodeTrie trie(episodes);
   // Same overflow guard as the single-scan engine: deadlines are
-  // first_pos + window, and any window >= |DB| behaves identically.
+  // first + window, and any window >= |DB| behaves identically.
   if (expiry_.enabled()) expiry_.window = std::min(expiry_.window, database_size);
-  trie_ = std::make_unique<EpisodeTrie>(episodes);
-  impl_ = std::make_unique<Impl>();
-  impl_->counts.assign(episodes.size(), 0);
-  // Every episode starts idle; each root subtree is one contiguous interval.
-  for (const EpisodeTrie::Edge& edge : trie_->root().children) {
-    const EpisodeTrie::Node& child = trie_->node(edge.node);
-    impl_->idle[edge.symbol].push_back({child.lo, child.hi});
+  order_.assign(trie.order().begin(), trie.order().end());
+  nodes_.resize(trie.node_count());
+  for (std::uint32_t n = 0; n < nodes_.size(); ++n) {
+    const EpisodeTrie::Node& from = trie.node(n);
+    Node& node = nodes_[n];
+    node.first_symbol = from.first_symbol;
+    for (const std::uint32_t e : from.terminals) node.terminals |= bit(e);
+    node.child_begin = static_cast<std::uint32_t>(children_.size());
+    for (const EpisodeTrie::Edge& edge : from.children) {
+      const EpisodeTrie::Node& to = trie.node(edge.node);
+      children_.push_back({range_mask(to.lo, to.hi), edge.node, edge.symbol});
+    }
+    node.child_end = static_cast<std::uint32_t>(children_.size());
+  }
+  // Every episode starts idle; each root subtree files once.
+  for (std::uint32_t c = nodes_[0].child_begin; c < nodes_[0].child_end; ++c) {
+    symbols_[children_[c].symbol].idle = children_[c].subtree;
     ++ops_.files;
   }
 }
 
-TrieCounter::~TrieCounter() = default;
+const TrieCounter::Child& TrieCounter::child(std::uint32_t node, Symbol symbol) const {
+  return *std::lower_bound(
+      children_.begin() + nodes_[node].child_begin, children_.begin() + nodes_[node].child_end,
+      symbol, [](const Child& c, Symbol s) { return c.symbol < s; });
+}
 
-void TrieCounter::advance_batch(std::span<const Symbol> symbols, std::int64_t start_pos) {
-  const Impl& im = *impl_;
-  for (std::size_t i = 0; i < symbols.size(); ++i) {
-    const Symbol symbol = symbols[i];
-    const std::int64_t pos = start_pos + static_cast<std::int64_t>(i);
-    // Nothing waits on this symbol, nothing idles under it and no deadline
-    // is due: advance() would only count the probe.
-    if (im.buckets[symbol].empty() && im.idle[symbol].empty() &&
-        !(expiry_.enabled() && im.deadline_due(pos))) {
-      ++ops_.probes;
+/// `members` have just matched `node`'s prefix, in a match that started at
+/// `first`: accept those ending there, then file the rest as the token in
+/// `slot` (a free one for kNewSlot) under every child edge they are behind.
+/// Filings go into the live waiting masks, so a repeated prefix symbol waits
+/// for its NEXT occurrence.
+void TrieCounter::arrive(std::uint32_t node_index, std::int64_t first, std::uint64_t members,
+                         std::uint32_t slot) {
+  const Node& node = nodes_[node_index];
+  if (const std::uint64_t done = members & node.terminals) {
+    for (std::uint64_t d = done; d != 0; d &= d - 1) ++counts_[std::countr_zero(d)];
+    const int accepted = std::popcount(done);
+    ops_.accepts += accepted;
+    ops_.files += accepted;  // each returns to its idle set
+    symbols_[node.first_symbol].idle |= done;
+    members &= ~done;
+  }
+  if (members == 0) {
+    if (slot != kNewSlot) live_ &= ~bit(slot);
+    return;
+  }
+  if (slot == kNewSlot) {
+    // Member sets are disjoint and non-empty, so at most 64 tokens are live.
+    assert(live_ != ~std::uint64_t{0} && "every token slot is live");
+    slot = static_cast<std::uint32_t>(std::countr_one(live_));
+    live_ |= bit(slot);
+  }
+  tokens_[slot] = {node_index, first, members};
+  for (std::uint32_t c = node.child_begin; c < node.child_end; ++c) {
+    const bool behind = (members & children_[c].subtree) != 0;
+    symbols_[children_[c].symbol].waiting |= std::uint64_t{behind} << slot;
+    ops_.files += behind;
+  }
+}
+
+/// Return every due token's members to their idle set and free its slot.
+/// Members go back BEFORE dispatch, so they can catch a fresh first symbol at
+/// this very position, exactly the single-scan re-bucketing.  Every live
+/// token's `first` is the position of some root dispatch (child tokens
+/// inherit it), so `next_due_` only drops when a root token is made; this
+/// pass recomputes it from the survivors.
+void TrieCounter::expire_due(std::int64_t pos) {
+  next_due_ = std::numeric_limits<std::int64_t>::max();
+  for (std::uint64_t l = live_; l != 0; l &= l - 1) {
+    const auto slot = static_cast<std::uint32_t>(std::countr_zero(l));
+    const Token& token = tokens_[slot];
+    const std::int64_t due = token.first + expiry_.window;
+    if (due > pos) {
+      next_due_ = std::min(next_due_, due);
       continue;
     }
-    advance(symbol, pos);
+    const Node& node = nodes_[token.node];
+    symbols_[node.first_symbol].idle |= token.members;
+    // One idle return per maximal run of consecutive members: the unit the
+    // kernel charges, as a range of sorted episodes returns in one piece.
+    ops_.files += std::popcount(token.members & ~(token.members << 1));
+    ++ops_.heap_ops;
+    for (std::uint32_t c = node.child_begin; c < node.child_end; ++c) {
+      symbols_[children_[c].symbol].waiting &= ~bit(slot);
+    }
+    live_ &= ~bit(slot);
+  }
+}
+
+void TrieCounter::advance_batch(std::span<const Symbol> symbols, std::int64_t start_pos) {
+  ops_.probes += static_cast<std::int64_t>(symbols.size());
+  for (std::size_t i = 0; i < symbols.size(); ++i) {
+    const std::int64_t pos = start_pos + static_cast<std::int64_t>(i);
+    const SymbolMasks& masks = symbols_[symbols[i]];
+    // Nothing waits on this symbol, nothing idles under it and no token is
+    // due: a step would only count the probe.
+    if ((masks.waiting | masks.idle) == 0 && pos < next_due_) continue;
+    step(symbols[i], pos);
   }
 }
 
 void TrieCounter::advance(Symbol symbol, std::int64_t pos) {
-  Impl& im = *impl_;
   ++ops_.probes;
+  step(symbol, pos);
+}
 
-  // Expire matches that can no longer finish by this position.  The monotone
-  // queue front tells us whether ANY token is due; the sweep then handles
-  // every due token in one linear pass over the arena.
-  if (expiry_.enabled() && im.deadline_due(pos)) {
-    im.expire_due(pos, *trie_, expiry_.window, ops_);
-  }
+void TrieCounter::step(Symbol symbol, std::int64_t pos) {
+  if (pos >= next_due_) expire_due(pos);
 
-  // Swap the waiting bucket out first: everything filed from here on (fresh
-  // root tokens, advanced child tokens) awaits the NEXT occurrence of
-  // `symbol`, never a second step on this one.
-  auto& bucket = im.buckets[symbol];
-  im.scratch.swap(bucket);
+  // Take the waiting set first: everything filed from here on (the fresh root
+  // token, advanced child tokens) awaits the NEXT occurrence of `symbol`,
+  // never a second step on this one.
+  SymbolMasks& here = symbols_[symbol];
+  const std::uint64_t waiting = std::exchange(here.waiting, 0);
 
   // Root dispatch: every idle episode whose first symbol is `symbol` starts a
-  // match together, as ONE token over the swapped-out idle interval set.
-  const std::uint32_t start_node = trie_->root_child(symbol);
-  if (start_node != 0 && !im.idle[symbol].empty()) {
-    const std::uint32_t id = im.acquire();
-    im.tok_node[id] = start_node;
-    im.tok_first[id] = pos;
-    im.tok_members[id].swap(im.idle[symbol]);
-    normalize(im.tok_members[id]);
-    ops_.starts += member_count(im.tok_members[id]);
+  // match together, as ONE token.
+  if (const std::uint64_t idle = std::exchange(here.idle, 0)) {
+    ops_.starts += std::popcount(idle);
     if (expiry_.enabled()) {
-      im.push_deadline(pos + expiry_.window);
+      next_due_ = std::min(next_due_, pos + expiry_.window);
       ++ops_.heap_ops;
     }
-    im.arrive(id, *trie_, ops_);
+    arrive(child(0, symbol).node, pos, idle, kNewSlot);
   }
 
-  // Drain waiting tokens: each one advances all its members sharing the next
-  // prefix symbol in a single split toward the matching child.
-  for (const BucketEntry entry : im.scratch) {
-    if (im.tok_gen[entry.token] != entry.gen) continue;  // expired since
-    const EpisodeTrie::Node& node = trie_->node(im.tok_node[entry.token]);
-    const auto edge = std::lower_bound(
-        node.children.begin(), node.children.end(), symbol,
-        [](const EpisodeTrie::Edge& e, Symbol s) { return e.symbol < s; });
-    if (edge == node.children.end() || edge->symbol != symbol) continue;
+  // Drain waiting tokens: each moves its members behind the `symbol` child
+  // on to that child, keeping its slot when no member stays behind.  A child
+  // token inherits its root dispatch's `first`, so its expiry is already
+  // covered by `next_due_`.
+  for (std::uint64_t w = waiting; w != 0; w &= w - 1) {
+    const auto slot = static_cast<std::uint32_t>(std::countr_zero(w));
+    Token& token = tokens_[slot];
+    const Child& next = child(token.node, symbol);
     ++ops_.drains;
-    const EpisodeTrie::Node& child = trie_->node(edge->node);
-    const std::uint32_t id = im.acquire();
-    im.tok_node[id] = edge->node;
-    im.tok_first[id] = im.tok_first[entry.token];
-    extract_range(im.tok_members[entry.token], child.lo, child.hi, im.tok_members[id]);
-    if (im.tok_members[id].empty()) {  // defensive: filings always have members
-      im.release(id);
-      continue;
-    }
-    // A child token inherits its root dispatch's first_pos, so its deadline
-    // is already covered by that root's queue entry — no push here.
-    if (im.tok_members[entry.token].empty()) im.release(entry.token);
-    im.arrive(id, *trie_, ops_);
+    const std::uint64_t moved = token.members & next.subtree;
+    token.members &= ~moved;
+    arrive(next.node, token.first, moved, token.members == 0 ? slot : kNewSlot);
   }
-  im.scratch.clear();
 }
 
 std::vector<std::int64_t> TrieCounter::counts() const {
-  std::vector<std::int64_t> result(impl_->counts.size(), 0);
-  const std::span<const std::uint32_t> order = trie_->order();
-  for (std::size_t k = 0; k < order.size(); ++k) result[order[k]] = impl_->counts[k];
+  std::vector<std::int64_t> result(order_.size(), 0);
+  for (std::size_t k = 0; k < order_.size(); ++k) result[order_[k]] = counts_[k];
   return result;
 }
 
 std::vector<std::int64_t> count_all_trie_scan(std::span<const Episode> episodes,
                                               std::span<const Symbol> database,
                                               Semantics semantics, ExpiryPolicy expiry) {
-  if (episodes.empty()) return {};
-  TrieCounter counter(episodes, semantics, expiry,
-                      static_cast<std::int64_t>(database.size()));
-  counter.advance_batch(database, 0);
-  return counter.counts();
+  std::vector<std::int64_t> counts;
+  counts.reserve(episodes.size());
+  for (std::size_t begin = 0; begin < episodes.size(); begin += TrieCounter::kMaxEpisodes) {
+    TrieCounter counter(
+        episodes.subspan(begin, std::min(TrieCounter::kMaxEpisodes, episodes.size() - begin)),
+        semantics, expiry, static_cast<std::int64_t>(database.size()));
+    counter.advance_batch(database, 0);
+    const std::vector<std::int64_t> part = counter.counts();
+    counts.insert(counts.end(), part.begin(), part.end());
+  }
+  return counts;
 }
 
 }  // namespace gm::core

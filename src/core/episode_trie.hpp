@@ -17,28 +17,31 @@
 // advancement act on the token as a unit and bit-exactness vs `SerialCounter`
 // is preserved for every input.
 //
-// The machinery mirrors `multi_counter` deliberately: the same 256-entry
-// symbol -> waiting-bucket index (buckets hold trie tokens, not automata), the
-// same swap-the-bucket-before-draining discipline for repeated-symbol
-// prefixes, and the same generation-tagged lazy expiry deadlines.
-// kContiguousRestart is refused: its mismatch edges defeat any waiting-symbol
-// index, so there is nothing for a trie to share (the flat engine's dense
-// path serves it).
+// Representation: one counter holds at most kMaxEpisodes = 64 episodes, so
+// every episode set is one uint64_t over the lexicographic episode order, in
+// which each subtree is a contiguous bit range.  A token is a fixed slot (trie
+// node, match start, member mask) and a drain toward a child is one AND;
+// member sets are disjoint and non-empty, so 64 slots always suffice.  Each
+// symbol keeps a mask of the token slots waiting on it (a token is filed
+// under exactly the child edges it has members behind) and a mask of the idle
+// episodes it would start.  64 is enough because the engine's one production
+// caller, gpusim's trie kernel, gives each simulated thread at most
+// kBucketEpisodesPerThread = 8 episodes; `count_all_trie_scan` splits larger
+// sets into consecutive counters.  As in `multi_counter`, the waiting set is
+// taken before a symbol is dispatched, so a repeated prefix symbol steps once
+// per event.  kContiguousRestart is refused: its mismatch edges defeat any
+// waiting-symbol index, so there is nothing for a trie to share (the flat
+// engine's dense path serves it).
 //
 // On the host this engine loses to the flat single scan on every measured
 // shape; it exists as the functional model behind gpusim's trie mode
 // (kernels/mining_kernels, `gpusim-algo5-trie`), whose device charges come
 // from its `Ops` counters.
-//
-// Episode sets are represented as interval lists over the lexicographically
-// sorted candidate order, where every subtree is one contiguous index range:
-// splitting a token toward a child is interval arithmetic, and a whole idle
-// subtree restarts as a single interval.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <memory>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -95,35 +98,39 @@ class EpisodeTrie {
 /// candidate-set-shape signal the planner's trie cost curves consume.
 [[nodiscard]] double prefix_compression(std::span<const Episode> episodes);
 
-/// Incremental shared-prefix counting engine: feed the stream one symbol at a
-/// time via `advance()`, or a buffer at a time via `advance_batch()`.
-/// `database_size` clamps expiry deadlines exactly as the single-scan engine
-/// does (any window >= |DB| behaves identically).
+/// Incremental shared-prefix counting engine over at most kMaxEpisodes
+/// episodes: feed the stream one symbol at a time via `advance()`, or a
+/// buffer at a time via `advance_batch()`.  `database_size` clamps expiry
+/// deadlines exactly as the single-scan engine does (any window >= |DB|
+/// behaves identically).
 class TrieCounter {
  public:
+  /// Episodes one counter holds: a member set is one uint64_t.
+  static constexpr std::size_t kMaxEpisodes = 64;
+
   /// Work counters, cumulative across `advance()` calls.  The gpusim trie
   /// kernel charges instruction costs from their deltas over each staged
   /// buffer, so these define the unit of work the cost models price.
   struct Ops {
     std::int64_t probes = 0;       // bucket probes (one per sparse position)
     std::int64_t drains = 0;       // live token drains (each one a prefix step)
-    std::int64_t files = 0;        // bucket filings + idle-set returns
+    std::int64_t files = 0;        // waiting filings + idle-set returns
     std::int64_t accepts = 0;      // completed episode occurrences
-    std::int64_t heap_ops = 0;     // deadline pushes + fired expiries
+    std::int64_t heap_ops = 0;     // deadline registrations + fired expiries
     std::int64_t starts = 0;       // episodes swept into a fresh root token
   };
 
-  /// Refuses Semantics::kContiguousRestart (see the file comment).
+  /// Refuses Semantics::kContiguousRestart (see the file comment) and more
+  /// than kMaxEpisodes episodes.
   TrieCounter(std::span<const Episode> episodes, Semantics semantics, ExpiryPolicy expiry,
               std::int64_t database_size);
-  ~TrieCounter();
 
   void advance(Symbol symbol, std::int64_t pos);
 
   /// Feed a contiguous batch: symbols[i] is at position start_pos + i.
   /// Exactly equivalent to advancing one symbol at a time, `ops()` included;
   /// it only counts the probe for a symbol nothing waits or idles on when no
-  /// deadline is due.
+  /// token is due to expire.
   void advance_batch(std::span<const Symbol> symbols, std::int64_t start_pos);
 
   /// Per-episode counts in the ORIGINAL input order.
@@ -131,17 +138,56 @@ class TrieCounter {
   [[nodiscard]] const Ops& ops() const { return ops_; }
 
  private:
-  struct Impl;
+  /// One in-flight partial match: the episodes in `members` have matched
+  /// exactly the prefix of `node`, all starting at `first`.
+  struct Token {
+    std::uint32_t node = 0;
+    std::int64_t first = 0;
+    std::uint64_t members = 0;
+  };
+  /// A trie node: the episodes ending at it and its slice of `children_`.
+  struct Node {
+    std::uint64_t terminals = 0;
+    std::uint32_t child_begin = 0;
+    std::uint32_t child_end = 0;
+    Symbol first_symbol = 0;  // the depth-1 ancestor's edge symbol
+  };
+  /// An edge: the child node and the episodes in its subtree.
+  struct Child {
+    std::uint64_t subtree = 0;
+    std::uint32_t node = 0;
+    Symbol symbol = 0;
+  };
+  /// Per symbol, side by side so the batch loop's empty test is one load.
+  struct SymbolMasks {
+    std::uint64_t waiting = 0;  // token slots filed under the symbol
+    std::uint64_t idle = 0;     // state-0 episodes whose first symbol it is
+  };
+  static constexpr std::uint32_t kNewSlot = kMaxEpisodes;
 
+  void step(Symbol symbol, std::int64_t pos);
+  [[nodiscard]] const Child& child(std::uint32_t node, Symbol symbol) const;
+  void arrive(std::uint32_t node, std::int64_t first, std::uint64_t members, std::uint32_t slot);
+  void expire_due(std::int64_t pos);
+
+  std::vector<Node> nodes_;  // [0] is the root
+  std::vector<Child> children_;
+  std::vector<std::uint32_t> order_;  // EpisodeTrie::order()
   ExpiryPolicy expiry_;
   Ops ops_;
-  std::unique_ptr<EpisodeTrie> trie_;
-  std::unique_ptr<Impl> impl_;
+  std::array<std::int64_t, kMaxEpisodes> counts_{};  // lexicographic order
+  std::array<Token, kMaxEpisodes> tokens_{};
+  std::uint64_t live_ = 0;  // occupied token slots
+  std::array<SymbolMasks, 256> symbols_{};
+  // No live token expires before this position.  A lower bound: tokens that
+  // finish early leave it low until the next sweep recomputes it.
+  std::int64_t next_due_ = std::numeric_limits<std::int64_t>::max();
 };
 
-/// Count every episode in one pass using the shared-prefix engine.  Exactly
-/// equals `count_occurrences(episodes[i], ...)` element-for-element for every
-/// input the engine accepts (non-overlapped semantics, any expiry).
+/// Count every episode in one pass using the shared-prefix engine, one
+/// counter per consecutive run of kMaxEpisodes episodes.  Exactly equals
+/// `count_occurrences(episodes[i], ...)` element-for-element for every input
+/// the engine accepts (non-overlapped semantics, any expiry).
 [[nodiscard]] std::vector<std::int64_t> count_all_trie_scan(
     std::span<const Episode> episodes, std::span<const Symbol> database, Semantics semantics,
     ExpiryPolicy expiry = {});

@@ -519,7 +519,9 @@ gpusim::KernelTask algo5_kernel(ThreadCtx& ctx, Views v) {
   std::vector<BucketEntry> drain;
   // Trie mode: the host shared-prefix engine runs the thread's contiguous
   // episode range; device charges come from its op deltas over each staged
-  // buffer below.
+  // buffer below.  A TrieCounter keeps each episode set in one 64-bit mask,
+  // and a thread owns at most kBucketEpisodesPerThread episodes.
+  static_assert(kBucketEpisodesPerThread <= core::TrieCounter::kMaxEpisodes);
   std::vector<core::Episode> trie_episodes;
   std::optional<core::TrieCounter> trie_counter;
   core::TrieCounter::Ops trie_prev{};
@@ -537,7 +539,10 @@ gpusim::KernelTask algo5_kernel(ThreadCtx& ctx, Views v) {
     if (!owned.empty()) {
       trie_counter.emplace(trie_episodes, v.semantics, v.expiry, v.db_size);
       // Initial idle filing under episode[0], one per owned slot — the same
-      // upfront charge as the flat formulation's first-symbol bucketing.
+      // upfront charge as the flat formulation's first-symbol bucketing.  The
+      // counter's own `files` already holds one filing per root subtree, and
+      // `trie_prev` starts at zero, so the first buffer charges those again.
+      // Pinned simulated figures depend on both charges; they stay.
       ctx.charge(static_cast<int>(owned.size()) * kBucketFileInstr);
     }
   } else {

@@ -41,7 +41,8 @@ struct RequestLimits {
 struct MineRequest {
   core::MinerConfig config;
   RequestLimits limits;
-  /// Optional client tag, echoed through logs and the replay bench.
+  /// Optional caller tag.  The service carries it with the request and never
+  /// reads it: it changes no result, cache key, batch or log line.
   std::string client;
 };
 
@@ -53,6 +54,7 @@ struct CountRequest {
   core::Semantics semantics = core::Semantics::kNonOverlappedSubsequence;
   core::ExpiryPolicy expiry = {};
   RequestLimits limits;
+  /// Optional caller tag; like MineRequest::client, never read by the service.
   std::string client;
 };
 

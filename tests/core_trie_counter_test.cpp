@@ -4,11 +4,13 @@
 // shapes (singleton candidate set, all-shared-prefix, no-shared-prefix), the
 // token mechanics that differ from the flat single-scan engine (divergence
 // at accepting nodes, episodes that are prefixes of other episodes), the
-// refusal of contiguous-restart semantics, and the parity of batched and
-// per-symbol advancing down to the work counters.
+// refusal of contiguous-restart semantics and of more than 64 episodes per
+// counter, the parity of batched and per-symbol advancing down to the work
+// counters, and those counters pinned on full 64-episode sets.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <limits>
 #include <span>
 #include <string>
@@ -16,6 +18,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "core/candidate_gen.hpp"
 #include "core/episode_trie.hpp"
 #include "core/serial_counter.hpp"
 #include "data/generators.hpp"
@@ -245,6 +248,153 @@ TEST(TrieCounter, BatchAdvanceMatchesPerSymbolAdvanceIncludingOps) {
       }
       EXPECT_EQ(batched.counts(), count_all(episodes, db, semantics, expiry))
           << "trial " << trial << " window " << window;
+    }
+  }
+}
+
+// 64 episodes, one per bit of a member mask: levels 1-5 over `alphabet_size`
+// symbols, then duplicates and proper prefixes of them.
+std::vector<Episode> full_mask_episodes(Rng& rng, int alphabet_size) {
+  std::vector<Episode> episodes = random_episodes(rng, alphabet_size, 40, 5);
+  while (episodes.size() < 64) {
+    const std::span<const Symbol> from = episodes[rng.below(40)].symbols();
+    const auto keep = episodes.size() % 2 == 0
+                          ? from.size()
+                          : static_cast<std::size_t>(
+                                rng.between(1, static_cast<std::int64_t>(from.size())));
+    episodes.emplace_back(std::vector<Symbol>(from.begin(), from.begin() + keep));
+  }
+  return episodes;
+}
+
+// The 64 episodes <a, b>, a in 0..7 and b in 8..15, and the opening of a
+// stream that fills every token slot: "0..7" starts one token per first
+// symbol, then each "b 0..7" accepts every <a, b> and restarts it in a token
+// of its own, until each first symbol holds eight tokens.
+std::vector<Episode> grid_episodes() {
+  std::vector<Episode> episodes;
+  for (Symbol a = 0; a < 8; ++a) {
+    for (Symbol b = 8; b < 16; ++b) episodes.push_back(Episode({a, b}));
+  }
+  return episodes;
+}
+Sequence slot_filling_opening() {
+  Sequence opening;
+  for (Symbol b = 7; b < 15; ++b) {
+    if (b > 7) opening.push_back(b);
+    for (Symbol a = 0; a < 8; ++a) opening.push_back(a);
+  }
+  return opening;
+}
+
+// The six work counters and a digest of the counts for full 64-episode sets,
+// recorded from the interval-list engine the bitmask one replaced.  The trie
+// kernel charges these counters, so they must not move.  Full sets reach bit
+// 63, every token slot (the grid set) and expiries of fragmented member sets,
+// which the kernel's 8-episode threads and the other tests never do.
+TEST(TrieCounter, OpsMatchRecordedParentValues) {
+  // {alphabet, window (-1 for |DB|), probes, drains, files, accepts,
+  //  heap_ops, starts, count digest}
+  using Row = std::array<std::int64_t, 9>;
+  const Row recorded[] = {
+      {4, 0, 3000, 14774, 32941, 18142, 0, 18179, 601490},
+      {4, 1, 3000, 0, 17231, 3000, 5999, 48046, 130293},
+      {4, 7, 3000, 9639, 32677, 12351, 7822, 23551, 411092},
+      {4, -1, 3000, 14774, 32941, 18142, 2881, 18179, 601490},
+      {4, 0, 3000, 12330, 36266, 23915, 0, 23950, 819332},
+      {4, 1, 3000, 0, 23951, 11166, 5999, 48037, 434344},
+      {4, 7, 3000, 7599, 35237, 19304, 6654, 28170, 675793},
+      {4, -1, 3000, 12330, 36266, 23915, 2692, 23950, 819332},
+      {26, 0, 3000, 2302, 5955, 3608, 0, 3649, 118853},
+      {26, 1, 3000, 0, 6910, 1682, 4240, 7181, 52813},
+      {26, 7, 3000, 579, 7014, 2045, 3839, 6235, 66207},
+      {26, -1, 3000, 2302, 5955, 3608, 1481, 3649, 118853},
+      {26, 0, 3000, 2379, 6565, 4149, 0, 4174, 145840},
+      {26, 1, 3000, 0, 8001, 2397, 4577, 7455, 92875},
+      {26, 7, 3000, 572, 7763, 2720, 3990, 6505, 102906},
+      {26, -1, 3000, 2379, 6565, 4149, 1606, 4174, 145840},
+      {26, 0, 3000, 3605, 7248, 3605, 0, 3635, 117509},
+      {26, 1, 3000, 0, 8567, 0, 1902, 7608, 0},
+      {26, 7, 3000, 1298, 9360, 1298, 1719, 6430, 43861},
+      {26, -1, 3000, 3605, 7248, 3605, 856, 3635, 117509},
+  };
+  Rng rng(0x64B175);
+  std::vector<Row> measured;
+  for (const int alphabet_size : {4, 26}) {
+    for (int set = 0; set < 3; ++set) {
+      const bool grid = set == 2;
+      if (grid && alphabet_size < 16) continue;
+      const auto episodes = grid ? grid_episodes() : full_mask_episodes(rng, alphabet_size);
+      Sequence db = grid ? slot_filling_opening() : Sequence{};
+      const auto rest = data::uniform_database(Alphabet(alphabet_size),
+                                               3000 - static_cast<std::int64_t>(db.size()), rng());
+      db.insert(db.end(), rest.begin(), rest.end());
+      const auto size = static_cast<std::int64_t>(db.size());
+      for (const std::int64_t window : {std::int64_t{0}, std::int64_t{1}, std::int64_t{7}, size}) {
+        const ExpiryPolicy expiry{window};
+        TrieCounter counter(episodes, Semantics::kNonOverlappedSubsequence, expiry, size);
+        counter.advance_batch(db, 0);
+        const auto counts = counter.counts();
+        ASSERT_EQ(counts, count_all(episodes, db, Semantics::kNonOverlappedSubsequence, expiry));
+        std::int64_t digest = 0;
+        for (std::size_t i = 0; i < counts.size(); ++i) {
+          digest += static_cast<std::int64_t>(i + 1) * counts[i];
+        }
+        const TrieCounter::Ops& ops = counter.ops();
+        measured.push_back({alphabet_size, window == size ? -1 : window, ops.probes, ops.drains,
+                            ops.files, ops.accepts, ops.heap_ops, ops.starts, digest});
+      }
+    }
+  }
+  std::string table;
+  for (const Row& row : measured) {
+    table += "      {";
+    for (std::size_t i = 0; i < row.size(); ++i) {
+      table += (i == 0 ? "" : ", ") + std::to_string(row[i]);
+    }
+    table += "},\n";
+  }
+  ASSERT_EQ(measured.size(), std::size(recorded)) << table;
+  for (std::size_t i = 0; i < measured.size(); ++i) {
+    EXPECT_EQ(measured[i], recorded[i]) << "row " << i << " of\n" << table;
+  }
+}
+
+TEST(TrieCounter, RefusesMoreThanItsCapacity) {
+  std::vector<Episode> episodes;
+  for (Symbol s = 0; s < 65; ++s) episodes.push_back(Episode({s}));
+  try {
+    const TrieCounter counter(episodes, Semantics::kNonOverlappedSubsequence, {}, 10);
+    ADD_FAILURE() << "a trie counter should refuse 65 episodes";
+  } catch (const gm::Error& e) {
+    EXPECT_EQ(e.code(), gm::ErrorCode::kPrecondition) << e.what();
+    EXPECT_NE(std::string(e.what()).find("64"), std::string::npos) << e.what();
+  }
+  episodes.pop_back();
+  EXPECT_NO_THROW(TrieCounter(episodes, Semantics::kNonOverlappedSubsequence, {}, 10));
+}
+
+// count_all_trie_scan runs one counter per 64 consecutive episodes; the split
+// must not change a single count, at the edges of a block or on the paper's
+// whole level-3 set.
+TEST(TrieCounter, CountAllSplitsLargeSetsExactly) {
+  const Alphabet alphabet(26);
+  const auto level3 = generate_candidates(generate_candidates(level1_candidates(alphabet), false),
+                                          false);
+  ASSERT_EQ(level3.size(), 17'576u);
+  const auto db = data::uniform_database(alphabet, 3000, 0x5B117);
+  for (const std::int64_t window : {std::int64_t{0}, std::int64_t{9}}) {
+    const ExpiryPolicy expiry{window};
+    EXPECT_EQ(count_all_trie_scan(level3, db, Semantics::kNonOverlappedSubsequence, expiry),
+              count_all(level3, db, Semantics::kNonOverlappedSubsequence, expiry))
+        << "window " << window;
+    for (const std::size_t n : {64u, 65u, 129u}) {
+      // A stride through the set, so each block mixes unrelated prefixes.
+      std::vector<Episode> episodes;
+      for (std::size_t i = 0; i < n; ++i) episodes.push_back(level3[(i * 2'741) % level3.size()]);
+      EXPECT_EQ(count_all_trie_scan(episodes, db, Semantics::kNonOverlappedSubsequence, expiry),
+                count_all(episodes, db, Semantics::kNonOverlappedSubsequence, expiry))
+          << n << " episodes, window " << window;
     }
   }
 }

@@ -335,6 +335,46 @@ void BM_TrieKernelThreadSlice(benchmark::State& state) {
 }
 BENCHMARK(BM_TrieKernelThreadSlice);
 
+// An incremental engine fed 1,500-event append batches at increasing
+// absolute positions, expiry 32: StreamScan counts on LaneCounter whenever
+// every episode is at most kLaneMaxLevel long, and MultiCounter is the flat
+// scan it falls back to otherwise.  Args: episodes, alphabet, longest level
+// (levels are drawn from 2..longest).  {24, 26, 3} is perfbench
+// stream_append's monitor shape; {4096, 250, 3}, a large set over a large
+// alphabet, is where the flat scan's bucket index still wins.
+template <class Counter>
+void BM_StreamScanFeed(benchmark::State& state) {
+  constexpr std::size_t kBatch = 1'500;
+  const auto count = static_cast<int>(state.range(0));
+  const Alphabet alphabet(static_cast<int>(state.range(1)));
+  const auto longest = static_cast<std::uint64_t>(state.range(2));
+  gm::Rng rng(0xA99E5D);
+  std::vector<Episode> episodes;
+  for (int e = 0; e < count; ++e) {
+    std::vector<Symbol> symbols(2 + rng.below(longest - 1));
+    for (Symbol& s : symbols) {
+      s = static_cast<Symbol>(rng.below(static_cast<std::uint64_t>(alphabet.size())));
+    }
+    episodes.emplace_back(std::move(symbols));
+  }
+  const auto stream = gm::data::uniform_database(alphabet, 64 * kBatch, 1);
+  Counter counter(episodes, Semantics::kNonOverlappedSubsequence, ExpiryPolicy{32});
+  std::int64_t pos = 0;
+  for (auto _ : state) {
+    const auto at = static_cast<std::size_t>(pos) % stream.size();
+    counter.advance_batch(std::span<const Symbol>(stream).subspan(at, kBatch), pos);
+    pos += static_cast<std::int64_t>(kBatch);
+  }
+  benchmark::DoNotOptimize(counter.counts());
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kBatch));
+}
+BENCHMARK_TEMPLATE(BM_StreamScanFeed, gm::core::MultiCounter)
+    ->Args({24, 26, 3})
+    ->Args({4096, 250, 3});
+BENCHMARK_TEMPLATE(BM_StreamScanFeed, gm::core::LaneCounter)
+    ->Args({24, 26, 3})
+    ->Args({4096, 250, 3});
+
 void BM_CacheSimStream(benchmark::State& state) {
   gpusim::CacheSim cache(8192, 32, 4);
   std::uint64_t address = 0;

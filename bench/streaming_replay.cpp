@@ -37,7 +37,9 @@
 // Exit status: 0 on success; 1 when any batch's incremental counts differ
 // from the recount, when the shard-fold lane disagrees, or when the
 // --min-speedup gate fails.  CI runs this under the bench job and uploads
-// BENCH_streaming.json.
+// BENCH_streaming.json.  Monitors count on the episode lanes (levels up to
+// 8 always fit them), so the output names the lane kernel the CPU runs, as
+// `lane_isa` in the JSON.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -49,6 +51,7 @@
 #include "bench_support/cli_args.hpp"
 #include "bench_support/json.hpp"
 #include "common/rng.hpp"
+#include "core/lane_counter.hpp"
 #include "core/serial_counter.hpp"
 #include "data/generators.hpp"
 #include "distrib/stream_fold.hpp"
@@ -265,6 +268,7 @@ int main(int argc, char** argv) {
     std::printf("streaming_replay: %d batches x %lld events onto %lld, %d monitors x %d episodes\n",
                 opt.batches, static_cast<long long>(opt.batch_size),
                 static_cast<long long>(opt.db_size), opt.monitors, opt.episodes);
+    std::printf("  lane engine: %s kernel\n", std::string(core::lane_isa()).c_str());
     std::printf("  incremental %.2f ms  full recount %.2f ms  speedup %.1fx\n", incremental_total,
                 recount_total, speedup);
     std::printf("  alerts %lld  latency ms: p50 %.3f  p99 %.3f  max %.3f\n",
@@ -322,6 +326,7 @@ int main(int argc, char** argv) {
         .end_object();
     json.field("count_mismatches", mismatches);
     json.field("min_speedup_gate", opt.min_speedup);
+    json.field("lane_isa", core::lane_isa());
     json.end_object();
     json.write_file(opt.out);
     std::printf("wrote %s\n", opt.out.c_str());

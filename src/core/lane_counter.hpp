@@ -15,12 +15,12 @@
 // kContiguousRestart adds Figure 3's mismatch edge (fall back to start, or to
 // state 1 when the event equals the first symbol) as one more mask.
 //
-// Register blocking.  Lanes are processed in blocks of 4 vectors: a block's
-// states, awaited symbols and uint8 completion counters stay in registers
-// across a run of at most 255 events (a lane completes at most once per
-// event, so its counter cannot wrap), then the counters are flushed into the
-// int64 totals.  Each run's events are broadcast into vectors once and
-// shared by every block.
+// Register blocking.  Lanes are processed in blocks of 4 vectors (one in the
+// tracked mode below): a block's states, awaited symbols and uint8
+// completion counters stay in registers across a run of at most 255 events
+// (a lane completes at most once per event, so its counter cannot wrap),
+// then the counters are flushed into the int64 totals.  Each run's events
+// are broadcast into vectors once and shared by every block.
 //
 // Vector widths.  The kernel body (core/lane_kernel.hpp) is compiled twice:
 // at 16 bytes, GCC/Clang vector extensions that lower to SSE2 on x86-64 and
@@ -30,19 +30,36 @@
 // whenever the CPU reports AVX2 and the baseline otherwise; nothing else
 // chooses the width, and lane_isa() reports which one runs.
 //
-// Scope.  Levels 1..kLaneMaxLevel and both counting semantics.  Expiry is a
-// capability the engine does not have (it would need per-lane age counters),
-// so expiry requests are refused with ErrorCode::kCapability rather than
-// counted approximately.
+// Tracked mode.  LaneCounter, the resumable engine behind core::StreamScan,
+// runs the same kernel one vector per block (16 lanes, 32 with AVX2; four
+// vectors would spill) with two more uint8 registers per lane: the events
+// since its match started, and a flag for a start in the current run.  At
+// each run's end the two give the run index where the match started, which
+// is flushed into an int64 first_pos the way the counters are flushed.
+// Expiry compares the age with the window.  A match carried in from an
+// earlier run has its countdown reloaded at each run start from
+// first_pos + window - run base (clamped, overflow-safe) and its age offset
+// to meet the window at exactly that event, so windows of 1, 255, 256 and
+// INT64_MAX are all exact and no age is carried between runs.  Its progress
+// records equal MultiCounter's field for field.
+//
+// Scope.  Levels 1..kLaneMaxLevel and both counting semantics.  count_all_lanes
+// runs the untracked kernel and has no expiry: expiry requests are refused
+// with ErrorCode::kCapability rather than counted approximately, and the
+// planner prices no expiring lanes.  LaneCounter counts expiring episodes;
+// StreamScan falls back to MultiCounter for episodes longer than
+// kLaneMaxLevel, which both entry points refuse with kCapability.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string_view>
 #include <vector>
 
 #include "core/automaton.hpp"
 #include "core/episode.hpp"
+#include "core/multi_counter.hpp"
 
 namespace gm::core {
 
@@ -81,5 +98,47 @@ enum class LaneWidth {
                                                            std::span<const Symbol> database,
                                                            Semantics semantics,
                                                            ExpiryPolicy expiry = {});
+
+/// Incremental lane counting with capture/resume: MultiCounter's contract on
+/// the tracked lane kernel.  Feed batches with absolute positions, capture
+/// progress() at any batch boundary and restore() it into a fresh counter.
+/// Counts, states and first positions equal MultiCounter's after every batch,
+/// for every semantics and expiry window, idle and level-1 episodes included.
+/// Throws gm::PreconditionError tagged ErrorCode::kCapability for an episode
+/// longer than kLaneMaxLevel.
+class LaneCounter {
+ public:
+  /// At the widest width this CPU runs.  `episodes` is copied into columns.
+  LaneCounter(std::span<const Episode> episodes, Semantics semantics, ExpiryPolicy expiry);
+
+  /// At one width, which must pass lane_width_runs (the per-width entry
+  /// point, public so tests reach every width).
+  LaneCounter(LaneWidth width, std::span<const Episode> episodes, Semantics semantics,
+              ExpiryPolicy expiry);
+
+  LaneCounter(LaneCounter&&) noexcept;
+  LaneCounter& operator=(LaneCounter&&) noexcept;
+  ~LaneCounter();
+
+  /// Reinstate captured per-episode progress (parallel to the construction
+  /// episode list); in-flight matches re-arm their expiry from first_pos.
+  void restore(std::span<const EpisodeProgress> progress);
+
+  /// Feed a contiguous batch: symbols[i] is at absolute position
+  /// start_pos + i, after every position fed so far.
+  void advance_batch(std::span<const Symbol> symbols, std::int64_t start_pos);
+
+  /// Per-episode counts in construction order.
+  [[nodiscard]] std::vector<std::int64_t> counts() const;
+
+  /// Per-episode scan configuration, sufficient to restore() later.
+  [[nodiscard]] std::vector<EpisodeProgress> progress() const;
+
+  [[nodiscard]] std::size_t episode_count() const;
+
+ private:
+  struct Impl;
+  std::unique_ptr<Impl> impl_;
+};
 
 }  // namespace gm::core

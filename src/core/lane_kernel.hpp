@@ -1,9 +1,9 @@
 // The episode-lane kernel body, compiled once per vector width: at 16 bytes
 // inside core/lane_counter.cpp (SSE2 on x86-64, NEON on AArch64, no -march
 // flag), and on x86-64 builds at 32 bytes in core/lane_kernel_avx2.cpp, the
-// one file built with -mavx2.  count_all_lanes (core/lane_counter.hpp) lays
-// the episodes out in this header's columns and runs the widest kernel the
-// CPU supports.
+// one file built with -mavx2.  count_all_lanes and LaneCounter
+// (core/lane_counter.hpp) lay the episodes out in this header's columns and
+// run the widest kernel the CPU supports.
 //
 // Freestanding on purpose: no standard library beyond <cstddef>/<cstdint>,
 // no core types, raw pointers only.  Any inline function the AVX2 file
@@ -25,8 +25,9 @@ namespace gm::core::lanes {
 /// Highest episode level the kernel counts (core::kLaneMaxLevel).
 inline constexpr int kMaxLevel = 8;
 
-/// Vectors per register block: a block holds 4 x 16 lanes at the baseline
-/// width and 4 x 32 with AVX2.
+/// Vectors per register block: an untracked block holds 4 x 16 lanes at the
+/// baseline width and 4 x 32 with AVX2.  Tracked blocks are one vector wide:
+/// their extra per-lane registers would spill at four.
 inline constexpr int kVectors = 4;
 
 /// A register block is kColumns byte columns, one byte per lane, so vector v
@@ -43,9 +44,9 @@ enum Column : int {
 };
 
 /// One count over block_count register blocks, in the same layout at every
-/// width.  `columns` is block_count x kColumns x (kVectors x vector-bytes)
-/// bytes on a 64-byte boundary; the kernel loads whole aligned vectors from
-/// it and leaves the carried columns at their final state.
+/// width.  `columns` is block_count x kColumns x (lanes per block) bytes on a
+/// 64-byte boundary; the kernel loads whole aligned vectors from it and
+/// leaves the carried columns at their final state.
 struct Job {
   std::uint8_t* columns = nullptr;
   /// Per block: its longest episode, 1..kMaxLevel.
@@ -57,6 +58,15 @@ struct Job {
   bool contiguous = false;
   /// block_count x lanes completion counts, added to.
   std::int64_t* totals = nullptr;
+  /// Tracked mode when set: blocks are one vector wide, and this holds
+  /// block_count x lanes absolute match starts (the serial automaton's
+  /// first_pos), read at each run start and rewritten at each run end.
+  std::int64_t* first_pos = nullptr;
+  /// Tracked mode: the absolute stream position of database[0].
+  std::int64_t base = 0;
+  /// Tracked mode: the expiry window, 0 = none.  A match starting at p is
+  /// abandoned at the first event at p + window or later.
+  std::int64_t window = 0;
 };
 
 /// The 32-byte kernel, defined in core/lane_kernel_avx2.cpp on x86-64
@@ -81,7 +91,8 @@ template <int kBytes>
 using Vector = typename VectorOf<kBytes>::type;
 
 /// Events per run: a lane completes at most once per event, so its uint8
-/// completion counter cannot wrap before the flush.
+/// completion counter cannot wrap before the flush, and a run index fits a
+/// uint8 with 0xFF to spare.
 constexpr std::size_t kRunEvents = 255;
 
 /// `v` in every lane, spelled as a vector literal: GCC and Clang differ on
@@ -97,22 +108,38 @@ Vector<kBytes> splat(std::uint8_t v) {
   }
 }
 
-/// A register block's columns as vectors.
-template <int kBytes>
+/// A register block's columns as vectors, kWide vectors per column.
+template <int kBytes, int kWide>
 struct Block {
-  Vector<kBytes> column[kColumns][kVectors];
+  Vector<kBytes> column[kColumns][kWide];
 };
+
+/// Lane masks are 0xFF where equal; vector comparisons yield signed lanes.
+template <int kBytes>
+Vector<kBytes> equal(Vector<kBytes> a, Vector<kBytes> b) {
+  return (Vector<kBytes>)(a == b);
+}
+
+/// The symbol each lane awaits in automaton state `state`, from its block's
+/// columns: column 0, toggled by column k where the state is k.
+template <int kBytes, int kLevels, int kWide>
+Vector<kBytes> awaited(const Block<kBytes, kWide>& block, int v, Vector<kBytes> state) {
+  Vector<kBytes> symbol = block.column[0][v];
+  for (int k = 1; k < kLevels; ++k) {
+    symbol ^= block.column[k][v] &
+              equal<kBytes>(state, splat<kBytes>(static_cast<std::uint8_t>(k)));
+  }
+  return symbol;
+}
 
 /// Step one block through one run of broadcast events, then flush its uint8
 /// completion counters into `totals` (the block's kVectors x kBytes counts).
 /// kLevels is the block's longest episode, so the refill is unrolled over
 /// exactly the columns in use.
 template <int kBytes, int kLevels, bool kContiguous>
-void scan_run(Block<kBytes>& block, const Vector<kBytes>* events, std::size_t run,
+void scan_run(Block<kBytes, kVectors>& block, const Vector<kBytes>* events, std::size_t run,
               std::int64_t* totals) {
   using Lanes = Vector<kBytes>;
-  // Lane masks are 0xFF where equal; vector comparisons yield signed lanes.
-  const auto equal = [](Lanes a, Lanes b) { return (Lanes)(a == b); };
   const Lanes one = splat<kBytes>(1);
   const auto& first = block.column[0];
   const auto& length = block.column[kLengthColumn];
@@ -126,26 +153,22 @@ void scan_run(Block<kBytes>& block, const Vector<kBytes>* events, std::size_t ru
   for (std::size_t i = 0; i < run; ++i) {
     const Lanes event = events[i];
     for (int v = 0; v < kVectors; ++v) {
-      const Lanes match = equal(wait[v], event);
+      const Lanes match = equal<kBytes>(wait[v], event);
       Lanes next;
       if constexpr (kContiguous) {
         // Figure 3: a mismatch falls back to start, or to state 1 when the
         // event equals the first symbol.  Idle lanes await column 0, so for
         // them `restart` is always empty.
-        const Lanes restart = equal(first[v], event) & ~match;
+        const Lanes restart = equal<kBytes>(first[v], event) & ~match;
         next = ((state[v] + one) & match) | (restart & one);
       } else {
         next = state[v] - match;  // match lanes are 0xFF: state + 1
       }
-      const Lanes done = equal(next, length[v]);
+      const Lanes done = equal<kBytes>(next, length[v]);
       hits[v] -= done;
       next &= ~done;
-      Lanes awaited = first[v];
-      for (int k = 1; k < kLevels; ++k) {
-        awaited ^= block.column[k][v] & equal(next, splat<kBytes>(static_cast<std::uint8_t>(k)));
-      }
       state[v] = next;
-      wait[v] = awaited;
+      wait[v] = awaited<kBytes, kLevels>(block, v, next);
     }
   }
   for (int v = 0; v < kVectors; ++v) {
@@ -155,8 +178,113 @@ void scan_run(Block<kBytes>& block, const Vector<kBytes>* events, std::size_t ru
   }
 }
 
+/// A compile-time bool argument for generic lambdas.
+template <bool kValue>
+struct Flag {
+  static constexpr bool value = kValue;
+};
+
+/// Events from `base` until a match that started at `first_pos` expires
+/// under `window`, clamped to 0..255: a clamped 255 cannot fire within one
+/// run, whose indices stop at 254.  Overflow-safe for every int64 input.
+inline std::uint8_t countdown(std::int64_t first_pos, std::int64_t window, std::int64_t base) {
+  std::int64_t deadline = 0;
+  std::int64_t left = 0;
+  // window > 0, so only a deadline past INT64_MAX overflows: it never fires.
+  if (__builtin_add_overflow(first_pos, window, &deadline)) return 255;
+  if (__builtin_sub_overflow(deadline, base, &left)) return base > 0 ? 0 : 255;
+  return left <= 0 ? 0 : left >= 255 ? 255 : static_cast<std::uint8_t>(left);
+}
+
+/// The tracked mode: scan_run for a one-vector block that also records where
+/// each lane's match started and, when kExpiring, expires matches.
+///
+/// `since` counts the events since each lane's match started: a start zeroes
+/// it, every event adds one, and `began` marks the lanes that started one in
+/// this run.  At the run's end such a lane's match started at index
+/// run - since, which the flush adds to base for its int64 first_pos.
+///
+/// Expiry compares `since` with the clamped window W after each event, so a
+/// match started in this run is reset when it is W events old.  A match
+/// carried in from an earlier run gets its countdown reloaded at the run
+/// start instead, from first_pos + window - base clamped to 0..255: one due
+/// now is reset there, and the others have their `since` offset to W minus
+/// the countdown (mod 256), so it meets W at exactly that event.  A clamped
+/// countdown of 255, like a window of 255 or more in a match started here,
+/// cannot meet W within the run; the next run's reload sees it again.  So
+/// every window is exact and no age is carried between runs.  Idle lanes
+/// count on without meaning; resetting one does nothing.
+///
+/// The reset is applied one event early, with the refill, except after the
+/// run's last event: the run may end a batch, and a checkpoint must show the
+/// state the serial automaton still holds there.  The next run's reload
+/// resets it instead.
+template <int kBytes, int kLevels, bool kContiguous, bool kExpiring>
+void scan_tracked_run(Block<kBytes, 1>& block, const Vector<kBytes>* events, std::size_t run,
+                      std::int64_t* totals, std::int64_t* first_pos, std::int64_t base,
+                      std::int64_t window) {
+  using Lanes = Vector<kBytes>;
+  const Lanes one = splat<kBytes>(1);
+  const Lanes none = {};
+  const Lanes first = block.column[0][0];
+  const Lanes length = block.column[kLengthColumn][0];
+  const std::uint8_t clamped = window >= 255 ? 255 : static_cast<std::uint8_t>(window);
+  Lanes state = block.column[kStateColumn][0];
+  Lanes wait = block.column[kWaitColumn][0];
+  Lanes since = {};
+  if constexpr (kExpiring) {
+    std::uint8_t lefts[kBytes];
+    for (int j = 0; j < kBytes; ++j) lefts[j] = countdown(first_pos[j], window, base);
+    Lanes left;
+    __builtin_memcpy(&left, lefts, sizeof left);
+    const Lanes due = equal<kBytes>(left, none) & ~equal<kBytes>(state, none);
+    state &= ~due;
+    wait = (wait & ~due) | (first & due);
+    since = splat<kBytes>(clamped) - left;
+  }
+  const Lanes lifetime = splat<kBytes>(clamped);
+  Lanes began = {};
+  Lanes hits = {};
+  const auto step = [&](Lanes event, auto expire_next) {
+    const Lanes match = equal<kBytes>(wait, event);
+    Lanes started = match & equal<kBytes>(state, none);
+    Lanes next;
+    if constexpr (kContiguous) {
+      // Figure 3's mismatch edge, as in scan_run; it starts a new match.
+      const Lanes restart = equal<kBytes>(first, event) & ~match;
+      started |= restart;
+      next = ((state + one) & match) | (restart & one);
+    } else {
+      next = state - match;  // match lanes are 0xFF: state + 1
+    }
+    Lanes done = equal<kBytes>(next, length);
+    hits -= done;
+    since = (since & ~started) + one;
+    began |= started;
+    if constexpr (kExpiring && decltype(expire_next)::value) {
+      done |= equal<kBytes>(since, lifetime);
+    }
+    next &= ~done;
+    state = next;
+    wait = awaited<kBytes, kLevels>(block, 0, next);
+  };
+  for (std::size_t i = 0; i + 1 < run; ++i) step(events[i], Flag<true>{});
+  step(events[run - 1], Flag<false>{});
+  block.column[kStateColumn][0] = state;
+  block.column[kWaitColumn][0] = wait;
+  for (int j = 0; j < kBytes; ++j) {
+    totals[j] += hits[j];
+    // Only a lane that began a match has since <= run.
+    first_pos[j] = began[j] != 0 ? base + static_cast<std::int64_t>(run - since[j]) : first_pos[j];
+  }
+}
+
 template <int kBytes>
-using ScanFn = void (*)(Block<kBytes>&, const Vector<kBytes>*, std::size_t, std::int64_t*);
+using ScanFn = void (*)(Block<kBytes, kVectors>&, const Vector<kBytes>*, std::size_t,
+                        std::int64_t*);
+template <int kBytes>
+using TrackedScanFn = void (*)(Block<kBytes, 1>&, const Vector<kBytes>*, std::size_t,
+                               std::int64_t*, std::int64_t*, std::int64_t, std::int64_t);
 
 /// The scan_run of a block whose longest episode is `levels`.
 template <int kBytes, bool kContiguous, int kLevels = 1>
@@ -167,26 +295,59 @@ ScanFn<kBytes> scan_for(int levels) {
   return &scan_run<kBytes, kLevels, kContiguous>;
 }
 
+/// The scan_tracked_run of a block whose longest episode is `levels`.
+template <int kBytes, bool kContiguous, bool kExpiring, int kLevels = 1>
+TrackedScanFn<kBytes> tracked_scan_for(int levels) {
+  if constexpr (kLevels < kMaxLevel) {
+    if (levels > kLevels) {
+      return tracked_scan_for<kBytes, kContiguous, kExpiring, kLevels + 1>(levels);
+    }
+  }
+  return &scan_tracked_run<kBytes, kLevels, kContiguous, kExpiring>;
+}
+
+template <int kBytes>
+TrackedScanFn<kBytes> tracked_scan_for(int levels, bool contiguous, bool expiring) {
+  if (contiguous) {
+    return expiring ? tracked_scan_for<kBytes, true, true>(levels)
+                    : tracked_scan_for<kBytes, true, false>(levels);
+  }
+  return expiring ? tracked_scan_for<kBytes, false, true>(levels)
+                  : tracked_scan_for<kBytes, false, false>(levels);
+}
+
 /// Count `job` at kBytes-wide vectors.  Runs outermost: each run's events
 /// are broadcast once, then every block steps through them with its automata
 /// held in registers.
 template <int kBytes>
 void scan(const Job& job) {
-  static_assert(sizeof(Block<kBytes>) == std::size_t{kColumns} * kVectors * kBytes);
-  constexpr std::size_t kLanes = std::size_t{kVectors} * kBytes;
+  static_assert(sizeof(Block<kBytes, kVectors>) == std::size_t{kColumns} * kVectors * kBytes);
+  const bool tracked = job.first_pos != nullptr;
+  const std::size_t lanes = tracked ? kBytes : std::size_t{kVectors} * kBytes;
   // Copied out of `job`: stores through uint8 vectors may alias anything.
-  auto* const blocks = reinterpret_cast<Block<kBytes>*>(job.columns);
+  std::uint8_t* const columns = job.columns;
   const std::size_t block_count = job.block_count;
   const std::uint8_t* const database = job.database;
   const std::size_t events = job.events;
+  std::int64_t* const totals = job.totals;
+  std::int64_t* const first_pos = job.first_pos;
+  const std::int64_t window = job.window;
   Vector<kBytes> broadcast[kRunEvents] = {};
   for (std::size_t at = 0; block_count > 0 && at < events; at += kRunEvents) {
     const std::size_t run = events - at < kRunEvents ? events - at : kRunEvents;
     for (std::size_t i = 0; i < run; ++i) broadcast[i] = splat<kBytes>(database[at + i]);
     for (std::size_t b = 0; b < block_count; ++b) {
-      const ScanFn<kBytes> scan_fn = job.contiguous ? scan_for<kBytes, true>(job.levels[b])
-                                                    : scan_for<kBytes, false>(job.levels[b]);
-      scan_fn(blocks[b], broadcast, run, job.totals + b * kLanes);
+      if (tracked) {
+        auto* const block = reinterpret_cast<Block<kBytes, 1>*>(columns) + b;
+        tracked_scan_for<kBytes>(job.levels[b], job.contiguous, window > 0)(
+            *block, broadcast, run, totals + b * lanes, first_pos + b * lanes,
+            job.base + static_cast<std::int64_t>(at), window);
+      } else {
+        auto* const block = reinterpret_cast<Block<kBytes, kVectors>*>(columns) + b;
+        const ScanFn<kBytes> scan_fn = job.contiguous ? scan_for<kBytes, true>(job.levels[b])
+                                                      : scan_for<kBytes, false>(job.levels[b]);
+        scan_fn(*block, broadcast, run, totals + b * lanes);
+      }
     }
   }
 }

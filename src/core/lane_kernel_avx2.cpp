@@ -1,6 +1,7 @@
 // The episode-lane kernel at 32-byte vectors: 128 episode lanes per register
-// block.  src/CMakeLists.txt compiles this file alone with -mavx2, on x86-64
-// builds only, and count_all_lanes calls it only on CPUs that report AVX2.
+// block, 32 in the tracked mode.  src/CMakeLists.txt compiles this file alone
+// with -mavx2, on x86-64 builds only, and count_all_lanes and LaneCounter
+// call it only on CPUs that report AVX2.
 // It includes nothing but the freestanding kernel header, so the only symbol
 // it defines outside internal linkage is scan_avx2; the
 // lane_avx2_object_symbols test checks that with nm.

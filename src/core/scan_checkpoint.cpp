@@ -1,5 +1,7 @@
 #include "core/scan_checkpoint.hpp"
 
+#include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "common/error.hpp"
@@ -9,6 +11,16 @@ namespace {
 
 constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
 constexpr std::uint64_t kFnvPrime = 1099511628211ull;
+
+/// The tracked lanes when they count every episode, else the flat scan.
+std::variant<LaneCounter, MultiCounter> make_counter(std::span<const Episode> episodes,
+                                                     Semantics semantics, ExpiryPolicy expiry) {
+  gm::expects(expiry.window >= 0, "expiry window must be >= 0 (0 disables expiry)");
+  const bool lanes = std::all_of(episodes.begin(), episodes.end(),
+                                 [](const Episode& e) { return e.level() <= kLaneMaxLevel; });
+  if (lanes) return LaneCounter(episodes, semantics, expiry);
+  return MultiCounter(episodes, semantics, expiry);
+}
 
 }  // namespace
 
@@ -27,18 +39,19 @@ StreamScan::StreamScan(std::vector<Episode> episodes, Semantics semantics, Expir
       semantics_(semantics),
       expiry_(expiry),
       prefix_digest_(stream_digest_seed()),
-      counter_(episodes_, semantics_, expiry_) {}
+      counter_(make_counter(episodes_, semantics_, expiry_)) {}
 
 StreamScan::StreamScan(const ScanCheckpoint& checkpoint)
     : StreamScan(checkpoint.episodes, checkpoint.semantics, checkpoint.expiry) {
   gm::expects(checkpoint.high_water >= 0, "checkpoint high-water mark cannot be negative");
   for (const EpisodeProgress& p : checkpoint.progress) {
+    gm::expects(p.count >= 0, "checkpoint occurrence count cannot be negative");
     gm::expects(p.state == 0 || (p.first_pos >= 0 && p.first_pos < checkpoint.high_water),
                 "in-flight match starts at or beyond the checkpoint high-water mark");
   }
   // restore() refuses a progress list that is not parallel to the episodes
   // or a state outside an episode's automaton.
-  counter_.restore(checkpoint.progress);
+  std::visit([&](auto& counter) { counter.restore(checkpoint.progress); }, counter_);
   high_water_ = checkpoint.high_water;
   prefix_digest_ = checkpoint.prefix_digest;
 }
@@ -48,7 +61,10 @@ StreamScan& StreamScan::operator=(StreamScan&&) noexcept = default;
 StreamScan::~StreamScan() = default;
 
 void StreamScan::feed(std::span<const Symbol> events) {
-  counter_.advance_batch(events, high_water_);
+  gm::expects(events.size() <= static_cast<std::uint64_t>(
+                                   std::numeric_limits<std::int64_t>::max() - high_water_),
+              "stream positions would overflow int64");
+  std::visit([&](auto& counter) { counter.advance_batch(events, high_water_); }, counter_);
   high_water_ += static_cast<std::int64_t>(events.size());
   prefix_digest_ = stream_digest_extend(prefix_digest_, events);
 }
@@ -61,11 +77,13 @@ ScanCheckpoint StreamScan::checkpoint(std::uint64_t generation) const {
   out.prefix_digest = prefix_digest_;
   out.generation = generation;
   out.episodes = episodes_;
-  out.progress = counter_.progress();
+  out.progress = std::visit([](const auto& counter) { return counter.progress(); }, counter_);
   return out;
 }
 
-std::vector<std::int64_t> StreamScan::counts() const { return counter_.counts(); }
+std::vector<std::int64_t> StreamScan::counts() const {
+  return std::visit([](const auto& counter) { return counter.counts(); }, counter_);
+}
 
 std::vector<std::int64_t> resume_scan(const ScanCheckpoint& checkpoint,
                                       std::span<const Symbol> new_events) {

@@ -6,7 +6,10 @@
 // first_pos, never from hidden timers — so a scan over N episodes is fully
 // determined by N `EpisodeProgress` records plus the next stream position.
 // The capture names no engine: it is the serial automata's own state, which
-// the flat single-scan engine (core/multi_counter) holds slot for slot.
+// both incremental engines hold episode for episode.  StreamScan counts on
+// the tracked episode lanes (core/lane_counter) whenever every episode is at
+// most kLaneMaxLevel long, and on the flat single scan (core/multi_counter)
+// otherwise; either restores the other's captures.
 //
 // A `ScanCheckpoint` bundles the progress records with everything needed to
 // refuse a bogus resume: the scan parameters (semantics + expiry), the
@@ -24,9 +27,11 @@
 
 #include <cstdint>
 #include <span>
+#include <variant>
 #include <vector>
 
 #include "core/episode.hpp"
+#include "core/lane_counter.hpp"
 #include "core/multi_counter.hpp"
 
 namespace gm::core {
@@ -60,13 +65,15 @@ struct ScanCheckpoint {
 /// list, so checkpoints and the object itself outlive the caller's storage.
 class StreamScan {
  public:
-  /// A fresh scan positioned before the first event.
+  /// A fresh scan positioned before the first event.  A negative expiry
+  /// window is refused.
   StreamScan(std::vector<Episode> episodes, Semantics semantics, ExpiryPolicy expiry);
 
   /// Continues a captured scan.  Validates internal consistency (progress
-  /// parallel to episodes, states inside each episode's automaton, in-flight
-  /// first positions before the high-water mark); database prefix identity
-  /// is the caller's check via `prefix_digest()`.
+  /// parallel to episodes, counts non-negative, states inside each
+  /// episode's automaton, in-flight first positions before the high-water
+  /// mark); database prefix identity is the caller's check via
+  /// `prefix_digest()`.
   explicit StreamScan(const ScanCheckpoint& checkpoint);
 
   StreamScan(StreamScan&&) noexcept;
@@ -97,7 +104,8 @@ class StreamScan {
   ExpiryPolicy expiry_;
   std::int64_t high_water_ = 0;
   std::uint64_t prefix_digest_ = 0;
-  MultiCounter counter_;  // built from episodes_, so declared after it
+  // Built from episodes_, so declared after it.
+  std::variant<LaneCounter, MultiCounter> counter_;
 };
 
 /// One-shot resume: restores `checkpoint`, feeds `new_events`, and returns

@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cstdio>
+#include <limits>
 
 #include "common/error.hpp"
 
@@ -40,6 +41,12 @@ core::Semantics read_semantics(const bench::JsonValue& value) {
   return static_cast<core::Semantics>(v);
 }
 
+core::ExpiryPolicy read_expiry(const bench::JsonValue& value) {
+  const std::int64_t window = value.as_int64();
+  gm::expects(window >= 0, "checkpoint expiry_window cannot be negative (0 disables expiry)");
+  return {window};
+}
+
 std::vector<core::Episode> read_episodes(const bench::JsonValue& value) {
   gm::expects(value.is_array(), "checkpoint episodes must be an array");
   std::vector<core::Episode> episodes;
@@ -72,13 +79,13 @@ void write_spec(bench::JsonWriter& json, const MonitorSpec& spec) {
 
 // Older gm-checkpoint/1 files also carry an "engine" field (which incremental
 // engine ran the scan).  It is ignored: captured progress is engine-agnostic,
-// and every monitor scans on the flat engine.
+// and core::StreamScan picks its engine from the episode set alone.
 MonitorSpec read_spec(const bench::JsonValue& value) {
   MonitorSpec spec;
   spec.name = value.at("name").as_string();
   spec.episodes = read_episodes(value.at("episodes"));
   spec.semantics = read_semantics(value.at("semantics"));
-  spec.expiry.window = value.at("expiry_window").as_int64();
+  spec.expiry = read_expiry(value.at("expiry_window"));
   spec.threshold = value.at("threshold").as_int64();
   // Absent from older files, whose monitors did not evict after a restore;
   // 0 keeps that behaviour.
@@ -117,7 +124,7 @@ void write_checkpoint(bench::JsonWriter& json, const core::ScanCheckpoint& check
 core::ScanCheckpoint read_checkpoint(const bench::JsonValue& value) {
   core::ScanCheckpoint checkpoint;
   checkpoint.semantics = read_semantics(value.at("semantics"));
-  checkpoint.expiry.window = value.at("expiry_window").as_int64();
+  checkpoint.expiry = read_expiry(value.at("expiry_window"));
   checkpoint.high_water = value.at("high_water").as_int64();
   checkpoint.prefix_digest = from_hex(value.at("prefix_digest").as_string());
   checkpoint.generation = static_cast<std::uint64_t>(value.at("generation").as_int64());
@@ -128,8 +135,15 @@ core::ScanCheckpoint read_checkpoint(const bench::JsonValue& value) {
   for (const bench::JsonValue& entry : progress.array) {
     gm::expects(entry.is_array() && entry.array.size() == 3,
                 "checkpoint progress entry must be [count, first_pos, state]");
-    checkpoint.progress.push_back({entry.array[0].as_int64(), entry.array[1].as_int64(),
-                                   static_cast<int>(entry.array[2].as_int64())});
+    const std::int64_t count = entry.array[0].as_int64();
+    const std::int64_t state = entry.array[2].as_int64();
+    gm::expects(count >= 0, "checkpoint occurrence count cannot be negative");
+    // Range-checked before narrowing: an automaton state is a matched-symbol
+    // count, never negative and never past int.
+    gm::expects(state >= 0 && state <= std::numeric_limits<int>::max(),
+                "checkpoint automaton state out of range");
+    checkpoint.progress.push_back(
+        {count, entry.array[1].as_int64(), static_cast<int>(state)});
   }
   return checkpoint;
 }

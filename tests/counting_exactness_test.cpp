@@ -14,7 +14,9 @@
 // The episode-lane engine is held to the same contract around its own
 // machinery, at every vector width it is built for: partial 64- and 128-lane
 // blocks, the 255-event uint8 counter flush, the unrolled symbol columns of
-// every level it supports, and its refusal of expiry.
+// every level it supports, and its refusal of expiry.  Its tracked mode
+// (LaneCounter, behind StreamScan) is held to MultiCounter's progress
+// records, expiry windows around the 255-event run included.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -229,6 +231,120 @@ TEST(CountingExactness, LaneEngineDispatchesToTheWidestWidth) {
               count_all_lanes_at(widest, episodes, db, semantics))
         << to_string(semantics);
   }
+}
+
+// StreamScan counts on LaneCounter, the tracked lanes, whenever every
+// episode is at most kLaneMaxLevel long.  The cases below hold it, and
+// LaneCounter at each kernel width (its per-width constructor), to
+// MultiCounter's progress record by record after every batch: counts,
+// states, and first positions of idle and level-1 episodes too.
+void lane_progress_matches_multi_counter(LaneWidth width) {
+  Rng rng(0x1A9E5 + static_cast<std::uint64_t>(width));
+  const std::int64_t windows[] = {0, 1, 9, 255, 256, 600};
+  for (const Semantics semantics :
+       {Semantics::kNonOverlappedSubsequence, Semantics::kContiguousRestart}) {
+    for (const std::int64_t window : windows) {
+      const ExpiryPolicy expiry{window};
+      int expired = 0;  // episodes whose count the window lowered
+      for (const int alphabet : {2, 5, 12, 40}) {
+        // 1..70 episodes: one partial block up to a few blocks at each width.
+        const auto episodes = random_episodes(rng, alphabet, static_cast<int>(rng.between(1, 70)),
+                                              kLaneMaxLevel);
+        MultiCounter flat(episodes, semantics, expiry);
+        MultiCounter unexpired(episodes, semantics, {});
+        LaneCounter lanes(width, episodes, semantics, expiry);
+        StreamScan scan(episodes, semantics, expiry);
+        std::int64_t pos = 0;
+        for (int batch = 0; batch < 6; ++batch) {
+          const auto events =
+              data::markov_database(Alphabet(alphabet), rng.between(1, 700), 0.55, rng());
+          flat.advance_batch(events, pos);
+          unexpired.advance_batch(events, pos);
+          lanes.advance_batch(events, pos);
+          scan.feed(events);
+          pos += static_cast<std::int64_t>(events.size());
+          const std::vector<EpisodeProgress> expected = flat.progress();
+          const std::vector<EpisodeProgress> got = lanes.progress();
+          const std::vector<EpisodeProgress> streamed = scan.checkpoint().progress;
+          ASSERT_EQ(got.size(), expected.size());
+          ASSERT_EQ(streamed.size(), expected.size());
+          for (std::size_t e = 0; e < expected.size(); ++e) {
+            ASSERT_EQ(got[e], expected[e])
+                << "lanes: semantics " << to_string(semantics) << " window " << window
+                << " alphabet " << alphabet << " batch " << batch << " episode " << e
+                << " level " << episodes[e].level() << " got {" << got[e].count << ", "
+                << got[e].first_pos << ", " << got[e].state << "} want {"
+                << expected[e].count << ", " << expected[e].first_pos << ", "
+                << expected[e].state << "}";
+            ASSERT_EQ(streamed[e], expected[e])
+                << "StreamScan: semantics " << to_string(semantics) << " window " << window
+                << " alphabet " << alphabet << " batch " << batch << " episode " << e;
+          }
+        }
+        const auto unexpired_counts = unexpired.counts();
+        const auto counts = flat.counts();
+        for (std::size_t e = 0; e < counts.size(); ++e) {
+          expired += counts[e] < unexpired_counts[e] ? 1 : 0;
+        }
+      }
+      // A contiguous occurrence spans exactly its level, so only window 1
+      // can cut one short there.
+      if (window > 0 && (semantics == Semantics::kNonOverlappedSubsequence || window == 1)) {
+        EXPECT_GT(expired, 0) << to_string(semantics) << " window " << window << " never fired";
+      }
+    }
+  }
+}
+
+void lane_windows_around_one_run_are_exact(LaneWidth width) {
+  // <A, B> with B exactly `gap` events after A, so the match expires or
+  // completes right at the window.  Matches start at a run's first event (0)
+  // and later ones, and the gaps and windows straddle the 255-event run.
+  for (const std::int64_t window : {253, 254, 255, 256, 257}) {
+    for (const std::size_t start : {0, 1, 200, 255}) {
+      for (const std::size_t gap : {252, 253, 254, 255, 256, 257}) {
+        Sequence db(start + gap + 40, 2);
+        db[start] = 0;
+        db[start + gap] = 1;
+        const std::vector<Episode> episodes = {Episode({0, 1}), Episode({0}), Episode({2, 0, 1})};
+        for (const Semantics semantics :
+             {Semantics::kNonOverlappedSubsequence, Semantics::kContiguousRestart}) {
+          const ExpiryPolicy expiry{window};
+          for (const std::size_t cut : {std::size_t{0}, start + 1, start + gap, db.size()}) {
+            MultiCounter flat(episodes, semantics, expiry);
+            LaneCounter lanes(width, episodes, semantics, expiry);
+            flat.advance_batch(std::span(db).first(cut), 0);
+            lanes.advance_batch(std::span(db).first(cut), 0);
+            ASSERT_EQ(lanes.progress(), flat.progress())
+                << "window " << window << " start " << start << " gap " << gap << " cut " << cut;
+            flat.advance_batch(std::span(db).subspan(cut), static_cast<std::int64_t>(cut));
+            lanes.advance_batch(std::span(db).subspan(cut), static_cast<std::int64_t>(cut));
+            ASSERT_EQ(lanes.progress(), flat.progress())
+                << "window " << window << " start " << start << " gap " << gap << " cut " << cut;
+            EXPECT_EQ(lanes.counts(), count_all(episodes, db, semantics, expiry));
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(CountingExactness, LaneCounterWindowsAroundOneRunAreExact) {
+  lane_windows_around_one_run_are_exact(LaneWidth::kBaseline);
+}
+
+TEST(CountingExactness, LaneCounterAvx2WindowsAroundOneRunAreExact) {
+  if (!lane_width_runs(LaneWidth::kAvx2)) GTEST_SKIP() << missing_avx2();
+  lane_windows_around_one_run_are_exact(LaneWidth::kAvx2);
+}
+
+TEST(CountingExactness, LaneCounterProgressMatchesMultiCounterRecordByRecord) {
+  lane_progress_matches_multi_counter(LaneWidth::kBaseline);
+}
+
+TEST(CountingExactness, LaneCounterAvx2ProgressMatchesMultiCounterRecordByRecord) {
+  if (!lane_width_runs(LaneWidth::kAvx2)) GTEST_SKIP() << missing_avx2();
+  lane_progress_matches_multi_counter(LaneWidth::kAvx2);
 }
 
 TEST(CountingExactness, BatchDispatchEqualsSymbolAtATime) {

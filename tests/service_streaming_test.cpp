@@ -330,6 +330,40 @@ TEST(StreamingMonitorTest, CheckpointRefusesOutOfRangeSemantics) {
   EXPECT_THROW((void)monitors_from_json(document("0", "0", "-1")), gm::Error);
 }
 
+TEST(StreamingMonitorTest, CheckpointRefusesNegativeCountsWindowsAndWideStates) {
+  // A progress record is [count, first_pos, state].  A state past int used
+  // to narrow silently ([1,6,4294967297] restored as state 1), and a
+  // negative count or expiry window used to restore, the window as "off".
+  const auto document = [](const std::string& progress, const std::string& spec_window,
+                           const std::string& checkpoint_window) {
+    return R"({"schema":"gm-checkpoint/1","monitors":[{"spec":{"name":"m","episodes":[[0,1]],)"
+           R"("semantics":0,"expiry_window":)" + spec_window +
+           R"(,"threshold":1},"checkpoint":{"semantics":0,"expiry_window":)" +
+           checkpoint_window +
+           R"(,"high_water":8,"prefix_digest":"cbf29ce484222325",)"
+           R"("generation":0,"episodes":[[0,1]],"progress":[)" + progress + "]}}]}";
+  };
+  const auto restored = monitors_from_json(document("[1,6,1]", "5", "5"));
+  EXPECT_EQ(restored.front().checkpoint.progress.front(), (core::EpisodeProgress{1, 6, 1}));
+  EXPECT_EQ(restored.front().spec.expiry.window, 5);
+  for (const std::string bad : {"[1,6,4294967297]", "[1,6,-1]", "[-7,6,1]"}) {
+    EXPECT_THROW((void)monitors_from_json(document(bad, "0", "0")), gm::Error) << bad;
+  }
+  EXPECT_THROW((void)monitors_from_json(document("[1,6,1]", "-5", "-5")), gm::Error);
+  EXPECT_THROW((void)monitors_from_json(document("[1,6,1]", "-5", "0")), gm::Error);
+  EXPECT_THROW((void)monitors_from_json(document("[1,6,1]", "0", "-5")), gm::Error);
+
+  // register_monitor agrees: a negative window is refused, as the miner
+  // refuses one, instead of counting without expiry.
+  MonitorSpec spec;
+  spec.name = "negative";
+  spec.episodes = {core::Episode({0, 1})};
+  spec.expiry = {-5};
+  MiningSession session(make_dataset(4, 40, 3), serial_options());
+  EXPECT_THROW((void)session.register_monitor(spec), gm::Error);
+  EXPECT_TRUE(session.monitor_snapshots().empty());
+}
+
 TEST(StreamingMonitorTest, EarlierBuildsTrieMonitorRestoresExactly) {
   // A gm-checkpoint/1 document in the format earlier builds wrote: the spec
   // names the retired trie scan engine ("engine": 1) and carries no idle

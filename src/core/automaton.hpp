@@ -44,6 +44,20 @@ struct ExpiryPolicy {
   friend bool operator==(ExpiryPolicy, ExpiryPolicy) = default;
 };
 
+/// One episode's scan configuration: the automaton state (matched symbols +
+/// absolute first-match position) plus the occurrences completed so far.
+/// The one per-episode scan record: cold chunk scans, the exact fold, and
+/// the ScanCheckpoint a stream persists all carry it — the automaton's
+/// future depends on nothing else, which is what makes captured scans
+/// resumable bit-exactly.
+struct EpisodeProgress {
+  std::int64_t count = 0;
+  std::int64_t first_pos = 0;
+  int state = 0;
+
+  friend bool operator==(const EpisodeProgress&, const EpisodeProgress&) = default;
+};
+
 /// Deterministic automaton tracking one episode through a symbol stream.
 ///
 /// `state` counts matched symbols (0 = start, level = accepted-and-reset).

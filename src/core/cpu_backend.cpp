@@ -61,6 +61,8 @@ std::string ParallelCpuBackend::name() const {
 
 CountResult ParallelCpuBackend::count(const CountRequest& request) {
   const auto start = Clock::now();
+  // Validate on the calling thread: a worker-thread throw would terminate.
+  for (const auto& e : request.episodes) gm::expects(!e.empty(), "cannot count an empty episode");
   CountResult result;
   const std::size_t episode_count = request.episodes.size();
   result.counts.assign(episode_count, 0);

@@ -59,7 +59,6 @@
 
 #include "core/automaton.hpp"
 #include "core/episode.hpp"
-#include "core/multi_counter.hpp"
 
 namespace gm::core {
 

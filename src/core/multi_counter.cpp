@@ -307,12 +307,6 @@ void MultiCounter::reset() {
 
 std::vector<std::int64_t> MultiCounter::counts() const { return impl_->counts; }
 
-EpisodeProgress MultiCounter::progress_of(std::size_t episode) const {
-  const Impl& im = *impl_;
-  gm::expects(episode < im.slot_count(), "episode index out of range");
-  return {im.counts[episode], im.first_pos[episode], im.states[episode]};
-}
-
 std::vector<EpisodeProgress> MultiCounter::progress() const {
   const Impl& im = *impl_;
   std::vector<EpisodeProgress> progress(im.slot_count());
@@ -333,24 +327,6 @@ std::vector<std::int64_t> count_all_single_scan(std::span<const Episode> episode
   if (episodes.empty()) return {};
   MultiCounter counter(episodes, semantics, expiry);
   counter.advance_batch(database, 0);
-  return counter.counts();
-}
-
-std::vector<std::int64_t> count_all_single_scan(std::span<const Episode> episodes,
-                                                std::span<const Symbol> database,
-                                                Semantics semantics, ExpiryPolicy expiry,
-                                                std::vector<ScanExit>& exits) {
-  if (episodes.empty()) {
-    exits.clear();
-    return {};
-  }
-  MultiCounter counter(episodes, semantics, expiry);
-  counter.advance_batch(database, 0);
-  const std::vector<EpisodeProgress> progress = counter.progress();
-  exits.assign(progress.size(), {});
-  for (std::size_t a = 0; a < progress.size(); ++a) {
-    exits[a] = {progress[a].state, progress[a].first_pos};
-  }
   return counter.counts();
 }
 

@@ -29,10 +29,13 @@
 // database once, stepping each automaton per symbol.
 //
 // The engine is exposed two ways: the one-shot `count_all_single_scan`
-// functions scan a complete span, and the incremental `MultiCounter` class
-// feeds one symbol at a time — the resumable object behind streaming scan
-// checkpoints (core/scan_checkpoint.hpp), whose per-episode progress can be
-// captured mid-stream and reinstated later to continue bit-exactly.
+// function scans a complete span, and the incremental `MultiCounter` class
+// feeds batches at absolute positions — the resumable object behind
+// streaming scan checkpoints (core/scan_checkpoint.hpp), whose per-episode
+// progress can be captured mid-stream and reinstated later to continue
+// bit-exactly, and the distrib layer's one cold-scan map (a chunk scanned
+// from a reset counter at its absolute offset yields the EpisodeProgress
+// records core::fold_cold_scans recombines).
 #pragma once
 
 #include <cstdint>
@@ -50,36 +53,6 @@ namespace gm::core {
 [[nodiscard]] std::vector<std::int64_t> count_all_single_scan(
     std::span<const Episode> episodes, std::span<const Symbol> database, Semantics semantics,
     ExpiryPolicy expiry = {});
-
-/// Per-episode automaton configuration at scan end, exactly what the serial
-/// automaton would hold after stepping the same span (expiry resets happen at
-/// step time in both engines, so a deadline maturing past the last position
-/// leaves the state intact in both).  Positions are relative to the scanned
-/// span; callers folding chunk scans normalize by the chunk offset.
-struct ScanExit {
-  int state = 0;
-  std::int64_t first_match_pos = 0;
-};
-
-/// Single-scan counting that also reports each episode's exit configuration
-/// (the distrib layer's cold-scan worker).  `exits` is resized to the episode
-/// count.  Counts equal the plain overload exactly.
-[[nodiscard]] std::vector<std::int64_t> count_all_single_scan(
-    std::span<const Episode> episodes, std::span<const Symbol> database, Semantics semantics,
-    ExpiryPolicy expiry, std::vector<ScanExit>& exits);
-
-/// One episode's complete scan configuration: the automaton state (matched
-/// symbols + absolute first-match position) plus the occurrences accumulated
-/// so far.  This is the per-episode unit a ScanCheckpoint persists — the
-/// serial automaton's future depends on nothing else, which is what makes
-/// captured scans resumable bit-exactly.
-struct EpisodeProgress {
-  std::int64_t count = 0;
-  std::int64_t first_pos = 0;
-  int state = 0;
-
-  friend bool operator==(const EpisodeProgress&, const EpisodeProgress&) = default;
-};
 
 /// Incremental single-scan engine: feed the stream one symbol at a time via
 /// `advance()` with absolute positions, capture `progress()` at any point,
@@ -119,11 +92,11 @@ class MultiCounter {
   /// Per-episode counts in construction order.
   [[nodiscard]] std::vector<std::int64_t> counts() const;
 
-  /// Per-episode scan configuration, sufficient to restore() later.
+  /// Per-episode scan configuration, sufficient to restore() later — exactly
+  /// what the serial automaton holds after stepping the same positions, for
+  /// idle episodes too (expiry resets happen at step time in both engines,
+  /// and both keep first_pos across a reset).
   [[nodiscard]] std::vector<EpisodeProgress> progress() const;
-
-  /// One episode's scan configuration, allocation-free.
-  [[nodiscard]] EpisodeProgress progress_of(std::size_t episode) const;
 
   [[nodiscard]] std::size_t episode_count() const;
 

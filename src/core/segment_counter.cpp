@@ -15,22 +15,22 @@ std::string to_string(SpanningFix fix) {
   return "?";
 }
 
-SegmentOutcome scan_segment(std::span<const Symbol> episode, Semantics semantics,
-                            ExpiryPolicy expiry, std::span<const Symbol> database,
-                            std::int64_t begin, std::int64_t end, int entry_state,
-                            std::int64_t entry_first_pos) {
+EpisodeProgress scan_segment(std::span<const Symbol> episode, Semantics semantics,
+                             ExpiryPolicy expiry, std::span<const Symbol> database,
+                             std::int64_t begin, std::int64_t end, int entry_state,
+                             std::int64_t entry_first_pos) {
   gm::expects(begin >= 0 && end <= static_cast<std::int64_t>(database.size()) && begin <= end,
               "segment range out of bounds");
   gm::expects(entry_state >= 0 && entry_state < static_cast<int>(episode.size()),
               "entry state out of range");
   EpisodeAutomaton automaton(episode, semantics, expiry);
   automaton.restore(entry_state, entry_first_pos);
-  SegmentOutcome out;
+  EpisodeProgress out;
   for (std::int64_t i = begin; i < end; ++i) {
     if (automaton.step(database[static_cast<std::size_t>(i)], i)) ++out.count;
   }
-  out.exit_state = automaton.state();
-  out.first_match_pos = automaton.first_match_pos();
+  out.state = automaton.state();
+  out.first_pos = automaton.first_match_pos();
   return out;
 }
 
@@ -92,7 +92,7 @@ std::int64_t count_state_composition(const Episode& episode, std::span<const Sym
     for (const auto& t : transfers) {
       const auto& o = t.by_entry_state[static_cast<std::size_t>(state)];
       count += o.count;
-      state = o.exit_state;
+      state = o.state;
     }
     return count;
   }
@@ -110,8 +110,8 @@ std::int64_t count_state_composition(const Episode& episode, std::span<const Sym
                                 bounds[static_cast<std::size_t>(c)],
                                 bounds[static_cast<std::size_t>(c) + 1], state, first_pos);
     count += o.count;
-    state = o.exit_state;
-    first_pos = o.first_match_pos;
+    state = o.state;
+    first_pos = o.first_pos;
   }
   return count;
 }
@@ -149,20 +149,19 @@ std::int64_t count_overlap_rescan(const Episode& episode, std::span<const Symbol
 std::int64_t fold_cold_scans(std::span<const Symbol> episode, Semantics semantics,
                              ExpiryPolicy expiry, std::span<const Symbol> events,
                              std::int64_t base, std::span<const std::int64_t> bounds,
-                             std::span<const SegmentOutcome> cold, int entry_state,
-                             std::int64_t entry_first_pos, SegmentOutcome* exit,
-                             std::int64_t* rescanned_symbols) {
+                             std::span<const EpisodeProgress> cold, EpisodeProgress entry,
+                             EpisodeProgress* exit, std::int64_t* rescanned_symbols) {
   gm::expects(bounds.size() >= 2 && bounds.front() == base &&
                   bounds.back() == base + static_cast<std::int64_t>(events.size()),
               "boundary list must cover the event window");
   gm::expects(cold.size() + 1 == bounds.size(), "need one cold outcome per chunk");
-  gm::expects(entry_state >= 0 && entry_state < static_cast<int>(episode.size()),
+  gm::expects(entry.state >= 0 && entry.state < static_cast<int>(episode.size()),
               "entry state out of range");
 
   std::int64_t total = 0;
   std::int64_t rescanned = 0;
-  int state = entry_state;
-  std::int64_t first_pos = entry_first_pos;
+  int state = entry.state;
+  std::int64_t first_pos = entry.first_pos;
   // One automaton pair for the whole fold, re-armed per boundary rescan via
   // restore()/reset() — chunks that need no replay (state 0 entry) construct
   // nothing at all.
@@ -171,8 +170,8 @@ std::int64_t fold_cold_scans(std::span<const Symbol> episode, Semantics semantic
   for (std::size_t c = 0; c + 1 < bounds.size(); ++c) {
     if (state == 0) {
       total += cold[c].count;
-      state = cold[c].exit_state;
-      first_pos = cold[c].first_match_pos;
+      state = cold[c].state;
+      first_pos = cold[c].first_pos;
       continue;
     }
     // Lockstep replay: the true automaton (restored) and a cold twin step
@@ -196,8 +195,8 @@ std::int64_t fold_cold_scans(std::span<const Symbol> episode, Semantics semantic
     }
     if (converged) {
       total += true_count + (cold[c].count - twin_count);
-      state = cold[c].exit_state;
-      first_pos = cold[c].first_match_pos;
+      state = cold[c].state;
+      first_pos = cold[c].first_pos;
     } else {
       total += true_count;
       state = truth.state();
@@ -205,7 +204,7 @@ std::int64_t fold_cold_scans(std::span<const Symbol> episode, Semantics semantic
     }
   }
   if (rescanned_symbols != nullptr) *rescanned_symbols = rescanned;
-  if (exit != nullptr) *exit = {total, state, first_pos};
+  if (exit != nullptr) *exit = {entry.count + total, first_pos, state};
   return total;
 }
 

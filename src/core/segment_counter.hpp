@@ -40,24 +40,19 @@ enum class SpanningFix {
 
 [[nodiscard]] std::string to_string(SpanningFix fix);
 
-/// Result of scanning one chunk from one entry state.
-struct SegmentOutcome {
-  std::int64_t count = 0;            ///< occurrences completed inside the chunk
-  int exit_state = 0;                ///< automaton state at chunk end
-  std::int64_t first_match_pos = 0;  ///< absolute position backing exit_state
-};
-
 /// Scan database[begin, end) with the automaton entering in `entry_state`
-/// (whose first matched symbol was at absolute `entry_first_pos`).
-[[nodiscard]] SegmentOutcome scan_segment(std::span<const Symbol> episode, Semantics semantics,
-                                          ExpiryPolicy expiry, std::span<const Symbol> database,
-                                          std::int64_t begin, std::int64_t end, int entry_state,
-                                          std::int64_t entry_first_pos);
+/// (whose first matched symbol was at absolute `entry_first_pos`).  Returns
+/// the occurrences completed inside the chunk and the automaton's exit
+/// configuration (state, and the absolute position backing it).
+[[nodiscard]] EpisodeProgress scan_segment(std::span<const Symbol> episode, Semantics semantics,
+                                           ExpiryPolicy expiry, std::span<const Symbol> database,
+                                           std::int64_t begin, std::int64_t end, int entry_state,
+                                           std::int64_t entry_first_pos);
 
 /// Transfer function of one chunk: outcome for every entry state 0..L-1.
 /// (Entry state L never occurs: the automaton resets upon acceptance.)
 struct SegmentTransfer {
-  std::vector<SegmentOutcome> by_entry_state;
+  std::vector<EpisodeProgress> by_entry_state;
 };
 
 [[nodiscard]] SegmentTransfer segment_transfer(std::span<const Symbol> episode,
@@ -85,32 +80,33 @@ struct SegmentTransfer {
 /// `events` holds positions [base, base + events.size()) of the stream,
 /// `bounds` are absolute chunk boundaries with `bounds.front() == base`, and
 /// `cold[c]` is chunk [bounds[c], bounds[c+1]) scanned from entry state 0
-/// with ABSOLUTE positions (see distrib/stream_fold's cold_scan_chunk).  The
-/// fold enters the first chunk in (`entry_state`, `entry_first_pos`) —
-/// typically a checkpoint's exit, or (0, 0) for a whole database with
-/// `base` 0 — and threads the true entry state through in chunk order: a
-/// chunk entered in state 0 reuses the cold outcome verbatim (state 0
-/// carries no position, so cold entry IS the true entry); otherwise the true
-/// automaton and a cold twin replay the chunk in lockstep until their
-/// configurations coincide — equal state, and equal first-match position
-/// whenever the state is nonzero and expiry makes positions matter — after
-/// which their futures are identical, so the cold outcome's remaining
-/// completions (cold count minus the twin's completions so far) are credited
-/// and the chunk's cold exit adopted.  A chunk where they never converge was
-/// re-scanned whole by the true automaton, which is simply the serial scan.
+/// with ABSOLUTE positions — a core::MultiCounter reset and advanced over
+/// the chunk at its offset, whose progress() is exactly that record.  The
+/// fold enters the first chunk in `entry` — typically a checkpoint's
+/// progress, or the default (idle) record for a whole database with `base`
+/// 0 — and threads the true entry state through in chunk order: a chunk
+/// entered in state 0 reuses the cold outcome verbatim (state 0 carries no
+/// position, so cold entry IS the true entry); otherwise the true automaton
+/// and a cold twin replay the chunk in lockstep until their configurations
+/// coincide — equal state, and equal first-match position whenever the
+/// state is nonzero and expiry makes positions matter — after which their
+/// futures are identical, so the cold outcome's remaining completions (cold
+/// count minus the twin's completions so far) are credited and the chunk's
+/// cold exit adopted.  A chunk where they never converge was re-scanned
+/// whole by the true automaton, which is simply the serial scan.
 ///
 /// Returns the occurrences completed inside the window; `exit`, when
-/// non-null, receives the configuration the next window resumes from.
-/// Exact for all semantics x expiry combinations.  `rescanned_symbols`, when
-/// non-null, receives the number of lockstep-replayed symbols (the fix-up
-/// work the distrib cost model charges for).
+/// non-null, receives the progress the next window resumes from (its count
+/// is `entry.count` plus the window's completions).  Exact for all
+/// semantics x expiry combinations.  `rescanned_symbols`, when non-null,
+/// receives the number of lockstep-replayed symbols (the fix-up work the
+/// distrib cost model charges for).
 [[nodiscard]] std::int64_t fold_cold_scans(std::span<const Symbol> episode,
                                            Semantics semantics, ExpiryPolicy expiry,
                                            std::span<const Symbol> events, std::int64_t base,
                                            std::span<const std::int64_t> bounds,
-                                           std::span<const SegmentOutcome> cold,
-                                           int entry_state, std::int64_t entry_first_pos,
-                                           SegmentOutcome* exit,
+                                           std::span<const EpisodeProgress> cold,
+                                           EpisodeProgress entry, EpisodeProgress* exit,
                                            std::int64_t* rescanned_symbols = nullptr);
 
 /// Occurrences crossing `bound` (start < bound <= end < next_bound), found by

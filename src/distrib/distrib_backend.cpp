@@ -34,7 +34,6 @@ DistribOptions::DistribOptions() : device(gpusim::geforce_gtx_280()) {}
 
 DistribBackend::DistribBackend(DistribOptions options) : options_(std::move(options)) {
   gm::expects(options_.shards >= 1, "need at least one shard");
-  gm::expects(options_.steal_granularity >= 1, "need at least one chunk per shard");
 }
 
 std::string DistribBackend::name() const {
@@ -68,47 +67,35 @@ core::CountResult DistribBackend::count(const core::CountRequest& request) {
     return result;
   }
 
-  const ShardPlan plan = make_shard_plan(
-      request.database, request.episodes,
-      {options_.shards, options_.steal_granularity, options_.weighted_plan});
+  const ShardPlan plan = make_shard_plan(request.database, request.episodes, options_.shards);
   const int chunks = plan.chunk_count();
   telemetry_.chunks = chunks;
   const std::size_t episode_count = request.episodes.size();
 
-  // Map phase: every chunk scanned cold by whichever worker claims it.  All
-  // writes are chunk-private slots read only after the scheduler joins; each
-  // worker keeps one single-scan arena across every chunk it claims (reset()
-  // re-files the automata but keeps all capacity), so the map phase allocates
-  // per worker, not per chunk.
-  std::vector<std::vector<core::SegmentOutcome>> cold(static_cast<std::size_t>(chunks));
+  // Map phase: every chunk scanned cold at its absolute offset by whichever
+  // worker claims it.  All writes are chunk-private slots read only after the
+  // scheduler joins; each worker keeps one single-scan arena across every
+  // chunk it claims (reset() re-files the automata but keeps all capacity),
+  // so the engine's arena is allocated per worker, not per chunk.
+  std::vector<std::vector<core::EpisodeProgress>> cold(static_cast<std::size_t>(chunks));
   std::vector<std::optional<core::MultiCounter>> arenas(
       static_cast<std::size_t>(options_.shards));
   telemetry_.steal = run_sharded(plan, [&](int worker, int chunk, std::int64_t begin,
                                            std::int64_t end) {
-    auto& out = cold[static_cast<std::size_t>(chunk)];
-    out.assign(episode_count, {});
-    // Single-scan engine on the chunk subspan: positions come back relative
-    // to the chunk, and a cold scan is position-invariant (the automaton only
-    // compares position differences), so normalizing the exit's first-match
-    // position by the chunk offset yields the absolute-position outcome.
-    const auto span =
-        request.database.subspan(static_cast<std::size_t>(begin),
-                                 static_cast<std::size_t>(end - begin));
     auto& arena = arenas[static_cast<std::size_t>(worker)];
     if (arena.has_value()) {
       arena->reset();
     } else {
       arena.emplace(request.episodes, request.semantics, request.expiry);
     }
-    arena->advance_batch(span, 0);
-    for (std::size_t e = 0; e < episode_count; ++e) {
-      const core::EpisodeProgress p = arena->progress_of(e);
-      out[e] = {p.count, p.state, p.first_pos + begin};
-    }
+    arena->advance_batch(request.database.subspan(static_cast<std::size_t>(begin),
+                                                  static_cast<std::size_t>(end - begin)),
+                         begin);
+    cold[static_cast<std::size_t>(chunk)] = arena->progress();
   });
 
-  // Reduce phase: exact fold of the cold outcomes in chunk order.
-  std::vector<core::SegmentOutcome> per_episode(static_cast<std::size_t>(chunks));
+  // Reduce phase: exact fold of the cold records in chunk order.
+  std::vector<core::EpisodeProgress> per_episode(static_cast<std::size_t>(chunks));
   for (std::size_t e = 0; e < episode_count; ++e) {
     for (int c = 0; c < chunks; ++c) {
       per_episode[static_cast<std::size_t>(c)] = cold[static_cast<std::size_t>(c)][e];
@@ -116,8 +103,8 @@ core::CountResult DistribBackend::count(const core::CountRequest& request) {
     std::int64_t rescanned = 0;
     result.counts[e] = core::fold_cold_scans(
         request.episodes[e].symbols(), request.semantics, request.expiry, request.database,
-        /*base=*/0, plan.chunk_bounds, per_episode, /*entry_state=*/0,
-        /*entry_first_pos=*/0, /*exit=*/nullptr, &rescanned);
+        /*base=*/0, plan.chunk_bounds, per_episode, /*entry=*/{}, /*exit=*/nullptr,
+        &rescanned);
     telemetry_.rescanned_symbols += rescanned;
   }
 

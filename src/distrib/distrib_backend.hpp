@@ -3,18 +3,24 @@
 // CountingBackend, and the subsystem that retires the seed-era mapreduce/
 // module and kernels/multi_gpu.* predictor.
 //
-// count() builds a weighted ShardPlan, runs each chunk cold (entry state 0)
-// on a worker engine via the work-stealing scheduler, and folds the per-chunk
-// outcomes in chunk order with core::fold_cold_scans — bit-exact against the
-// serial reference for every semantics x expiry combination, including the
-// position-dependent expiry case that defeats blind transfer composition.
+// This is the paper's block-level MapReduce granularity (section 3.3.1,
+// Algorithms 3-4; the thread level is cpu-parallel).  count() builds a
+// drain-weighted ShardPlan (kStealGranularity chunks per shard), and its map
+// runs each chunk cold on the single-scan engine via the work-stealing
+// scheduler: every worker keeps one core::MultiCounter, resets it per chunk
+// and advances it over the chunk at the chunk's absolute offset, so its
+// progress() is the chunk's cold EpisodeProgress record.  The reduce folds
+// those records in chunk order with core::fold_cold_scans — the "intermediate
+// step" of the paper's Figure 5, bit-exact against the serial reference for
+// every semantics x expiry combination, including the position-dependent
+// expiry case that defeats blind transfer composition.
 //
-// Workers model two deployment shapes: the single-scan host engine (the
-// default, one pass per chunk driving all episodes) and a simulated GPU card
-// per shard (host cold scans for exact counts, the kernels workload model for
-// the per-chunk device charge; simulated_kernel_ms is the slowest card's
-// accumulated time, so N cards halve-and-again the simulated wall-clock the
-// way the paper's dual-die GX2 would).
+// Workers model two deployment shapes: host workers (the default) and a
+// simulated GPU card per shard (the same host cold scans for exact counts,
+// the kernels workload model for the per-chunk device charge;
+// simulated_kernel_ms is the slowest card's accumulated time, so N cards
+// halve-and-again the simulated wall-clock the way the paper's dual-die GX2
+// would).
 #pragma once
 
 #include <cstdint>
@@ -39,11 +45,7 @@ enum class WorkerKind {
 
 struct DistribOptions {
   int shards = 2;
-  int steal_granularity = 4;
   WorkerKind worker = WorkerKind::kSingleScan;
-  /// false: equal-symbol chunks instead of drain-weighted ones (tests provoke
-  /// steals by disabling the balance estimate on skewed streams).
-  bool weighted_plan = true;
   /// kGpuSim only: the card every shard simulates, its launch shape, and the
   /// cost constants the per-chunk charge is computed with.
   gpusim::DeviceSpec device;

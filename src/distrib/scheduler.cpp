@@ -11,12 +11,12 @@ StealStats run_sharded(
     const ShardPlan& plan,
     const std::function<void(int worker, int chunk, std::int64_t begin, std::int64_t end)>&
         chunk_fn) {
-  gm::expects(plan.shards >= 1 && plan.steal_granularity >= 1, "degenerate shard plan");
-  gm::expects(plan.chunk_count() == plan.shards * plan.steal_granularity,
+  gm::expects(plan.shards >= 1, "degenerate shard plan");
+  gm::expects(plan.chunk_count() == plan.shards * kStealGranularity,
               "shard plan chunk grid is inconsistent");
 
   const int shards = plan.shards;
-  const int g = plan.steal_granularity;
+  const int g = kStealGranularity;
   StealStats stats;
   stats.chunks_by_worker.assign(static_cast<std::size_t>(shards), 0);
 

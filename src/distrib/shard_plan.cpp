@@ -3,7 +3,6 @@
 #include <array>
 
 #include "common/error.hpp"
-#include "core/segment_counter.hpp"
 
 namespace gm::distrib {
 namespace {
@@ -23,54 +22,36 @@ std::array<double, 256> symbol_weights(std::span<const core::Episode> episodes) 
 }  // namespace
 
 ShardPlan make_shard_plan(std::span<const core::Symbol> database,
-                          std::span<const core::Episode> episodes,
-                          const ShardPlanOptions& options) {
-  gm::expects(options.shards >= 1, "need at least one shard");
-  gm::expects(options.steal_granularity >= 1, "need at least one chunk per shard");
+                          std::span<const core::Episode> episodes, int shards) {
+  gm::expects(shards >= 1, "need at least one shard");
 
   ShardPlan plan;
-  plan.shards = options.shards;
-  plan.steal_granularity = options.steal_granularity;
-  const int chunks = options.shards * options.steal_granularity;
+  plan.shards = shards;
+  const int chunks = shards * kStealGranularity;
   const auto size = static_cast<std::int64_t>(database.size());
   const auto weight = symbol_weights(episodes);
 
-  if (!options.weighted) {
-    plan.chunk_bounds = core::chunk_boundaries(size, chunks);
-  } else {
-    double total = 0.0;
-    for (const core::Symbol s : database) total += weight[s];
-    plan.chunk_bounds.reserve(static_cast<std::size_t>(chunks) + 1);
-    plan.chunk_bounds.push_back(0);
-    double running = 0.0;
-    int cut = 1;
-    for (std::int64_t i = 0; i < size; ++i) {
-      running += weight[database[static_cast<std::size_t>(i)]];
-      // A single heavy position can pass several targets at once; the extra
-      // cuts land here too, leaving empty chunks the scheduler skips cheaply.
-      while (cut < chunks &&
-             running >= total * static_cast<double>(cut) / static_cast<double>(chunks)) {
-        plan.chunk_bounds.push_back(i + 1);
-        ++cut;
-      }
+  double total = 0.0;
+  for (const core::Symbol s : database) total += weight[s];
+  plan.chunk_bounds.reserve(static_cast<std::size_t>(chunks) + 1);
+  plan.chunk_bounds.push_back(0);
+  double running = 0.0;
+  int cut = 1;
+  for (std::int64_t i = 0; i < size; ++i) {
+    running += weight[database[static_cast<std::size_t>(i)]];
+    // A single heavy position can pass several targets at once; the extra
+    // cuts land here too, leaving empty chunks the scheduler skips cheaply.
+    while (cut < chunks &&
+           running >= total * static_cast<double>(cut) / static_cast<double>(chunks)) {
+      plan.chunk_bounds.push_back(i + 1);
+      ++cut;
     }
-    while (static_cast<int>(plan.chunk_bounds.size()) < chunks + 1) {
-      plan.chunk_bounds.push_back(size);
-    }
-    plan.chunk_bounds.back() = size;
   }
-
-  plan.chunk_weight.assign(static_cast<std::size_t>(chunks), 0.0);
-  for (int c = 0; c < chunks; ++c) {
-    double w = 0.0;
-    for (std::int64_t i = plan.chunk_bounds[static_cast<std::size_t>(c)];
-         i < plan.chunk_bounds[static_cast<std::size_t>(c) + 1]; ++i) {
-      w += weight[database[static_cast<std::size_t>(i)]];
-    }
-    plan.chunk_weight[static_cast<std::size_t>(c)] = w;
+  while (static_cast<int>(plan.chunk_bounds.size()) < chunks + 1) {
+    plan.chunk_bounds.push_back(size);
   }
-  gm::ensure(plan.chunk_bounds.size() == static_cast<std::size_t>(chunks) + 1 &&
-                 plan.chunk_bounds.back() == size,
+  plan.chunk_bounds.back() = size;
+  gm::ensure(plan.chunk_bounds.size() == static_cast<std::size_t>(chunks) + 1,
              "shard plan must cover the database");
   return plan;
 }

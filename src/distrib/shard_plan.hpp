@@ -1,14 +1,14 @@
 // Weighted database partition for the distribution layer.
 //
-// A ShardPlan splits the event stream into a shards x steal_granularity chunk
-// grid: shard s owns the contiguous run of chunks [s*g, (s+1)*g), and the
-// scheduler (scheduler.hpp) lets finished workers steal chunks from loaded
-// ones.  Cut points are weighted by estimated per-position drain work — a
-// position whose symbol appears in many candidate episodes advances more
-// waiting automata — so drain-heavy regions get shorter chunks and shards
-// start out balanced even on skewed streams.  The estimate is first-order
-// (i.i.d. positions, no automaton state); work stealing absorbs what it
-// misses, and the skew tests assert exactly that.
+// A ShardPlan splits the event stream into a shards x kStealGranularity
+// chunk grid: shard s owns the contiguous run of chunks [s*g, (s+1)*g), and
+// the scheduler (scheduler.hpp) lets finished workers steal chunks from
+// loaded ones.  Cut points are weighted by estimated per-position drain
+// work — a position whose symbol appears in many candidate episodes advances
+// more waiting automata — so drain-heavy regions get shorter chunks and
+// shards start out balanced even on skewed streams.  The estimate is
+// first-order (i.i.d. positions, no automaton state); work stealing absorbs
+// what it misses, and the skew tests assert exactly that.
 #pragma once
 
 #include <cstdint>
@@ -19,37 +19,27 @@
 
 namespace gm::distrib {
 
-struct ShardPlanOptions {
-  int shards = 2;
-  int steal_granularity = 4;  ///< stealable chunks per shard
-  /// false: plain equal-symbol chunks (the seed-era geometry; used by tests
-  /// that need a deliberately misbalanced plan to provoke steals).
-  bool weighted = true;
-};
+/// Stealable chunks per shard.  One constant for the backend and the
+/// planner's distrib cost curve (planner/cpu_cost_model), so the model
+/// prices the grid the backend actually builds.
+inline constexpr int kStealGranularity = 4;
 
 struct ShardPlan {
   int shards = 1;
-  int steal_granularity = 1;
-  /// shards * steal_granularity + 1 non-decreasing entries covering the
+  /// shards * kStealGranularity + 1 non-decreasing entries covering the
   /// database; chunk k spans [chunk_bounds[k], chunk_bounds[k+1]).
   std::vector<std::int64_t> chunk_bounds;
-  /// Estimated drain work per chunk, in weight units (telemetry only; the
-  /// scheduler balances by chunk count, the planner by symbol share).
-  std::vector<double> chunk_weight;
 
   [[nodiscard]] int chunk_count() const noexcept {
     return static_cast<int>(chunk_bounds.size()) - 1;
   }
-  [[nodiscard]] int home_shard(int chunk) const noexcept {
-    return chunk / steal_granularity;
-  }
+  [[nodiscard]] int home_shard(int chunk) const noexcept { return chunk / kStealGranularity; }
 };
 
-/// Build the chunk grid for counting `episodes` over `database`.  Weighted
-/// cuts equalize estimated drain work per chunk; unweighted cuts equalize
-/// symbols (core::chunk_boundaries geometry).
+/// Build the drain-weighted chunk grid for counting `episodes` over
+/// `database` on `shards` workers: cuts equalize estimated drain work per
+/// chunk.
 [[nodiscard]] ShardPlan make_shard_plan(std::span<const core::Symbol> database,
-                                        std::span<const core::Episode> episodes,
-                                        const ShardPlanOptions& options = {});
+                                        std::span<const core::Episode> episodes, int shards);
 
 }  // namespace gm::distrib

@@ -4,7 +4,8 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "core/automaton.hpp"
+#include "core/multi_counter.hpp"
+#include "core/segment_counter.hpp"
 
 namespace gm::distrib {
 
@@ -12,20 +13,10 @@ ChunkScan cold_scan_chunk(std::span<const core::Episode> episodes, core::Semanti
                           core::ExpiryPolicy expiry, std::vector<core::Symbol> events,
                           std::int64_t base) {
   gm::expects(base >= 0, "chunk base position cannot be negative");
-  ChunkScan chunk;
-  chunk.begin = base;
-  chunk.events = std::move(events);
-  chunk.cold.reserve(episodes.size());
-  for (const core::Episode& episode : episodes) {
-    core::EpisodeAutomaton automaton(episode.symbols(), semantics, expiry);
-    core::SegmentOutcome out;
-    for (std::size_t i = 0; i < chunk.events.size(); ++i) {
-      if (automaton.step(chunk.events[i], base + static_cast<std::int64_t>(i))) ++out.count;
-    }
-    out.exit_state = automaton.state();
-    out.first_match_pos = automaton.first_match_pos();
-    chunk.cold.push_back(out);
-  }
+  ChunkScan chunk{base, std::move(events), {}};
+  core::MultiCounter counter(episodes, semantics, expiry);
+  counter.advance_batch(chunk.events, base);
+  chunk.cold = counter.progress();
   return chunk;
 }
 
@@ -35,7 +26,6 @@ StreamAssembler::StreamAssembler(std::vector<core::Episode> episodes,
       semantics_(semantics),
       expiry_(expiry),
       prefix_digest_(core::stream_digest_seed()),
-      counts_(episodes_.size(), 0),
       progress_(episodes_.size()) {}
 
 StreamAssembler::StreamAssembler(const core::ScanCheckpoint& checkpoint)
@@ -47,8 +37,6 @@ StreamAssembler::StreamAssembler(const core::ScanCheckpoint& checkpoint)
       progress_(checkpoint.progress) {
   gm::expects(progress_.size() == episodes_.size(),
               "checkpoint progress must be parallel to its episode list");
-  counts_.reserve(progress_.size());
-  for (const core::EpisodeProgress& p : progress_) counts_.push_back(p.count);
 }
 
 std::size_t StreamAssembler::deliver(ChunkScan chunk) {
@@ -83,20 +71,23 @@ void StreamAssembler::fold_ready() {
         chunk.begin + static_cast<std::int64_t>(chunk.events.size());
     const std::array<std::int64_t, 2> bounds{chunk.begin, end};
     for (std::size_t i = 0; i < episodes_.size(); ++i) {
-      core::SegmentOutcome exit;
       std::int64_t rescanned = 0;
-      const std::int64_t completed = core::fold_cold_scans(
-          episodes_[i].symbols(), semantics_, expiry_, chunk.events, chunk.begin, bounds,
-          std::span<const core::SegmentOutcome>(&chunk.cold[i], 1), progress_[i].state,
-          progress_[i].first_pos, &exit, &rescanned);
-      counts_[i] += completed;
-      progress_[i] = {counts_[i], exit.first_match_pos, exit.exit_state};
+      (void)core::fold_cold_scans(episodes_[i].symbols(), semantics_, expiry_, chunk.events,
+                                  chunk.begin, bounds, {&chunk.cold[i], 1}, progress_[i],
+                                  &progress_[i], &rescanned);
       rescanned_ += rescanned;
     }
     prefix_digest_ = core::stream_digest_extend(prefix_digest_, chunk.events);
     high_water_ = end;
     pending_.erase(it);
   }
+}
+
+std::vector<std::int64_t> StreamAssembler::counts() const {
+  std::vector<std::int64_t> counts;
+  counts.reserve(progress_.size());
+  for (const core::EpisodeProgress& p : progress_) counts.push_back(p.count);
+  return counts;
 }
 
 core::ScanCheckpoint StreamAssembler::checkpoint(std::uint64_t generation) const {

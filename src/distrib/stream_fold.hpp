@@ -5,12 +5,14 @@
 // and scans the whole stream, but append batches travel through a queue per
 // shard: batch 7 can land before batch 5.  A shard cannot advance its truth
 // scan past a gap — episode automata are sequential — but it CAN cold-scan
-// any batch the moment it arrives (fresh automata, absolute positions) and
-// park the outcome.  When the missing batches land, `fold_cold_scans`'s
-// entry-state overload stitches the parked cold outcomes onto the truth scan
-// in stream order: the truth automaton lockstep-replays each chunk only until
-// it converges with the cold twin, so the out-of-order path re-touches a few
-// symbols per boundary instead of rescanning the batches.
+// any batch the moment it arrives — on the single-scan engine, a fresh
+// core::MultiCounter advanced at the batch's absolute positions — and park
+// the EpisodeProgress records.  When the missing batches land,
+// `fold_cold_scans`, entered in the truth scan's progress, stitches the
+// parked cold records onto it in stream order: the truth automaton
+// lockstep-replays each chunk only until it converges with the cold twin, so
+// the out-of-order path re-touches a few symbols per boundary instead of
+// rescanning the batches.
 //
 // `StreamAssembler` is that per-shard state machine: deliver chunks in ANY
 // order, and counts()/checkpoint() always reflect exactly the contiguous
@@ -23,9 +25,9 @@
 #include <span>
 #include <vector>
 
+#include "core/automaton.hpp"
 #include "core/episode.hpp"
 #include "core/scan_checkpoint.hpp"
-#include "core/segment_counter.hpp"
 
 namespace gm::distrib {
 
@@ -35,12 +37,12 @@ namespace gm::distrib {
 struct ChunkScan {
   std::int64_t begin = 0;  ///< absolute position of events.front()
   std::vector<core::Symbol> events;
-  std::vector<core::SegmentOutcome> cold;  ///< per episode, absolute first_match_pos
+  std::vector<core::EpisodeProgress> cold;  ///< per episode, absolute first_pos
 };
 
-/// Cold-scans one batch for every episode.  `base` is the batch's absolute
-/// stream position; outcomes carry absolute first-match positions so they
-/// feed the entry-state fold directly.
+/// Cold-scans one batch for every episode on a fresh core::MultiCounter.
+/// `base` is the batch's absolute stream position; the records carry
+/// absolute first-match positions so they feed the fold directly.
 [[nodiscard]] ChunkScan cold_scan_chunk(std::span<const core::Episode> episodes,
                                         core::Semantics semantics, core::ExpiryPolicy expiry,
                                         std::vector<core::Symbol> events, std::int64_t base);
@@ -64,7 +66,7 @@ class StreamAssembler {
   /// Counts over the contiguous prefix [0, high_water()) — exactly what an
   /// uninterrupted scan of that prefix yields.  Parked chunks beyond a gap
   /// are not included until the gap fills.
-  [[nodiscard]] std::vector<std::int64_t> counts() const { return counts_; }
+  [[nodiscard]] std::vector<std::int64_t> counts() const;
 
   /// Next absolute position the truth scan needs; chunks at this position
   /// fold immediately, later ones park.
@@ -89,8 +91,7 @@ class StreamAssembler {
   core::ExpiryPolicy expiry_;
   std::int64_t high_water_ = 0;
   std::uint64_t prefix_digest_ = 0;
-  std::vector<std::int64_t> counts_;
-  std::vector<core::EpisodeProgress> progress_;  ///< counts folded separately
+  std::vector<core::EpisodeProgress> progress_;  ///< truth scan of the prefix
   std::map<std::int64_t, ChunkScan> pending_;    ///< keyed by absolute begin
   std::int64_t rescanned_ = 0;
 };

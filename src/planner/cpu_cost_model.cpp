@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "distrib/shard_plan.hpp"
 #include "kernels/workload_model.hpp"
 
 namespace gm::planner {
@@ -83,7 +84,7 @@ double predict_cpu_lane_scan_ms(const Workload& w, const CpuCostConstants& c) {
 
 double predict_cpu_distrib_ms(const Workload& w, int shards, const CpuCostConstants& c) {
   gm::expects(shards >= 1, "cpu cost model needs a positive shard count");
-  const int chunks = shards * kPlannedStealGranularity;
+  const int chunks = shards * distrib::kStealGranularity;
 
   // Map: each worker cold-scans its claimed chunks with the single-scan
   // engine; stealing keeps the split near-perfect, so divide by shards.

@@ -87,11 +87,6 @@ struct CpuCostConstants {
 /// width core::count_all_lanes runs there.
 inline constexpr int kLanePriceEpisodes = 64;
 
-/// Chunks per shard the planner assumes when costing distrib candidates —
-/// kept equal to distrib::ShardPlanOptions{}.steal_granularity so the model
-/// prices the backend it would actually construct.
-inline constexpr int kPlannedStealGranularity = 4;
-
 /// Predicted wall-clock (ms) of one counting level on each CPU backend.
 /// `threads` is the worker count the backend would actually use (callers
 /// should pass core::resolved_thread_count(requested)).  The constants
@@ -106,9 +101,10 @@ inline constexpr int kPlannedStealGranularity = 4;
                                               const CpuCostConstants& c = {});
 
 /// The distrib backend's host curve: the single-scan map split over `shards`
-/// work-stealing workers, plus the chunk-ordered fold, the expected
-/// boundary rescans (bounded by the expiry window or the typical automaton
-/// reset distance), and per-chunk steal/claim overhead.
+/// work-stealing workers on the backend's own grid (shards x
+/// distrib::kStealGranularity chunks), plus the chunk-ordered fold, the
+/// expected boundary rescans (bounded by the expiry window or the typical
+/// automaton reset distance), and per-chunk steal/claim overhead.
 [[nodiscard]] double predict_cpu_distrib_ms(const Workload& w, int shards,
                                             const CpuCostConstants& c = {});
 

@@ -3,7 +3,7 @@
 //
 // Promoted out of bench_support/paper_setup so real clients — gminer_cli, the
 // examples, MiningSession — pick backends without linking the benchmark
-// harness; gm::bench keeps thin deprecated aliases for old call sites.
+// harness.
 #pragma once
 
 #include <memory>
@@ -50,8 +50,11 @@ struct BackendSpec {
 /// The planner options a spec implies: the device its card names, its CPU
 /// thread budget, and (when set) its calibration profile applied on top of
 /// the shipped cost constants.  This is what "auto" constructs AutoBackend
-/// with; MiningSession uses the same options for admission-control
-/// predictions so the planner scoring requests is the planner running them.
+/// with; MiningSession scores admission-control predictions with the same
+/// options.  The admission plan can still differ from the one that runs:
+/// the session's level workload carries no measured prefix compression, and
+/// a caller-owned backend passed to mine_with() plans with its own options
+/// while admission keeps the session's (ROADMAP item 1 has measured cases).
 [[nodiscard]] planner::PlannerOptions planner_options_for(const BackendSpec& spec);
 
 }  // namespace gm::service

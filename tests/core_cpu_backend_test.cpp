@@ -5,6 +5,7 @@
 
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/cpu_backend.hpp"
 #include "core/lane_counter.hpp"
@@ -55,6 +56,25 @@ TEST(ParallelCpuBackend, ManyEpisodesMergeCompletely) {
   SerialCpuBackend serial;
   ParallelCpuBackend parallel(5);
   EXPECT_EQ(parallel.count(request).counts, serial.count(request).counts);
+}
+
+// Regression: cpu-parallel used to hit the empty-episode precondition inside
+// a worker thread, where the throw terminated the process; every CPU
+// backend must refuse the request on the calling thread instead.
+TEST(ParallelCpuBackend, RefusesAnEmptyEpisodeOnTheCallingThread) {
+  Rng rng(19);
+  const Alphabet alphabet(5);
+  const auto db = data::uniform_database(alphabet, 500, 2);
+  auto episodes = random_episodes(rng, 5, 8, 3);
+  episodes.emplace_back();
+  CountRequest request;
+  request.database = db;
+  request.episodes = episodes;
+  for (const char* name : {"cpu-parallel", "cpu-serial", "cpu-single-scan", "cpu-lane-scan"}) {
+    const auto backend = make_cpu_backend(name, 4);
+    ASSERT_NE(backend, nullptr) << name;
+    EXPECT_THROW((void)backend->count(request), gm::Error) << name;
+  }
 }
 
 TEST(CpuBackends, EmptyEpisodeListYieldsEmptyCounts) {

@@ -65,10 +65,10 @@ TEST(SegmentTransfer, EntryStatesBehaveIndependently) {
   ASSERT_EQ(transfer.by_entry_state.size(), 3u);
   // Entry state 0: sees C,A,B -> ends in state 2, no completion.
   EXPECT_EQ(transfer.by_entry_state[0].count, 0);
-  EXPECT_EQ(transfer.by_entry_state[0].exit_state, 2);
+  EXPECT_EQ(transfer.by_entry_state[0].state, 2);
   // Entry state 2 (waiting for C): completes at the first symbol, then A,B.
   EXPECT_EQ(transfer.by_entry_state[2].count, 1);
-  EXPECT_EQ(transfer.by_entry_state[2].exit_state, 2);
+  EXPECT_EQ(transfer.by_entry_state[2].state, 2);
 }
 
 class CompositionProperty

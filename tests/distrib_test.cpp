@@ -1,9 +1,11 @@
-// Distribution-layer tests: the exact cold-scan fold, the weighted shard
-// plan, the work-stealing scheduler (exactly-once execution, steals under
-// skew), DistribBackend's bit-exact equivalence with the serial reference
-// across semantics x expiry x shard counts x steal granularity, and the
-// relocated episode jobs (the block-level job is now exact under expiry,
-// closing the seed-era overlap-rescan approximation).
+// Distribution-layer tests: the exact cold-scan fold and the single-scan
+// map's cold records it consumes, the weighted shard plan, the
+// work-stealing scheduler (exactly-once execution, steals under skew),
+// DistribBackend's bit-exact equivalence with the serial reference across
+// semantics x expiry x shard counts (the block-level MapReduce granularity,
+// exact under expiry where the seed-era overlap rescan was approximate), both
+// granularities against the oracle at several widths, and the out-of-order
+// stream fold.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,13 +16,13 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/candidate_gen.hpp"
+#include "core/cpu_backend.hpp"
 #include "core/multi_counter.hpp"
 #include "core/scan_checkpoint.hpp"
 #include "core/segment_counter.hpp"
 #include "core/serial_counter.hpp"
 #include "data/generators.hpp"
 #include "distrib/distrib_backend.hpp"
-#include "distrib/episode_job.hpp"
 #include "distrib/scale_model.hpp"
 #include "distrib/scheduler.hpp"
 #include "distrib/shard_plan.hpp"
@@ -67,15 +69,14 @@ TEST(FoldColdScans, ExactOnAdversarialSmallInputs) {
     const auto chunks = static_cast<int>(rng.between(1, 6));
     const auto bounds = core::chunk_boundaries(size, chunks);
 
-    std::vector<core::SegmentOutcome> cold;
+    std::vector<core::EpisodeProgress> cold;
     for (int c = 0; c < chunks; ++c) {
       cold.push_back(core::scan_segment(symbols, semantics, expiry, db,
                                         bounds[static_cast<std::size_t>(c)],
                                         bounds[static_cast<std::size_t>(c) + 1], 0, 0));
     }
     const auto folded = core::fold_cold_scans(symbols, semantics, expiry, db, /*base=*/0, bounds,
-                                              cold, /*entry_state=*/0, /*entry_first_pos=*/0,
-                                              /*exit=*/nullptr);
+                                              cold, /*entry=*/{}, /*exit=*/nullptr);
     const auto expected = core::count_occurrences(episodes[0], db, semantics, expiry);
     ASSERT_EQ(folded, expected)
         << "trial " << trial << " |DB|=" << size << " chunks=" << chunks
@@ -83,6 +84,9 @@ TEST(FoldColdScans, ExactOnAdversarialSmallInputs) {
   }
 }
 
+// The cold-scan map: a MultiCounter advanced over a span at a nonzero base
+// must hold exactly the serial automaton's configuration afterwards — for
+// idle episodes too, whose first_pos StreamAssembler checkpoints carry.
 TEST(SingleScanExits, MatchTheSerialAutomatonConfiguration) {
   Rng rng(42);
   for (int trial = 0; trial < 50; ++trial) {
@@ -95,37 +99,26 @@ TEST(SingleScanExits, MatchTheSerialAutomatonConfiguration) {
     const Semantics semantics = rng.chance(0.5) ? Semantics::kNonOverlappedSubsequence
                                                 : Semantics::kContiguousRestart;
     const ExpiryPolicy expiry{rng.chance(0.5) ? std::int64_t{0} : rng.between(1, 9)};
+    const std::int64_t base = rng.between(1, 1000);
 
-    std::vector<core::ScanExit> exits;
-    const auto counts = core::count_all_single_scan(episodes, db, semantics, expiry, exits);
-    ASSERT_EQ(exits.size(), episodes.size());
+    core::MultiCounter counter(episodes, semantics, expiry);
+    counter.advance_batch(db, base);
+    const auto progress = counter.progress();
+    ASSERT_EQ(progress.size(), episodes.size());
     for (std::size_t e = 0; e < episodes.size(); ++e) {
       core::EpisodeAutomaton automaton(episodes[e].symbols(), semantics, expiry);
       std::int64_t count = 0;
       for (std::size_t i = 0; i < db.size(); ++i) {
-        if (automaton.step(db[i], static_cast<std::int64_t>(i))) ++count;
+        if (automaton.step(db[i], base + static_cast<std::int64_t>(i))) ++count;
       }
-      EXPECT_EQ(counts[e], count);
-      EXPECT_EQ(exits[e].state, automaton.state()) << "trial " << trial << " episode " << e;
-      if (automaton.state() > 0) {
-        EXPECT_EQ(exits[e].first_match_pos, automaton.first_match_pos());
-      }
+      EXPECT_EQ(progress[e], (core::EpisodeProgress{count, automaton.first_match_pos(),
+                                                    automaton.state()}))
+          << "trial " << trial << " episode " << e << " base " << base;
     }
   }
 }
 
 // --- shard plan -------------------------------------------------------------
-
-TEST(ShardPlan, UnweightedEqualsEqualSymbolChunking) {
-  const Alphabet alphabet(4);
-  const auto db = data::uniform_database(alphabet, 1003, 7);
-  const auto episodes = core::all_distinct_episodes(alphabet, 2);
-  const auto plan = make_shard_plan(db, episodes, {3, 4, /*weighted=*/false});
-  EXPECT_EQ(plan.chunk_bounds, core::chunk_boundaries(1003, 12));
-  EXPECT_EQ(plan.chunk_count(), 12);
-  EXPECT_EQ(plan.home_shard(0), 0);
-  EXPECT_EQ(plan.home_shard(11), 2);
-}
 
 TEST(ShardPlan, WeightedCutsShrinkDrainHeavyChunks) {
   // First half of the stream is all symbol 0 — which every episode contains —
@@ -140,13 +133,23 @@ TEST(ShardPlan, WeightedCutsShrinkDrainHeavyChunks) {
   episodes.emplace_back(core::Sequence{0, 2});
   episodes.emplace_back(core::Sequence{1, 0});
 
-  const auto plan = make_shard_plan(db, episodes, {2, 1, /*weighted=*/true});
-  ASSERT_EQ(plan.chunk_count(), 2);
+  const auto plan = make_shard_plan(db, episodes, 2);
+  ASSERT_EQ(plan.chunk_count(), 2 * kStealGranularity);
+  EXPECT_EQ(plan.home_shard(0), 0);
+  EXPECT_EQ(plan.home_shard(kStealGranularity - 1), 0);
+  EXPECT_EQ(plan.home_shard(kStealGranularity), 1);
   EXPECT_EQ(plan.chunk_bounds.front(), 0);
   EXPECT_EQ(plan.chunk_bounds.back(), 4000);
-  EXPECT_LT(plan.chunk_bounds[1], 1500);
-  // The weight estimate itself should be near-balanced across the cut.
-  EXPECT_NEAR(plan.chunk_weight[0], plan.chunk_weight[1], plan.chunk_weight[0] * 0.1);
+  const std::int64_t cut = plan.chunk_bounds[kStealGranularity];
+  EXPECT_LT(cut, 1500);
+  // The drain estimate itself (1 per position plus 1 per episode holding
+  // its symbol: 4 for symbol 0, 1 for symbol 3) is near-balanced across the
+  // shard cut.
+  double weight[2] = {0.0, 0.0};
+  for (std::int64_t i = 0; i < 4000; ++i) {
+    weight[i < cut ? 0 : 1] += db[static_cast<std::size_t>(i)] == 0 ? 4.0 : 1.0;
+  }
+  EXPECT_NEAR(weight[0], weight[1], weight[0] * 0.1);
 }
 
 // --- scheduler --------------------------------------------------------------
@@ -155,7 +158,7 @@ TEST(ShardScheduler, EveryChunkRunsExactlyOnce) {
   const Alphabet alphabet(5);
   const auto db = data::zipf_database(alphabet, 5000, 1.0, 3);
   const auto episodes = core::all_distinct_episodes(alphabet, 2);
-  const auto plan = make_shard_plan(db, episodes, {8, 4});
+  const auto plan = make_shard_plan(db, episodes, 8);
   std::vector<std::atomic<int>> runs(static_cast<std::size_t>(plan.chunk_count()));
   for (auto& r : runs) r.store(0);
 
@@ -179,15 +182,13 @@ TEST(ShardScheduler, SkewedShardsProvokeSteals) {
   // remaining chunks while its owner sleeps through the first one.
   ShardPlan plan;
   plan.shards = 4;
-  plan.steal_granularity = 4;
-  for (int c = 0; c <= 16; ++c) plan.chunk_bounds.push_back(c);
-  plan.chunk_weight.assign(16, 1.0);
+  for (int c = 0; c <= 4 * kStealGranularity; ++c) plan.chunk_bounds.push_back(c);
 
-  std::vector<std::atomic<int>> runs(16);
+  std::vector<std::atomic<int>> runs(static_cast<std::size_t>(plan.chunk_count()));
   for (auto& r : runs) r.store(0);
   const auto stats = run_sharded(plan, [&](int, int chunk, std::int64_t, std::int64_t) {
     runs[static_cast<std::size_t>(chunk)].fetch_add(1);
-    if (chunk < 4) std::this_thread::sleep_for(std::chrono::milliseconds(25));
+    if (plan.home_shard(chunk) == 0) std::this_thread::sleep_for(std::chrono::milliseconds(25));
   });
 
   for (const auto& r : runs) EXPECT_EQ(r.load(), 1);
@@ -202,23 +203,18 @@ TEST(DistribBackendProperty, BitExactVsSerialAcrossShardsSemanticsExpiry) {
   const auto uniform = data::uniform_database(alphabet, 4001, 11);
   const auto zipf = data::zipf_database(alphabet, 4001, 1.0, 13);
 
-  int trial = 0;
   for (const auto* db : {&uniform, &zipf}) {
     for (const Semantics semantics :
          {Semantics::kNonOverlappedSubsequence, Semantics::kContiguousRestart}) {
       for (const std::int64_t window : {std::int64_t{0}, std::int64_t{3}, std::int64_t{17},
                                         std::int64_t{4001}}) {
         for (const int shards : {1, 2, 3, 5, 16}) {
-          const int granularity = 1 + trial % 4;
-          ++trial;
-
           const auto episodes = random_episodes(rng, 24, 4, 6);
           const ExpiryPolicy expiry{window};
           const auto expected = core::count_all(episodes, *db, semantics, expiry);
 
           DistribOptions options;
           options.shards = shards;
-          options.steal_granularity = granularity;
           DistribBackend backend(options);
           core::CountRequest request;
           request.database = *db;
@@ -227,20 +223,15 @@ TEST(DistribBackendProperty, BitExactVsSerialAcrossShardsSemanticsExpiry) {
           request.expiry = expiry;
           const auto result = backend.count(request);
           ASSERT_EQ(result.counts, expected)
-              << "shards=" << shards << " granularity=" << granularity
-              << " window=" << window
+              << "shards=" << shards << " window=" << window
               << " semantics=" << core::to_string(semantics);
-          EXPECT_EQ(backend.last_run().chunks, shards * granularity);
+          EXPECT_EQ(backend.last_run().chunks, shards * kStealGranularity);
           // The fold's boundary fix-up replays at most the whole database per
-          // episode (lockstep convergence usually stops far earlier), and a
-          // single-chunk plan has no boundaries to fix at all.
+          // episode (lockstep convergence usually stops far earlier).
           const std::int64_t rescanned = backend.last_run().rescanned_symbols;
           EXPECT_GE(rescanned, 0);
           EXPECT_LE(rescanned, static_cast<std::int64_t>(episodes.size()) *
                                    static_cast<std::int64_t>(db->size()));
-          if (shards * granularity == 1) {
-            EXPECT_EQ(rescanned, 0);
-          }
         }
       }
     }
@@ -250,7 +241,6 @@ TEST(DistribBackendProperty, BitExactVsSerialAcrossShardsSemanticsExpiry) {
 TEST(DistribBackend, NameAndTelemetryDescribeTheRun) {
   DistribOptions options;
   options.shards = 4;
-  options.steal_granularity = 2;
   DistribBackend backend(options);
   EXPECT_EQ(backend.name(), "distrib-x4[cpu-single-scan]");
 
@@ -261,17 +251,18 @@ TEST(DistribBackend, NameAndTelemetryDescribeTheRun) {
   request.database = db;
   request.episodes = episodes;
   (void)backend.count(request);
-  EXPECT_EQ(backend.last_run().chunks, 8);
-  // Eight chunks means seven boundaries to reconcile: with level-2 episodes on
-  // a dense stream some automaton is always mid-match at a cut, so the fold
-  // must replay a nonzero (but bounded) number of symbols.
+  const int chunks = 4 * kStealGranularity;
+  EXPECT_EQ(backend.last_run().chunks, chunks);
+  // Every interior chunk boundary must be reconciled: with level-2 episodes
+  // on a dense stream some automaton is always mid-match at a cut, so the
+  // fold must replay a nonzero (but bounded) number of symbols.
   EXPECT_GT(backend.last_run().rescanned_symbols, 0);
   EXPECT_LE(backend.last_run().rescanned_symbols,
             static_cast<std::int64_t>(episodes.size()) *
                 static_cast<std::int64_t>(db.size()));
   std::int64_t total = 0;
   for (const auto n : backend.last_run().steal.chunks_by_worker) total += n;
-  EXPECT_EQ(total, 8);
+  EXPECT_EQ(total, chunks);
 }
 
 TEST(DistribBackend, SimulatedCardsScaleAndStayExact) {
@@ -284,7 +275,6 @@ TEST(DistribBackend, SimulatedCardsScaleAndStayExact) {
   auto run_with = [&](int shards) {
     DistribOptions options;
     options.shards = shards;
-    options.steal_granularity = 2;
     options.worker = WorkerKind::kGpuSim;
     options.launch.threads_per_block = 128;
     DistribBackend backend(options);
@@ -328,56 +318,66 @@ TEST(ScaleModel, DatabaseAxisChargesMergeAndSplitsTheStream) {
   EXPECT_NEAR(four.imbalance, 1.0, 0.05);
 }
 
-// --- relocated episode jobs (block-level now exact under expiry) ------------
+// --- both MapReduce granularities (paper section 3.3.1) ---------------------
 
-class EpisodeJobProperty : public ::testing::TestWithParam<int /*chunks*/> {};
+// Thread level is cpu-parallel (workers split the episodes), block level is
+// DistribBackend (workers split the stream and the fold reconciles the
+// cuts); at every width both must equal the oracle, expiry included.
+class DistribGranularityProperty : public ::testing::TestWithParam<int /*workers*/> {};
 
-TEST_P(EpisodeJobProperty, BothGranularitiesMatchTheOracleIncludingExpiry) {
-  const int chunks = GetParam();
+TEST_P(DistribGranularityProperty, BothGranularitiesMatchTheOracleIncludingExpiry) {
+  const int workers = GetParam();
   const Alphabet alphabet(5);
   const auto db = data::uniform_database(alphabet, 3001, 77);
 
+  core::ParallelCpuBackend thread_level(workers);
+  DistribOptions options;
+  options.shards = workers;
+  DistribBackend block_level(options);
   for (int level = 1; level <= 3; ++level) {
     const auto episodes = core::all_distinct_episodes(alphabet, level);
     for (const std::int64_t window : {std::int64_t{0}, std::int64_t{5}, std::int64_t{29}}) {
-      const ExpiryPolicy expiry{window};
+      core::CountRequest request;
+      request.database = db;
+      request.episodes = episodes;
+      request.expiry = ExpiryPolicy{window};
       const auto expected =
-          core::count_all(episodes, db, Semantics::kNonOverlappedSubsequence, expiry);
-
-      EpisodeCountOptions options;
-      options.threads = 2;
-      options.chunks = chunks;
-      options.expiry = expiry;
-      EXPECT_EQ(count_episodes_thread_level(db, episodes, options), expected)
-          << "thread-level, L" << level << " window " << window;
-      EXPECT_EQ(count_episodes_block_level(db, episodes, options), expected)
-          << "block-level, L" << level << " chunks " << chunks << " window " << window;
+          core::count_all(episodes, db, Semantics::kNonOverlappedSubsequence, request.expiry);
+      EXPECT_EQ(thread_level.count(request).counts, expected)
+          << "thread level, L" << level << " workers " << workers << " window " << window;
+      EXPECT_EQ(block_level.count(request).counts, expected)
+          << "block level, L" << level << " shards " << workers << " window " << window;
     }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Sweep, EpisodeJobProperty, ::testing::Values(1, 4, 13, 64));
+// Widths 1..16: a 1-shard plan still has kStealGranularity chunks, and 16
+// shards cut the 3001-symbol stream into 64.
+INSTANTIATE_TEST_SUITE_P(Sweep, DistribGranularityProperty, ::testing::Values(1, 3, 7, 16));
 
-TEST(EpisodeJob, BlockLevelExpiryBitExactRandomized) {
+TEST(DistribBackend, BlockLevelExpiryBitExactRandomized) {
   // The seed-era block-level job was only approximate under expiry (overlap
-  // rescan); the fold-based one must match the serial reference exactly on
-  // randomized (semantics x expiry x chunks) draws.
+  // rescan); the fold-based backend must match the serial reference exactly
+  // on randomized (semantics x expiry x shards) draws.
   Rng rng(8);
   const Alphabet alphabet(4);
   for (int trial = 0; trial < 20; ++trial) {
     const auto size = rng.between(200, 2200);
     const auto db = data::uniform_database(alphabet, size, 100 + trial);
     const auto episodes = random_episodes(rng, 12, 3, 4);
-    EpisodeCountOptions options;
-    options.semantics = rng.chance(0.5) ? Semantics::kNonOverlappedSubsequence
+    core::CountRequest request;
+    request.database = db;
+    request.episodes = episodes;
+    request.semantics = rng.chance(0.5) ? Semantics::kNonOverlappedSubsequence
                                         : Semantics::kContiguousRestart;
-    options.expiry = ExpiryPolicy{rng.between(1, 40)};
-    options.chunks = static_cast<int>(rng.between(1, 33));
-    options.threads = 2;
-    const auto expected = core::count_all(episodes, db, options.semantics, options.expiry);
-    ASSERT_EQ(count_episodes_block_level(db, episodes, options), expected)
-        << "trial " << trial << " chunks " << options.chunks << " window "
-        << options.expiry.window;
+    request.expiry = ExpiryPolicy{rng.between(1, 40)};
+    DistribOptions options;
+    options.shards = static_cast<int>(rng.between(1, 8));
+    DistribBackend backend(options);
+    const auto expected = core::count_all(episodes, db, request.semantics, request.expiry);
+    ASSERT_EQ(backend.count(request).counts, expected)
+        << "trial " << trial << " shards " << options.shards << " window "
+        << request.expiry.window;
   }
 }
 

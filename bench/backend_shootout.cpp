@@ -50,11 +50,11 @@
 // skew-aware occupancy terms end to end.
 //
 // --shard-sweep A..B (or a comma list) switches to the distrib scaling mode:
-// for each device count N it runs the work-stealing shard engine twice —
-// host workers (wall-clock) and simulated cards (deterministic kernel-time)
-// — cross-checks both against the serial reference, and reports per-count
-// throughput, scaling efficiency base_ms / (N * ms_N), and the scheduler's
-// steal counters.  --json writes the table as a BENCH artifact
+// for each device count N it runs the chunked shard engine twice — host
+// workers (wall-clock) and simulated cards (deterministic kernel-time) —
+// cross-checks both against the serial reference, and reports per-count
+// throughput, scaling efficiency base_ms / (N * ms_N), the chunk count and
+// the fold's rescanned symbols.  --json writes the table as a BENCH artifact
 // (BENCH_scaling.json in CI); --min-efficiency E gates on the *simulated*
 // efficiency at 4 cards (kernel time is deterministic, so the gate holds on
 // a 2-core CI runner where wall-clock efficiency cannot).
@@ -83,9 +83,9 @@
 #include "calib/calibration.hpp"
 #include "calib/fitter.hpp"
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "core/candidate_gen.hpp"
-#include "core/cpu_backend.hpp"
 #include "core/lane_counter.hpp"
 #include "core/serial_counter.hpp"
 #include "data/generators.hpp"
@@ -220,7 +220,7 @@ int run_planner_validation(const Options& opt, const gm::core::Alphabet& alphabe
       .field("zipf", opt.zipf)
       .field("prefix_pool", opt.prefix_pool)
       .field("card", opt.card)
-      .field("cpu_threads", gm::core::resolved_thread_count(opt.threads))
+      .field("cpu_threads", gm::resolved_thread_count(opt.threads))
       .field("seed", static_cast<std::int64_t>(opt.seed));
   json.end_object();
   json.field("lane_isa", gm::core::lane_isa());
@@ -382,7 +382,7 @@ int run_planner_validation(const Options& opt, const gm::core::Alphabet& alphabe
                   "db=%lld alphabet=%d episodes=%d level=%d threads=%d expiry=%lld "
                   "zipf=%g gpu=%s card=%s seed=%llu",
                   static_cast<long long>(opt.db_size), opt.alphabet, opt.episodes,
-                  opt.level, gm::core::resolved_thread_count(opt.threads),
+                  opt.level, gm::resolved_thread_count(opt.threads),
                   static_cast<long long>(opt.expiry), opt.zipf, opt.gpu ? "yes" : "no",
                   opt.card.c_str(), static_cast<unsigned long long>(opt.seed));
     fitted.host = host;
@@ -425,12 +425,12 @@ int run_planner_validation(const Options& opt, const gm::core::Alphabet& alphabe
   return 0;
 }
 
-/// Distrib scaling mode: run the work-stealing shard engine at every swept
-/// device count, twice per count (host workers by wall-clock, simulated
-/// cards by deterministic kernel time), and report throughput + scaling
-/// efficiency + steal counters.  The --min-efficiency gate reads the
-/// simulated efficiency at 4 cards: kernel time is a pure model output, so
-/// the gate holds on CI runners with fewer host cores than shards.
+/// Distrib scaling mode: run the chunked shard engine at every swept device
+/// count, twice per count (host workers by wall-clock, simulated cards by
+/// deterministic kernel time), and report throughput + scaling efficiency +
+/// fold telemetry.  The --min-efficiency gate reads the simulated efficiency
+/// at 4 cards: kernel time is a pure model output, so the gate holds on CI
+/// runners with fewer host cores than shards.
 int run_shard_sweep(const Options& opt, const gm::core::Alphabet& alphabet,
                     const gm::core::Sequence& db, gm::Rng& rng) {
   namespace distrib = gm::distrib;
@@ -450,8 +450,8 @@ int run_shard_sweep(const Options& opt, const gm::core::Alphabet& alphabet,
               static_cast<long long>(opt.db_size), opt.alphabet, episodes.size(),
               opt.level, static_cast<long long>(opt.expiry), opt.card.c_str(),
               opt.repeat);
-  std::printf("%7s %12s %12s %10s %10s %8s %8s %10s\n", "shards", "host ms", "sim ms",
-              "host eff", "sim eff", "steals", "chunks", "rescanned");
+  std::printf("%7s %12s %12s %10s %10s %8s %10s\n", "shards", "host ms", "sim ms",
+              "host eff", "sim eff", "chunks", "rescanned");
 
   gm::bench::JsonWriter json;
   json.begin_object();
@@ -484,7 +484,6 @@ int run_shard_sweep(const Options& opt, const gm::core::Alphabet& alphabet,
   for (const int shards : opt.shard_sweep) {
     double host_ms = 0.0;
     double sim_ms = 0.0;
-    std::int64_t steals = 0;
     std::int64_t rescanned = 0;
     int chunks = 0;
 
@@ -514,7 +513,6 @@ int run_shard_sweep(const Options& opt, const gm::core::Alphabet& alphabet,
         sim_ms = best_ms;
       } else {
         host_ms = best_ms;
-        steals = backend.last_run().steal.steals;
         rescanned = backend.last_run().rescanned_symbols;
         chunks = backend.last_run().chunks;
       }
@@ -542,15 +540,12 @@ int run_shard_sweep(const Options& opt, const gm::core::Alphabet& alphabet,
     json.field("simulated_kernel_ms", sim_ms);
     json.field("simulated_msteps_per_s", sim_ms > 0.0 ? steps / sim_ms / 1e3 : 0.0);
     json.field("simulated_efficiency", sim_eff);
-    json.field("steals", steals);
     json.field("chunks", chunks);
     json.field("rescanned_symbols", rescanned);
     json.end_object();
 
-    std::printf("%7d %12.3f %12.3f %9.2f%% %9.2f%% %8lld %8d %10lld\n", shards, host_ms,
-                sim_ms, 100.0 * host_eff, 100.0 * sim_eff,
-                static_cast<long long>(steals), chunks,
-                static_cast<long long>(rescanned));
+    std::printf("%7d %12.3f %12.3f %9.2f%% %9.2f%% %8d %10lld\n", shards, host_ms, sim_ms,
+                100.0 * host_eff, 100.0 * sim_eff, chunks, static_cast<long long>(rescanned));
   }
 
   json.end_array();

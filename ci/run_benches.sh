@@ -82,7 +82,7 @@ step_planner_devices() {
     --json BENCH_shootout_devices.json
 }
 
-# Work-stealing scaling sweep gated on the *simulated* efficiency at 4 cards
+# Distrib scaling sweep gated on the *simulated* efficiency at 4 cards
 # (deterministic kernel time); host wall-clock efficiency is reported ungated
 # because CI runners have fewer cores than the sweep has shards.
 step_scaling() {

@@ -18,8 +18,8 @@
 #include "bench_support/json.hpp"
 #include "bench_support/paper_setup.hpp"
 #include "calib/calibration.hpp"
+#include "common/parallel.hpp"
 #include "core/candidate_gen.hpp"
-#include "core/cpu_backend.hpp"
 #include "core/episode_trie.hpp"
 #include "data/generators.hpp"
 #include "planner/planner.hpp"
@@ -164,7 +164,7 @@ int main(int argc, char** argv) {
     json.field("schema", "gm-bench-planner/1");
     json.field("driver", "planner_explain");
     json.field("card", card);
-    json.field("cpu_threads", gm::core::resolved_thread_count(threads));
+    json.field("cpu_threads", gm::resolved_thread_count(threads));
     json.field("calibration", have_calibration ? calibration_path : "shipped");
     json.key("shapes").begin_array();
 

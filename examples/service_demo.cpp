@@ -30,7 +30,6 @@ int main() {
   service::MineRequest mine;
   mine.config.support_threshold = 0.004;
   mine.config.max_level = 2;
-  mine.client = "demo";
   service::MineResponse first = service.submit(mine).get();
   std::printf("mine #1: %s, %lld frequent episodes in %.2f ms\n",
               std::string(to_string(first.disposition)).c_str(),

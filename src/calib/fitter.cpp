@@ -4,9 +4,6 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "core/cpu_backend.hpp"
-#include "distrib/scale_model.hpp"
-#include "kernels/workload_model.hpp"
 
 namespace gm::calib {
 namespace {
@@ -61,39 +58,11 @@ double minimize_1d(F&& f, double lo, double hi) {
 }  // namespace
 
 double predict_sample_ms(const CalibrationProfile& profile, const FitSample& sample) {
-  using planner::BackendKind;
-  const planner::Workload& w = sample.workload;
-  switch (sample.config.kind) {
-    case BackendKind::kCpuSerial: return planner::predict_cpu_serial_ms(w, profile.cpu);
-    case BackendKind::kCpuParallel:
-      return planner::predict_cpu_parallel_ms(w, sample.config.threads, profile.cpu);
-    case BackendKind::kCpuSingleScan:
-      return planner::predict_cpu_single_scan_ms(w, profile.cpu);
-    case BackendKind::kCpuLaneScan: return planner::predict_cpu_lane_scan_ms(w, profile.cpu);
-    case BackendKind::kDistrib: {
-      if (sample.config.distrib_gpu) {
-        const gpusim::CostModel model(sample.cost_params);
-        return distrib::predict_scaled_mining(
-                   sample.device, sample.config.threads,
-                   planner::gpu_workload_spec(w, sample.config.algorithm,
-                                              sample.config.threads_per_block),
-                   distrib::ShardAxis::kDatabase, model, profile.kernel)
-            .total_ms;
-      }
-      return planner::predict_cpu_distrib_ms(w, sample.config.threads, profile.cpu);
-    }
-    case BackendKind::kGpuSim: {
-      const gpusim::CostModel model(sample.cost_params);
-      return kernels::predict_mining_time(
-                 sample.device,
-                 planner::gpu_workload_spec(w, sample.config.algorithm,
-                                            sample.config.threads_per_block,
-                                            sample.config.trie_buckets),
-                 model, profile.kernel)
-          .total_ms;
-    }
-  }
-  gm::raise_precondition("unknown candidate kind in calibration sample");
+  planner::PlannerOptions options;
+  apply_profile(profile, options);
+  options.device = sample.device;
+  options.cost_params = sample.cost_params;
+  return planner::price_candidate(sample.workload, sample.config, options).predicted_ms;
 }
 
 double fit_loss(const CalibrationProfile& profile, std::span<const FitSample> samples,

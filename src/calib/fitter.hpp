@@ -36,16 +36,18 @@ namespace gm::calib {
 struct FitSample {
   planner::Workload workload;
   planner::CandidateConfig config;
-  /// gpusim candidates only: the card and timing-model parameters the
-  /// measurement used (ignored for CPU candidates).
+  /// Simulated-card candidates only (gpusim, distrib-gpu): the card and
+  /// timing-model parameters the measurement used (ignored for host ones).
   gpusim::DeviceSpec device;
   gpusim::CostParams cost_params = {};
   double measured_ms = 0.0;
   double weight = 1.0;
 };
 
-/// What the profile predicts for a sample's candidate on its workload
-/// (the same curves plan_level scores with).
+/// What the profile predicts for a sample's candidate on its workload:
+/// planner::price_candidate, the function plan_level scores with, under the
+/// profile's constants and the sample's card and cost parameters, with no
+/// measured bias.
 [[nodiscard]] double predict_sample_ms(const CalibrationProfile& profile,
                                        const FitSample& sample);
 

@@ -15,8 +15,9 @@
 // in 16-byte vectors or 128 with AVX2, picked at run time
 // (core/lane_counter.hpp): its cost ignores the alphabet, so it wins on small
 // alphabets where the bucket index drains |eps|/|alphabet| automata per
-// event.  The database axis belongs to distrib/ (work-stealing shards with an
-// exact fold).
+// event.  The database axis belongs to distrib/ (chunked shards with an exact
+// fold).  cpu-parallel's episodes and distrib's chunks both run on the one
+// host worker pool, common/parallel.hpp.
 #pragma once
 
 #include <memory>
@@ -39,7 +40,7 @@ class SerialCpuBackend final : public CountingBackend {
 /// no two threads ever write adjacent result slots (no false sharing).
 class ParallelCpuBackend final : public CountingBackend {
  public:
-  /// `threads` = 0 picks the hardware concurrency.
+  /// `threads` = 0 picks the hardware concurrency (gm::resolved_thread_count).
   explicit ParallelCpuBackend(int threads = 0);
 
   [[nodiscard]] std::string name() const override;
@@ -69,12 +70,6 @@ class LaneCpuBackend final : public CountingBackend {
   [[nodiscard]] CountResult count(const CountRequest& request) override;
   [[nodiscard]] int max_level() const override;
 };
-
-/// The worker count a CPU backend constructed with `threads` will actually
-/// use: 0 resolves to the hardware concurrency, and the result is never less
-/// than 1.  Exposed as a capability query so a planner predicting backend
-/// times applies the same resolution rule the backends themselves do.
-[[nodiscard]] int resolved_thread_count(int threads) noexcept;
 
 /// Construct a CPU backend by name: "cpu-serial", "cpu-parallel",
 /// "cpu-single-scan", or "cpu-lane-scan" (unprefixed aliases accepted).

@@ -57,14 +57,8 @@ std::vector<std::int64_t> chunk_boundaries(std::int64_t size, int chunks) {
   gm::expects(chunks >= 1, "need at least one chunk");
   std::vector<std::int64_t> bounds;
   bounds.reserve(static_cast<std::size_t>(chunks) + 1);
-  const std::int64_t base = size / chunks;
-  const std::int64_t extra = size % chunks;
-  std::int64_t pos = 0;
   bounds.push_back(0);
-  for (int c = 0; c < chunks; ++c) {
-    pos += base + (c < extra ? 1 : 0);
-    bounds.push_back(pos);
-  }
+  for (int c = 0; c < chunks; ++c) bounds.push_back(chunk_range(size, chunks, c).end);
   gm::ensure(bounds.back() == size, "chunk boundaries must cover the database");
   return bounds;
 }

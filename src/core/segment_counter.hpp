@@ -22,6 +22,7 @@
 //    the accuracy/cost trade-off against composition.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -130,9 +131,26 @@ struct SegmentTransfer {
                                                  SpanningFix fix,
                                                  std::int64_t overlap_window = 0);
 
-/// Chunk boundaries for splitting `size` symbols into `chunks` equal parts
-/// (remainder spread over the lowest chunks) — shared by CPU and GPU backends
-/// so every implementation agrees on the geometry.
+/// [begin, end) of part `k` when `size` elements are split into `parts`
+/// equal parts, the remainder spread over the lowest parts.  The one
+/// equal-split rule: chunk_boundaries, the GPU kernels' thread and block
+/// slices and their workload models all use it, so every implementation
+/// agrees on the geometry.
+struct ChunkRange {
+  std::int64_t begin = 0;
+  std::int64_t end = 0;
+  [[nodiscard]] std::int64_t size() const noexcept { return end - begin; }
+};
+[[nodiscard]] inline ChunkRange chunk_range(std::int64_t size, int parts, int k) noexcept {
+  const std::int64_t base = size / parts;
+  const std::int64_t extra = size % parts;
+  ChunkRange r;
+  r.begin = k * base + std::min<std::int64_t>(k, extra);
+  r.end = r.begin + base + (k < extra ? 1 : 0);
+  return r;
+}
+
+/// The `chunks` + 1 boundaries of chunk_range's split of `size` symbols.
 [[nodiscard]] std::vector<std::int64_t> chunk_boundaries(std::int64_t size, int chunks);
 
 /// The boundary list the buffered block kernel (Algorithm 4) induces: the

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 #include "core/multi_counter.hpp"
 #include "core/segment_counter.hpp"
 #include "kernels/workload_model.hpp"
@@ -51,7 +52,8 @@ core::CountResult DistribBackend::count(const core::CountRequest& request) {
   result.counts.assign(request.episodes.size(), 0);
   telemetry_ = {};
 
-  // Validate on the calling thread: a worker-thread throw would terminate.
+  // Validate the whole request up front, so a bad one fails before any chunk
+  // is scanned.
   int max_level_requested = 0;
   for (const auto& e : request.episodes) {
     gm::expects(!e.empty(), "cannot count an empty episode");
@@ -74,14 +76,15 @@ core::CountResult DistribBackend::count(const core::CountRequest& request) {
 
   // Map phase: every chunk scanned cold at its absolute offset by whichever
   // worker claims it.  All writes are chunk-private slots read only after the
-  // scheduler joins; each worker keeps one single-scan arena across every
-  // chunk it claims (reset() re-files the automata but keeps all capacity),
-  // so the engine's arena is allocated per worker, not per chunk.
+  // pool joins; each worker keeps one single-scan arena across every chunk it
+  // claims (reset() re-files the automata but keeps all capacity), so the
+  // engine's arena is allocated per worker, not per chunk.
   std::vector<std::vector<core::EpisodeProgress>> cold(static_cast<std::size_t>(chunks));
   std::vector<std::optional<core::MultiCounter>> arenas(
       static_cast<std::size_t>(options_.shards));
-  telemetry_.steal = run_sharded(plan, [&](int worker, int chunk, std::int64_t begin,
-                                           std::int64_t end) {
+  gm::parallel_for(options_.shards, chunks, [&](int worker, std::int64_t chunk) {
+    const std::int64_t begin = plan.chunk_bounds[static_cast<std::size_t>(chunk)];
+    const std::int64_t end = plan.chunk_bounds[static_cast<std::size_t>(chunk) + 1];
     auto& arena = arenas[static_cast<std::size_t>(worker)];
     if (arena.has_value()) {
       arena->reset();
@@ -110,10 +113,9 @@ core::CountResult DistribBackend::count(const core::CountRequest& request) {
 
   // Simulated cards: charge each chunk's analytic kernel time to the card
   // that OWNS it — the modeled deployment pins chunks to cards, so the
-  // device-time prediction stays deterministic while host-side stealing only
-  // accelerates the wall-clock simulation.  Cards run concurrently, so the
-  // backend's device time is the slowest card's accumulated total (computed
-  // after the join, so a model precondition throws on the calling thread).
+  // device-time prediction stays deterministic whichever host worker scanned
+  // the chunk.  Cards run concurrently, so the backend's device time is the
+  // slowest card's accumulated total.
   if (options_.worker == WorkerKind::kGpuSim) {
     int alphabet = 1;
     for (const core::Symbol s : request.database) {

@@ -1,15 +1,16 @@
 // DistribBackend: database-partitioned counting over N workers with dynamic
-// work stealing and exact recombination — the distribution layer's
+// chunk claims and exact recombination — the distribution layer's
 // CountingBackend, and the subsystem that retires the seed-era mapreduce/
 // module and kernels/multi_gpu.* predictor.
 //
 // This is the paper's block-level MapReduce granularity (section 3.3.1,
 // Algorithms 3-4; the thread level is cpu-parallel).  count() builds a
-// drain-weighted ShardPlan (kStealGranularity chunks per shard), and its map
-// runs each chunk cold on the single-scan engine via the work-stealing
-// scheduler: every worker keeps one core::MultiCounter, resets it per chunk
-// and advances it over the chunk at the chunk's absolute offset, so its
-// progress() is the chunk's cold EpisodeProgress record.  The reduce folds
+// drain-weighted ShardPlan (kChunksPerShard chunks per shard), and its map
+// runs each chunk cold on the single-scan engine over the host worker pool
+// (common/parallel.hpp, one worker per shard, chunks claimed in order): every
+// worker keeps one core::MultiCounter, resets it per chunk and advances it
+// over the chunk at the chunk's absolute offset, so its progress() is the
+// chunk's cold EpisodeProgress record.  The reduce folds
 // those records in chunk order with core::fold_cold_scans — the "intermediate
 // step" of the paper's Figure 5, bit-exact against the serial reference for
 // every semantics x expiry combination, including the position-dependent
@@ -27,7 +28,6 @@
 #include <string>
 
 #include "core/counting.hpp"
-#include "distrib/scheduler.hpp"
 #include "distrib/shard_plan.hpp"
 #include "kernels/mining_kernels.hpp"
 #include "sim/cost_model.hpp"
@@ -69,7 +69,6 @@ class DistribBackend final : public core::CountingBackend {
 
   /// Telemetry of the most recent count().
   struct RunTelemetry {
-    StealStats steal;
     std::int64_t rescanned_symbols = 0;  ///< fold fix-up work (lockstep replay)
     int chunks = 0;
   };

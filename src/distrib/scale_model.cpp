@@ -16,36 +16,25 @@ ScalePrediction predict_scaled_mining(const gpusim::DeviceSpec& device, int devi
   gm::expects(spec.episode_count >= 1, "need at least one episode");
 
   ScalePrediction out;
-  if (axis == ShardAxis::kEpisodes) {
-    const std::int64_t base = spec.episode_count / devices;
-    const std::int64_t extra = spec.episode_count % devices;
-    for (int d = 0; d < devices; ++d) {
-      const std::int64_t share = base + (d < extra ? 1 : 0);
-      out.share_per_device.push_back(share);
-      if (share == 0) {
-        out.per_device_ms.push_back(0.0);
-        continue;
-      }
-      kernels::WorkloadSpec device_spec = spec;
+  const bool by_episode = axis == ShardAxis::kEpisodes;
+  const std::int64_t total = by_episode ? spec.episode_count : spec.db_size;
+  for (int d = 0; d < devices; ++d) {
+    const std::int64_t share = core::chunk_range(total, devices, d).size();
+    out.share_per_device.push_back(share);
+    if (share == 0) {
+      out.per_device_ms.push_back(0.0);
+      continue;
+    }
+    kernels::WorkloadSpec device_spec = spec;
+    if (by_episode) {
       device_spec.episode_count = share;
-      out.per_device_ms.push_back(
-          kernels::predict_mining_time(device, device_spec, model, costs).total_ms);
-    }
-  } else {
-    const auto bounds = core::chunk_boundaries(spec.db_size, devices);
-    for (int d = 0; d < devices; ++d) {
-      const std::int64_t share =
-          bounds[static_cast<std::size_t>(d) + 1] - bounds[static_cast<std::size_t>(d)];
-      out.share_per_device.push_back(share);
-      if (share == 0) {
-        out.per_device_ms.push_back(0.0);
-        continue;
-      }
-      kernels::WorkloadSpec device_spec = spec;
+    } else {
       device_spec.db_size = share;
-      out.per_device_ms.push_back(
-          kernels::predict_mining_time(device, device_spec, model, costs).total_ms);
     }
+    out.per_device_ms.push_back(
+        kernels::predict_mining_time(device, device_spec, model, costs).total_ms);
+  }
+  if (!by_episode) {
     // Every device contributes one cold outcome per episode to the host fold.
     out.merge_ms = static_cast<double>(spec.episode_count) * devices * merge_ns_per_entry *
                    1e-6;

@@ -27,7 +27,7 @@ ShardPlan make_shard_plan(std::span<const core::Symbol> database,
 
   ShardPlan plan;
   plan.shards = shards;
-  const int chunks = shards * kStealGranularity;
+  const int chunks = shards * kChunksPerShard;
   const auto size = static_cast<std::int64_t>(database.size());
   const auto weight = symbol_weights(episodes);
 
@@ -40,7 +40,7 @@ ShardPlan make_shard_plan(std::span<const core::Symbol> database,
   for (std::int64_t i = 0; i < size; ++i) {
     running += weight[database[static_cast<std::size_t>(i)]];
     // A single heavy position can pass several targets at once; the extra
-    // cuts land here too, leaving empty chunks the scheduler skips cheaply.
+    // cuts land here too, leaving empty chunks a worker finishes at once.
     while (cut < chunks &&
            running >= total * static_cast<double>(cut) / static_cast<double>(chunks)) {
       plan.chunk_bounds.push_back(i + 1);

@@ -40,24 +40,6 @@ struct Views {
   bool trie_buckets = false;  ///< algorithm 5: shared-prefix token buckets
 };
 
-/// [begin, end) of thread `tid` when `size` symbols are split across
-/// `threads` (remainder to the lowest tids — must match
-/// core::chunk_boundaries).
-struct Range {
-  std::int64_t begin = 0;
-  std::int64_t end = 0;
-  [[nodiscard]] std::int64_t size() const noexcept { return end - begin; }
-};
-
-Range thread_chunk(std::int64_t size, int threads, int tid) {
-  const std::int64_t base = size / threads;
-  const std::int64_t extra = size % threads;
-  Range r;
-  r.begin = tid * base + std::min<std::int64_t>(tid, extra);
-  r.end = r.begin + base + (tid < extra ? 1 : 0);
-  return r;
-}
-
 std::uint32_t pack_outcome(std::uint32_t count, int exit_state) {
   return (count << 8) | static_cast<std::uint32_t>(exit_state);
 }
@@ -180,7 +162,7 @@ gpusim::KernelTask algo3_kernel(ThreadCtx& ctx, Views v) {
   }
   const std::span<const Symbol> episode(ep_syms.data(), static_cast<std::size_t>(L));
 
-  const Range chunk = thread_chunk(v.db_size, t, tid);
+  const core::ChunkRange chunk = core::chunk_range(v.db_size, t, tid);
   // Transfer table for this block lives in device memory.
   const std::size_t scratch_base =
       static_cast<std::size_t>(ep) * static_cast<std::size_t>(t) * static_cast<std::size_t>(L);
@@ -248,7 +230,7 @@ gpusim::KernelTask algo3_kernel(ThreadCtx& ctx, Views v) {
     if (automaton.step(c, i)) ++count;
   }
   if (v.expiry.enabled() && chunk.end < v.db_size) {
-    const std::int64_t next_bound = thread_chunk(v.db_size, t, tid + 1).end;
+    const std::int64_t next_bound = core::chunk_range(v.db_size, t, tid + 1).end;
     count += rescan_boundary(ctx, v, episode, chunk.end, next_bound, v.expiry.window);
   }
   ctx.charge(1);
@@ -329,7 +311,7 @@ gpusim::KernelTask algo4_kernel(ThreadCtx& ctx, Views v) {
     // The slice is charged as one span: per symbol, loop control, the
     // discarded re-read of the awaited episode symbol (an index inside this
     // block's episode) and one automaton step per tracked entry state.
-    const Range slice = thread_chunk(n, t, tid);
+    const core::ChunkRange slice = core::chunk_range(n, t, tid);
     const std::span<const Symbol> staged = buffer.load_span(
         static_cast<std::size_t>(slice.begin), static_cast<std::size_t>(slice.size()));
     const auto steps = static_cast<std::uint64_t>(slice.size());
@@ -367,12 +349,12 @@ gpusim::KernelTask algo4_kernel(ThreadCtx& ctx, Views v) {
       if (v.expiry.enabled() && bound < v.db_size) {
         std::int64_t next_bound;
         if (tid < t - 1) {
-          next_bound = base + thread_chunk(n, t, tid + 1).end;
+          next_bound = base + core::chunk_range(n, t, tid + 1).end;
         } else {
           // Iteration edge: the next boundary is the first slice end of the
           // following staged buffer.
           const std::int64_t n2 = std::min<std::int64_t>(B, v.db_size - (base + n));
-          next_bound = base + n + thread_chunk(n2, t, 0).end;
+          next_bound = base + n + core::chunk_range(n2, t, 0).end;
         }
         simple_count += rescan_boundary(ctx, v, episode, bound, next_bound, v.expiry.window);
       }
@@ -470,7 +452,8 @@ gpusim::KernelTask algo5_kernel(ThreadCtx& ctx, Views v) {
   const int t = ctx.block_dim();
   const int tid = ctx.thread_idx();
   const int L = v.level;
-  const Range slots = thread_chunk(v.episode_count, ctx.grid_dim(), ctx.block_idx());
+  const core::ChunkRange slots =
+      core::chunk_range(v.episode_count, ctx.grid_dim(), ctx.block_idx());
   const bool dense = v.semantics == core::Semantics::kContiguousRestart;
 
   // Deadlines are computed as first_pos + window; clamp huge windows to the
@@ -502,7 +485,7 @@ gpusim::KernelTask algo5_kernel(ThreadCtx& ctx, Views v) {
     owned.push_back(o);
   };
   if (v.trie_buckets) {
-    const Range sub = thread_chunk(slots.size(), t, tid);
+    const core::ChunkRange sub = core::chunk_range(slots.size(), t, tid);
     for (std::int64_t s = slots.begin + sub.begin; s < slots.begin + sub.end; ++s) {
       stage_slot(s);
     }

@@ -5,6 +5,7 @@
 #include <functional>
 
 #include "common/error.hpp"
+#include "core/segment_counter.hpp"
 
 namespace gm::kernels {
 namespace {
@@ -87,21 +88,6 @@ class BlockModel {
   int warp_size_;
   BlockProfile profile_;
 };
-
-struct Range {
-  std::int64_t begin = 0;
-  std::int64_t end = 0;
-  [[nodiscard]] std::int64_t size() const noexcept { return end - begin; }
-};
-
-Range thread_chunk(std::int64_t size, int threads, int tid) {
-  const std::int64_t base = size / threads;
-  const std::int64_t extra = size % threads;
-  Range r;
-  r.begin = tid * base + std::min<std::int64_t>(tid, extra);
-  r.end = r.begin + base + (tid < extra ? 1 : 0);
-  return r;
-}
 
 /// Elements lane `tid` copies in an interleaved load of `n` elements.
 std::int64_t copy_count(std::int64_t n, int threads, int tid) {
@@ -253,7 +239,7 @@ BlockProfile algo3_block(const gpusim::DeviceSpec& dev, const WorkloadSpec& s, i
         lt.instr += L;  // episode staging
         lt.glob += L;
         lt.glob_bytes += L;
-        const Range chunk = thread_chunk(s.db_size, t, lane);
+        const core::ChunkRange chunk = core::chunk_range(s.db_size, t, lane);
         const auto c = static_cast<double>(chunk.size());
         if (!simple) {
           lt.instr += c * (p.block_scan_instr + 2 + L * p.automaton_step_instr);
@@ -335,7 +321,7 @@ BlockProfile algo4_block(const gpusim::DeviceSpec& dev, const WorkloadSpec& s, i
     block.segment(
         [&, n, base](int lane) {
           LaneTotals lt;
-          const Range slice = thread_chunk(n, t, lane);
+          const core::ChunkRange slice = core::chunk_range(n, t, lane);
           const auto c = static_cast<double>(slice.size());
           if (!simple) {
             lt.instr += c * (p.block_scan_instr + 2 + L * p.automaton_step_instr);
@@ -608,7 +594,7 @@ gpusim::KernelProfile model_profile(const gpusim::DeviceSpec& device, const Work
     gm::expects(!spec.params.trie_buckets ||
                     (spec.prefix_compression > 0.0 && spec.prefix_compression <= 1.0),
                 "trie model needs prefix_compression in (0, 1]");
-    // Blocks own thread_chunk slices of the episode list: the first
+    // Blocks own chunk_range slices of the episode list: the first
     // `extra` blocks carry one slot more than the rest.
     const std::int64_t base = spec.episode_count / geo.blocks;
     const std::int64_t extra = spec.episode_count % geo.blocks;

@@ -84,18 +84,18 @@ double predict_cpu_lane_scan_ms(const Workload& w, const CpuCostConstants& c) {
 
 double predict_cpu_distrib_ms(const Workload& w, int shards, const CpuCostConstants& c) {
   gm::expects(shards >= 1, "cpu cost model needs a positive shard count");
-  const int chunks = shards * distrib::kStealGranularity;
+  const int chunks = shards * distrib::kChunksPerShard;
 
   // Map: each worker cold-scans its claimed chunks with the single-scan
-  // engine; stealing keeps the split near-perfect, so divide by shards.
+  // engine; dynamic claims keep the split near-perfect, so divide by shards.
   const double map_ms = predict_cpu_single_scan_ms(w, c) / static_cast<double>(shards);
 
   // Reduce: one fold step per (episode, chunk), plus the expected serial
   // rescan where a chunk boundary lands inside a live match.
   const double fold_ms = static_cast<double>(w.episode_count) *
                          static_cast<double>(chunks) * c.distrib_merge_ns * kNsToMs;
-  const double steal_ms = static_cast<double>(chunks) * c.distrib_steal_ns * kNsToMs;
-  return map_ms + fold_ms + distrib_rescan_ms(w, chunks, c) + steal_ms + spawn_ms(shards, c);
+  const double claim_ms = static_cast<double>(chunks) * c.distrib_steal_ns * kNsToMs;
+  return map_ms + fold_ms + distrib_rescan_ms(w, chunks, c) + claim_ms + spawn_ms(shards, c);
 }
 
 double distrib_rescan_ms(const Workload& w, int chunks, const CpuCostConstants& c) {

@@ -77,8 +77,9 @@ struct CpuCostConstants {
   /// Distrib reduce: one serially re-stepped symbol when a chunk entered
   /// with live automaton state (twin-replay until convergence).
   double distrib_rescan_ns = 2.5;
-  /// Work-stealing scheduler: claiming one chunk (atomic cursor bump,
-  /// victim scan amortized) plus dispatch into the worker closure.
+  /// Distrib map: claiming one chunk (an atomic cursor bump in the host
+  /// worker pool) plus dispatch into the worker closure.  The name predates
+  /// the pool; gm-calibration/2 profiles serialize it as-is.
   double distrib_steal_ns = 400.0;
 };
 
@@ -89,7 +90,7 @@ inline constexpr int kLanePriceEpisodes = 64;
 
 /// Predicted wall-clock (ms) of one counting level on each CPU backend.
 /// `threads` is the worker count the backend would actually use (callers
-/// should pass core::resolved_thread_count(requested)).  The constants
+/// should pass gm::resolved_thread_count(requested)).  The constants
 /// default to the shipped profile; pass a fitted CalibrationProfile's cpu
 /// part (calib/) to predict for the measured host instead.
 [[nodiscard]] double predict_cpu_serial_ms(const Workload& w, const CpuCostConstants& c = {});
@@ -101,10 +102,10 @@ inline constexpr int kLanePriceEpisodes = 64;
                                               const CpuCostConstants& c = {});
 
 /// The distrib backend's host curve: the single-scan map split over `shards`
-/// work-stealing workers on the backend's own grid (shards x
-/// distrib::kStealGranularity chunks), plus the chunk-ordered fold, the
+/// workers claiming chunks of the backend's own grid (shards x
+/// distrib::kChunksPerShard chunks), plus the chunk-ordered fold, the
 /// expected boundary rescans (bounded by the expiry window or the typical
-/// automaton reset distance), and per-chunk steal/claim overhead.
+/// automaton reset distance), and per-chunk claim overhead.
 [[nodiscard]] double predict_cpu_distrib_ms(const Workload& w, int shards,
                                             const CpuCostConstants& c = {});
 

@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 #include "core/cpu_backend.hpp"
 #include "core/lane_counter.hpp"
 #include "distrib/distrib_backend.hpp"
@@ -21,65 +22,33 @@ std::string fmt_ms(double ms) {
 }
 
 ScoredCandidate score_cpu(const Workload& w, BackendKind kind, int threads,
-                          const CpuCostConstants& constants) {
+                          const PlannerOptions& options) {
   ScoredCandidate c;
   c.config.kind = kind;
   c.config.threads = threads;
-  c.feasible = true;
-  switch (kind) {
-    case BackendKind::kCpuSerial:
-      c.predicted_ms = predict_cpu_serial_ms(w, constants);
-      c.reason = "single-core reference scan";
-      break;
-    case BackendKind::kCpuParallel:
-      c.predicted_ms = predict_cpu_parallel_ms(w, threads, constants);
-      c.reason = "episode-parallel map";
-      break;
-    case BackendKind::kCpuSingleScan:
-      c.predicted_ms = predict_cpu_single_scan_ms(w, constants);
-      c.reason = w.semantics == core::Semantics::kContiguousRestart
-                     ? "dense single scan (contiguous restart)"
-                     : "bucket-indexed single scan";
-      break;
-    case BackendKind::kCpuLaneScan:
-      // Capability gates first, in the order a user could fix them.
-      if (w.expiry.enabled()) {
-        c.feasible = false;
-        c.reason = "no expiry support (episode lanes carry no match age)";
-      } else if (w.level > core::kLaneMaxLevel) {
-        c.feasible = false;
-        c.reason = "backend max_level " + std::to_string(core::kLaneMaxLevel) +
-                   " < requested level " + std::to_string(w.level) +
-                   " (unrolled symbol columns)";
-      } else {
-        c.predicted_ms = predict_cpu_lane_scan_ms(w, constants);
-        c.reason = "episode-lane SIMD scan";
-      }
-      break;
-    case BackendKind::kGpuSim:
-    case BackendKind::kDistrib:
-      gm::raise_precondition("score_cpu called for a non-CPU kind");
-      break;
+  // Capability gates first, in the order a user could fix them.
+  if (kind == BackendKind::kCpuLaneScan && w.expiry.enabled()) {
+    c.reason = "no expiry support (episode lanes carry no match age)";
+    return c;
   }
-  return c;
+  if (kind == BackendKind::kCpuLaneScan && w.level > core::kLaneMaxLevel) {
+    c.reason = "backend max_level " + std::to_string(core::kLaneMaxLevel) +
+               " < requested level " + std::to_string(w.level) + " (unrolled symbol columns)";
+    return c;
+  }
+  return price_candidate(w, c.config, options);
 }
 
-/// One distrib candidate per device count.  Host flavor: the work-stealing
-/// single-scan curve.  Card flavor: the scale model's database-axis split
-/// (per-shard kernel time + merge + imbalance), minimized over the launch
-/// sweep so the candidate carries the launch each card would actually run.
+/// One distrib candidate per device count.  Host flavor: the single-scan
+/// shard curve.  Card flavor: the cheapest price over the launch sweep, so
+/// the candidate carries the launch each card would actually run.
 ScoredCandidate score_distrib(const Workload& w, int devices, bool gpu,
                               const PlannerOptions& options) {
   ScoredCandidate c;
   c.config.kind = BackendKind::kDistrib;
   c.config.threads = devices;
   c.config.distrib_gpu = gpu;
-  if (!gpu) {
-    c.feasible = true;
-    c.predicted_ms = predict_cpu_distrib_ms(w, devices, options.cpu_constants);
-    c.reason = "work-stealing single-scan shards";
-    return c;
-  }
+  if (!gpu) return price_candidate(w, c.config, options);
   if (w.level > kernels::kMaxLevel) {
     c.reason = "backend max_level " + std::to_string(kernels::kMaxLevel) +
                " < requested level " + std::to_string(w.level) +
@@ -88,43 +57,26 @@ ScoredCandidate score_distrib(const Workload& w, int devices, bool gpu,
   }
   // Counts come from the host fold (always exact); the launch only shapes
   // the simulated card time, so no exactness gate applies here.
-  const gpusim::CostModel model(options.cost_params);
-  double best_ms = 0.0;
-  bool found = false;
+  ScoredCandidate best;
   for (const kernels::Algorithm algorithm : kernels::all_algorithms()) {
     for (const int tpb : options.tpb_sweep) {
       if (tpb > options.device.max_threads_per_block) continue;
+      CandidateConfig config = c.config;
+      config.algorithm = algorithm;
+      config.threads_per_block = tpb;
       try {
-        const auto scaled = distrib::predict_scaled_mining(
-            options.device, devices, gpu_workload_spec(w, algorithm, tpb),
-            distrib::ShardAxis::kDatabase, model, options.kernel_costs);
-        if (!found || scaled.total_ms < best_ms) {
-          found = true;
-          best_ms = scaled.total_ms;
-          c.config.algorithm = algorithm;
-          c.config.threads_per_block = tpb;
-          char note[96];
-          std::snprintf(note, sizeof(note),
-                        "%d card(s) x algo%d/t%d, merge %.3f ms, imbalance %.2f", devices,
-                        kernels::algorithm_number(algorithm), tpb, scaled.merge_ms,
-                        scaled.imbalance);
-          c.reason = note;
-        }
+        ScoredCandidate priced = price_candidate(w, config, options);
+        if (!best.feasible || priced.predicted_ms < best.predicted_ms) best = std::move(priced);
       } catch (const gm::Error&) {
         // This (algorithm, tpb) cannot run on the per-card shard; skip it.
       }
     }
   }
-  if (!found) {
+  if (!best.feasible) {
     c.reason = "no launch in the sweep fits the per-card shard";
     return c;
   }
-  c.feasible = true;
-  // Counts come from the host fold even on simulated cards, so the card
-  // flavor pays the boundary fix-up too — on kernel-bound shapes it is
-  // noise, but it keeps tiny workloads from drifting onto the device axis.
-  c.predicted_ms = best_ms + distrib_rescan_ms(w, devices, options.cpu_constants);
-  return c;
+  return best;
 }
 
 ScoredCandidate score_gpu(const Workload& w, kernels::Algorithm algorithm, int tpb,
@@ -160,19 +112,7 @@ ScoredCandidate score_gpu(const Workload& w, kernels::Algorithm algorithm, int t
     return c;
   }
   try {
-    const gpusim::CostModel model(options.cost_params);
-    c.breakdown =
-        kernels::predict_mining_time(options.device,
-                                     gpu_workload_spec(w, algorithm, tpb, trie_buckets),
-                                     model, options.kernel_costs);
-    c.predicted_ms = c.breakdown.total_ms;
-    c.feasible = true;
-    c.reason = "bound by " + c.breakdown.bound_by;
-    if (trie_buckets) {
-      char note[48];
-      std::snprintf(note, sizeof(note), "; trie prefix mass %.2f", w.prefix_compression);
-      c.reason += note;
-    }
+    return price_candidate(w, c.config, options);
   } catch (const gm::Error& e) {
     c.reason = e.what();
   }
@@ -213,6 +153,74 @@ kernels::WorkloadSpec gpu_workload_spec(const Workload& w, kernels::Algorithm al
   return spec;
 }
 
+ScoredCandidate price_candidate(const Workload& w, const CandidateConfig& config,
+                                const PlannerOptions& options) {
+  ScoredCandidate c;
+  c.config = config;
+  c.feasible = true;
+  const CpuCostConstants& cpu = options.cpu_constants;
+  switch (config.kind) {
+    case BackendKind::kCpuSerial:
+      c.predicted_ms = predict_cpu_serial_ms(w, cpu);
+      c.reason = "single-core reference scan";
+      break;
+    case BackendKind::kCpuParallel:
+      c.predicted_ms = predict_cpu_parallel_ms(w, config.threads, cpu);
+      c.reason = "episode-parallel map";
+      break;
+    case BackendKind::kCpuSingleScan:
+      c.predicted_ms = predict_cpu_single_scan_ms(w, cpu);
+      c.reason = w.semantics == core::Semantics::kContiguousRestart
+                     ? "dense single scan (contiguous restart)"
+                     : "bucket-indexed single scan";
+      break;
+    case BackendKind::kCpuLaneScan:
+      c.predicted_ms = predict_cpu_lane_scan_ms(w, cpu);
+      c.reason = "episode-lane SIMD scan";
+      break;
+    case BackendKind::kGpuSim: {
+      const gpusim::CostModel model(options.cost_params);
+      c.breakdown = kernels::predict_mining_time(
+          options.device,
+          gpu_workload_spec(w, config.algorithm, config.threads_per_block, config.trie_buckets),
+          model, options.kernel_costs);
+      c.predicted_ms = c.breakdown.total_ms;
+      c.reason = "bound by " + c.breakdown.bound_by;
+      if (config.trie_buckets) {
+        char note[48];
+        std::snprintf(note, sizeof(note), "; trie prefix mass %.2f", w.prefix_compression);
+        c.reason += note;
+      }
+      break;
+    }
+    case BackendKind::kDistrib: {
+      if (!config.distrib_gpu) {
+        c.predicted_ms = predict_cpu_distrib_ms(w, config.threads, cpu);
+        c.reason = "single-scan shards, chunks claimed on demand";
+        break;
+      }
+      // The scale model's database-axis split: per-card kernel time, merge
+      // and imbalance.  Counts come from the host fold even on simulated
+      // cards, so the card flavor pays the boundary fix-up too — on
+      // kernel-bound shapes it is noise, but it keeps tiny workloads from
+      // drifting onto the device axis.
+      const gpusim::CostModel model(options.cost_params);
+      const auto scaled = distrib::predict_scaled_mining(
+          options.device, config.threads,
+          gpu_workload_spec(w, config.algorithm, config.threads_per_block),
+          distrib::ShardAxis::kDatabase, model, options.kernel_costs);
+      c.predicted_ms = scaled.total_ms + distrib_rescan_ms(w, config.threads, cpu);
+      char note[96];
+      std::snprintf(note, sizeof(note), "%d card(s) x algo%d/t%d, merge %.3f ms, imbalance %.2f",
+                    config.threads, kernels::algorithm_number(config.algorithm),
+                    config.threads_per_block, scaled.merge_ms, scaled.imbalance);
+      c.reason = note;
+      break;
+    }
+  }
+  return c;
+}
+
 std::string_view backend_kind_name(BackendKind kind) {
   switch (kind) {
     case BackendKind::kCpuSerial: return "cpu-serial";
@@ -249,15 +257,11 @@ Plan plan_level(const Workload& workload, const PlannerOptions& options) {
   plan.workload = workload;
 
   if (options.enable_cpu) {
-    const int threads = core::resolved_thread_count(options.cpu_threads);
-    plan.table.push_back(score_cpu(workload, BackendKind::kCpuSerial, 1,
-                                   options.cpu_constants));
-    plan.table.push_back(score_cpu(workload, BackendKind::kCpuParallel, threads,
-                                   options.cpu_constants));
-    plan.table.push_back(score_cpu(workload, BackendKind::kCpuSingleScan, 1,
-                                   options.cpu_constants));
-    plan.table.push_back(score_cpu(workload, BackendKind::kCpuLaneScan, 1,
-                                   options.cpu_constants));
+    const int threads = gm::resolved_thread_count(options.cpu_threads);
+    plan.table.push_back(score_cpu(workload, BackendKind::kCpuSerial, 1, options));
+    plan.table.push_back(score_cpu(workload, BackendKind::kCpuParallel, threads, options));
+    plan.table.push_back(score_cpu(workload, BackendKind::kCpuSingleScan, 1, options));
+    plan.table.push_back(score_cpu(workload, BackendKind::kCpuLaneScan, 1, options));
   }
   if (options.enable_gpu) {
     gm::expects(!options.tpb_sweep.empty(),

@@ -40,8 +40,8 @@ enum class BackendKind {
   /// Episode-lane SIMD engine (core::LaneCpuBackend).
   kCpuLaneScan,
   kGpuSim,
-  /// Work-stealing shard engine over N devices (distrib::DistribBackend):
-  /// host single-scan workers, or simulated cards when distrib_gpu is set.
+  /// Chunked shard engine over N devices (distrib::DistribBackend): host
+  /// single-scan workers, or simulated cards when distrib_gpu is set.
   kDistrib,
 };
 
@@ -104,7 +104,7 @@ struct PlannerOptions {
   int cpu_threads = 0;
   /// threads-per-block sweep for the gpusim candidates.
   std::vector<int> tpb_sweep = {32, 64, 128, 256, 512};
-  /// Device counts to score distrib (work-stealing shard) candidates at:
+  /// Device counts to score distrib (chunked shard) candidates at:
   /// each entry N adds "distrib-xN" (host workers, enable_cpu) and
   /// "distrib-gpu-xN" (simulated cards, enable_gpu) to the table, so the
   /// plan answers "when does 2x card beat 1x card at this level".  Empty
@@ -141,12 +141,22 @@ struct PlannerOptions {
 /// episode set) or every candidate is infeasible.
 [[nodiscard]] Plan plan_level(const Workload& workload, const PlannerOptions& options);
 
+/// Price one candidate on `workload` with `options`' device, cost parameters
+/// and constants: its predicted ms and dominant-cost note, with no capability
+/// gate and no measured bias.  The one pricing rule: plan_level scores every
+/// candidate with it (the distrib-gpu launch sweep keeps the cheapest
+/// algorithm x tpb), and the calibration fitter re-prices measured samples
+/// with it under trial constants.  Throws gm::Error when the model cannot
+/// price the candidate, e.g. a launch the device cannot host.
+[[nodiscard]] ScoredCandidate price_candidate(const Workload& workload,
+                                              const CandidateConfig& config,
+                                              const PlannerOptions& options);
+
 /// Construct the backend a candidate names (the planner's pick, typically).
 [[nodiscard]] std::unique_ptr<core::CountingBackend> make_planned_backend(
     const CandidateConfig& config, const PlannerOptions& options);
 
-/// The kernel-model spec a gpusim candidate is scored with (shared with the
-/// calibration fitter, which re-predicts candidates under trial profiles).
+/// The kernel-model spec a gpusim candidate is scored with.
 /// `trie_buckets` carries the workload's measured prefix_compression into the
 /// spec alongside the launch flag (Algorithm 5 only).
 [[nodiscard]] kernels::WorkloadSpec gpu_workload_spec(const Workload& workload,

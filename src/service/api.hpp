@@ -41,9 +41,6 @@ struct RequestLimits {
 struct MineRequest {
   core::MinerConfig config;
   RequestLimits limits;
-  /// Optional caller tag.  The service carries it with the request and never
-  /// reads it: it changes no result, cache key, batch or log line.
-  std::string client;
 };
 
 /// One counting call (the paper's map step) over an explicit episode set.
@@ -54,8 +51,6 @@ struct CountRequest {
   core::Semantics semantics = core::Semantics::kNonOverlappedSubsequence;
   core::ExpiryPolicy expiry = {};
   RequestLimits limits;
-  /// Optional caller tag; like MineRequest::client, never read by the service.
-  std::string client;
 };
 
 /// Machine-readable refusal: a stable code plus a human-readable reason.

@@ -4,6 +4,7 @@
 
 #include "calib/calibration.hpp"
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 #include "core/cpu_backend.hpp"
 #include "distrib/distrib_backend.hpp"
 #include "kernels/gpu_backend.hpp"
@@ -44,7 +45,7 @@ std::unique_ptr<core::CountingBackend> make_backend(const BackendSpec& spec) {
     // to the paper's dual-die 9800 GX2 deployment.
     options.shards = spec.shards > 0 ? spec.shards
                      : gpu           ? 2
-                                     : core::resolved_thread_count(0);
+                                     : gm::resolved_thread_count(0);
     options.worker = gpu ? distrib::WorkerKind::kGpuSim : distrib::WorkerKind::kSingleScan;
     options.device = gpusim::device_by_name(spec.card);
     options.launch = spec.launch;

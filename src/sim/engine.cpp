@@ -1,13 +1,11 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <mutex>
 #include <optional>
-#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 
 namespace gpusim {
 namespace {
@@ -169,42 +167,11 @@ LaunchResult Engine::launch(const LaunchConfig& config, const KernelFn& kernel) 
 
   const std::int64_t blocks = config.total_blocks();
   std::vector<BlockProfile> per_block(static_cast<std::size_t>(blocks));
-
-  int workers = options_.host_threads > 0
-                    ? options_.host_threads
-                    : static_cast<int>(std::thread::hardware_concurrency());
-  workers = std::max(1, std::min<int>(workers, static_cast<int>(blocks)));
-
-  std::atomic<std::int64_t> next{0};
-  std::exception_ptr failure;
-  std::mutex failure_mutex;
-
-  auto worker = [&]() {
-    for (;;) {
-      const std::int64_t b = next.fetch_add(1, std::memory_order_relaxed);
-      if (b >= blocks) return;
-      try {
-        BlockRunner runner(spec_, config, kernel, static_cast<int>(b),
-                           options_.simulate_texture_cache);
-        per_block[static_cast<std::size_t>(b)] = runner.run();
-      } catch (...) {
-        std::lock_guard lock(failure_mutex);
-        if (!failure) failure = std::current_exception();
-        next.store(blocks, std::memory_order_relaxed);  // stop other workers
-        return;
-      }
-    }
-  };
-
-  if (workers == 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(workers));
-    for (int w = 0; w < workers; ++w) pool.emplace_back(worker);
-    for (auto& t : pool) t.join();
-  }
-  if (failure) std::rethrow_exception(failure);
+  gm::parallel_for(options_.host_threads, blocks, [&](int, std::int64_t b) {
+    BlockRunner runner(spec_, config, kernel, static_cast<int>(b),
+                       options_.simulate_texture_cache);
+    per_block[static_cast<std::size_t>(b)] = runner.run();
+  });
 
   for (const auto& bp : per_block) {
     result.profile.add_block(bp);

@@ -4,7 +4,7 @@
 // modelling warp-lockstep issue for the hardware counters: between barriers,
 // each warp's cost is the max over its lanes, matching SIMT semantics where
 // divergent lanes serialize within the warp.  Blocks are independent (as in
-// CUDA) and are executed across a host thread pool.
+// CUDA) and run as tasks of the host worker pool (common/parallel.hpp).
 //
 // The engine produces *counters*, not time — `CostModel` (sim/cost_model.hpp)
 // turns a `KernelProfile` into predicted execution time for a given card.
@@ -21,7 +21,8 @@
 namespace gpusim {
 
 struct EngineOptions {
-  /// Host threads used to execute independent blocks; 0 = hardware default.
+  /// Host threads used to execute independent blocks; 0 = hardware default
+  /// (gm::resolved_thread_count).
   int host_threads = 0;
   /// Feed every texture fetch through a per-block CacheSim.  Disable to speed
   /// up functional runs whose miss counts are not needed.

@@ -8,13 +8,17 @@
 #include <cmath>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "calib/calibration.hpp"
 #include "calib/fitter.hpp"
 #include "common/error.hpp"
+#include "core/candidate_gen.hpp"
+#include "data/generators.hpp"
 #include "kernels/workload_model.hpp"
 #include "planner/cpu_cost_model.hpp"
 #include "planner/planner.hpp"
+#include "planner/workload.hpp"
 #include "sim/device_spec.hpp"
 
 namespace gm::calib {
@@ -311,6 +315,37 @@ TEST(CalibrationFitter, LowersLossOnGpuKernelSamples) {
   for (const FitSample& sample : samples) {
     EXPECT_NEAR(predict_sample_ms(fitted, sample) / sample.measured_ms, 1.0, 0.03);
   }
+}
+
+TEST(CalibrationFitter, PricesEveryFeasibleRowAsThePlannerRanksIt) {
+  // The fitter must fit constants to the curve the planner ranks with.  Both
+  // flavors of the device axis are in the table: the card flavor also pays
+  // the host fold's boundary rescans, which the fitter once left out.
+  const core::Alphabet alphabet(26);
+  const core::Sequence db = data::uniform_database(alphabet, 20'000, 1);
+  const std::vector<core::Episode> episodes = core::all_distinct_episodes(alphabet, 2);
+  core::CountRequest request;
+  request.database = db;
+  request.episodes = episodes;
+  const planner::Workload w = planner::workload_of(request);
+
+  planner::PlannerOptions options;
+  options.cpu_threads = 4;
+  options.device_sweep = {1, 2, 4};
+  const planner::Plan plan = plan_level(w, options);
+  int distrib_gpu_rows = 0;
+  for (const planner::ScoredCandidate& row : plan.table) {
+    if (!row.feasible) continue;
+    FitSample sample;
+    sample.workload = w;
+    sample.config = row.config;
+    sample.device = options.device;
+    sample.cost_params = options.cost_params;
+    EXPECT_EQ(predict_sample_ms(CalibrationProfile{}, sample), row.predicted_ms)
+        << row.config.label();
+    distrib_gpu_rows += row.config.distrib_gpu ? 1 : 0;
+  }
+  EXPECT_EQ(distrib_gpu_rows, 3);
 }
 
 TEST(CalibrationFitter, StaysNonNegativeOnZeroMeasurements) {

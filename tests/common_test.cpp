@@ -1,12 +1,20 @@
-// Tests for the shared utilities: error machinery, RNG, bench reporting.
+// Tests for the shared utilities: error machinery, RNG, the host worker
+// pool, bench reporting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <atomic>
+#include <mutex>
 #include <sstream>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "bench_support/cli_args.hpp"
 #include "bench_support/report.hpp"
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 
 namespace gm {
@@ -132,6 +140,79 @@ TEST(Rng, SplitProducesIndependentStream) {
   Rng parent(1);
   Rng child = parent.split();
   EXPECT_NE(parent(), child());
+}
+
+TEST(ParallelFor, EveryTaskRunsExactlyOnceOnAStableWorker) {
+  for (const int workers : {1, 2, 3, 8}) {
+    for (const std::int64_t tasks : {0, 1, 7, 64}) {
+      const int threads = static_cast<int>(std::min<std::int64_t>(workers, tasks));
+      std::vector<std::atomic<int>> runs(static_cast<std::size_t>(tasks));
+      std::vector<std::thread::id> owner(static_cast<std::size_t>(workers));
+      std::mutex owner_mutex;
+      parallel_for(workers, tasks, [&](int worker, std::int64_t task) {
+        runs[static_cast<std::size_t>(task)].fetch_add(1);
+        ASSERT_GE(worker, 0);
+        ASSERT_LT(worker, threads);
+        // A worker index belongs to one thread for the whole call.
+        const std::lock_guard lock(owner_mutex);
+        auto& id = owner[static_cast<std::size_t>(worker)];
+        if (id == std::thread::id{}) id = std::this_thread::get_id();
+        EXPECT_EQ(id, std::this_thread::get_id());
+      });
+      for (const auto& r : runs) {
+        EXPECT_EQ(r.load(), 1) << "workers=" << workers << " tasks=" << tasks;
+      }
+    }
+  }
+}
+
+TEST(ParallelFor, OneWorkerRunsOnTheCallingThread) {
+  const auto caller = std::this_thread::get_id();
+  using Shape = std::pair<int, std::int64_t>;  // (workers, tasks): one thread either way
+  for (const auto& [workers, tasks] : {Shape{1, 7}, Shape{8, 1}}) {
+    std::vector<std::int64_t> order;
+    parallel_for(workers, tasks, [&](int worker, std::int64_t task) {
+      EXPECT_EQ(worker, 0);
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      order.push_back(task);
+    });
+    ASSERT_EQ(order.size(), static_cast<std::size_t>(tasks));
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      EXPECT_EQ(order[i], static_cast<std::int64_t>(i));  // claimed in index order
+    }
+  }
+}
+
+TEST(ParallelFor, TaskExceptionReachesTheCallerWithItsTypeAndCode) {
+  for (const int workers : {1, 4}) {
+    std::atomic<int> ran{0};
+    try {
+      parallel_for(workers, 64, [&](int, std::int64_t task) {
+        ran.fetch_add(1);
+        if (task == 13) raise_precondition("task 13 refused", ErrorCode::kCapability);
+      });
+      ADD_FAILURE() << "the task's exception should reach the caller";
+    } catch (const PreconditionError& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kCapability);
+      EXPECT_NE(std::string(e.what()).find("task 13 refused"), std::string::npos);
+    }
+    // Tasks 0..12 were claimed before the throwing one, so they all ran;
+    // a lone worker claims nothing after it.
+    EXPECT_GE(ran.load(), 14);
+    if (workers == 1) {
+      EXPECT_EQ(ran.load(), 14);
+    }
+  }
+}
+
+TEST(ParallelFor, ZeroWorkersResolveToTheHardwareConcurrency) {
+  const int hardware = static_cast<int>(std::thread::hardware_concurrency());
+  EXPECT_EQ(resolved_thread_count(0), std::max(hardware, 1));
+  EXPECT_EQ(resolved_thread_count(-3), std::max(hardware, 1));
+  EXPECT_EQ(resolved_thread_count(3), 3);
+  std::atomic<int> runs{0};
+  parallel_for(0, 5, [&](int, std::int64_t) { runs.fetch_add(1); });
+  EXPECT_EQ(runs.load(), 5);
 }
 
 TEST(Report, SeriesTableFormats) {

@@ -1,16 +1,12 @@
 // Distribution-layer tests: the exact cold-scan fold and the single-scan
-// map's cold records it consumes, the weighted shard plan, the
-// work-stealing scheduler (exactly-once execution, steals under skew),
-// DistribBackend's bit-exact equivalence with the serial reference across
+// map's cold records it consumes, the weighted shard plan, DistribBackend's
+// bit-exact equivalence with the serial reference across
 // semantics x expiry x shard counts (the block-level MapReduce granularity,
 // exact under expiry where the seed-era overlap rescan was approximate), both
 // granularities against the oracle at several widths, and the out-of-order
 // stream fold.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
-#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
@@ -24,7 +20,6 @@
 #include "data/generators.hpp"
 #include "distrib/distrib_backend.hpp"
 #include "distrib/scale_model.hpp"
-#include "distrib/scheduler.hpp"
 #include "distrib/shard_plan.hpp"
 #include "distrib/stream_fold.hpp"
 #include "kernels/mining_kernels.hpp"
@@ -134,13 +129,13 @@ TEST(ShardPlan, WeightedCutsShrinkDrainHeavyChunks) {
   episodes.emplace_back(core::Sequence{1, 0});
 
   const auto plan = make_shard_plan(db, episodes, 2);
-  ASSERT_EQ(plan.chunk_count(), 2 * kStealGranularity);
+  ASSERT_EQ(plan.chunk_count(), 2 * kChunksPerShard);
   EXPECT_EQ(plan.home_shard(0), 0);
-  EXPECT_EQ(plan.home_shard(kStealGranularity - 1), 0);
-  EXPECT_EQ(plan.home_shard(kStealGranularity), 1);
+  EXPECT_EQ(plan.home_shard(kChunksPerShard - 1), 0);
+  EXPECT_EQ(plan.home_shard(kChunksPerShard), 1);
   EXPECT_EQ(plan.chunk_bounds.front(), 0);
   EXPECT_EQ(plan.chunk_bounds.back(), 4000);
-  const std::int64_t cut = plan.chunk_bounds[kStealGranularity];
+  const std::int64_t cut = plan.chunk_bounds[kChunksPerShard];
   EXPECT_LT(cut, 1500);
   // The drain estimate itself (1 per position plus 1 per episode holding
   // its symbol: 4 for symbol 0, 1 for symbol 3) is near-balanced across the
@@ -150,49 +145,6 @@ TEST(ShardPlan, WeightedCutsShrinkDrainHeavyChunks) {
     weight[i < cut ? 0 : 1] += db[static_cast<std::size_t>(i)] == 0 ? 4.0 : 1.0;
   }
   EXPECT_NEAR(weight[0], weight[1], weight[0] * 0.1);
-}
-
-// --- scheduler --------------------------------------------------------------
-
-TEST(ShardScheduler, EveryChunkRunsExactlyOnce) {
-  const Alphabet alphabet(5);
-  const auto db = data::zipf_database(alphabet, 5000, 1.0, 3);
-  const auto episodes = core::all_distinct_episodes(alphabet, 2);
-  const auto plan = make_shard_plan(db, episodes, 8);
-  std::vector<std::atomic<int>> runs(static_cast<std::size_t>(plan.chunk_count()));
-  for (auto& r : runs) r.store(0);
-
-  const auto stats = run_sharded(plan, [&](int, int chunk, std::int64_t begin,
-                                           std::int64_t end) {
-    EXPECT_EQ(begin, plan.chunk_bounds[static_cast<std::size_t>(chunk)]);
-    EXPECT_EQ(end, plan.chunk_bounds[static_cast<std::size_t>(chunk) + 1]);
-    runs[static_cast<std::size_t>(chunk)].fetch_add(1);
-  });
-
-  for (const auto& r : runs) EXPECT_EQ(r.load(), 1);
-  ASSERT_EQ(stats.chunks_by_worker.size(), 8u);
-  std::int64_t total = 0;
-  for (const auto n : stats.chunks_by_worker) total += n;
-  EXPECT_EQ(total, plan.chunk_count());
-}
-
-TEST(ShardScheduler, SkewedShardsProvokeSteals) {
-  // All the real work parked on shard 0's chunks: the other three workers
-  // finish their (trivial) home runs immediately and must steal shard 0's
-  // remaining chunks while its owner sleeps through the first one.
-  ShardPlan plan;
-  plan.shards = 4;
-  for (int c = 0; c <= 4 * kStealGranularity; ++c) plan.chunk_bounds.push_back(c);
-
-  std::vector<std::atomic<int>> runs(static_cast<std::size_t>(plan.chunk_count()));
-  for (auto& r : runs) r.store(0);
-  const auto stats = run_sharded(plan, [&](int, int chunk, std::int64_t, std::int64_t) {
-    runs[static_cast<std::size_t>(chunk)].fetch_add(1);
-    if (plan.home_shard(chunk) == 0) std::this_thread::sleep_for(std::chrono::milliseconds(25));
-  });
-
-  for (const auto& r : runs) EXPECT_EQ(r.load(), 1);
-  EXPECT_GT(stats.steals, 0);
 }
 
 // --- DistribBackend ---------------------------------------------------------
@@ -225,7 +177,7 @@ TEST(DistribBackendProperty, BitExactVsSerialAcrossShardsSemanticsExpiry) {
           ASSERT_EQ(result.counts, expected)
               << "shards=" << shards << " window=" << window
               << " semantics=" << core::to_string(semantics);
-          EXPECT_EQ(backend.last_run().chunks, shards * kStealGranularity);
+          EXPECT_EQ(backend.last_run().chunks, shards * kChunksPerShard);
           // The fold's boundary fix-up replays at most the whole database per
           // episode (lockstep convergence usually stops far earlier).
           const std::int64_t rescanned = backend.last_run().rescanned_symbols;
@@ -251,8 +203,7 @@ TEST(DistribBackend, NameAndTelemetryDescribeTheRun) {
   request.database = db;
   request.episodes = episodes;
   (void)backend.count(request);
-  const int chunks = 4 * kStealGranularity;
-  EXPECT_EQ(backend.last_run().chunks, chunks);
+  EXPECT_EQ(backend.last_run().chunks, 4 * kChunksPerShard);
   // Every interior chunk boundary must be reconciled: with level-2 episodes
   // on a dense stream some automaton is always mid-match at a cut, so the
   // fold must replay a nonzero (but bounded) number of symbols.
@@ -260,9 +211,6 @@ TEST(DistribBackend, NameAndTelemetryDescribeTheRun) {
   EXPECT_LE(backend.last_run().rescanned_symbols,
             static_cast<std::int64_t>(episodes.size()) *
                 static_cast<std::int64_t>(db.size()));
-  std::int64_t total = 0;
-  for (const auto n : backend.last_run().steal.chunks_by_worker) total += n;
-  EXPECT_EQ(total, chunks);
 }
 
 TEST(DistribBackend, SimulatedCardsScaleAndStayExact) {
@@ -351,7 +299,7 @@ TEST_P(DistribGranularityProperty, BothGranularitiesMatchTheOracleIncludingExpir
   }
 }
 
-// Widths 1..16: a 1-shard plan still has kStealGranularity chunks, and 16
+// Widths 1..16: a 1-shard plan still has kChunksPerShard chunks, and 16
 // shards cut the 3001-symbol stream into 64.
 INSTANTIATE_TEST_SUITE_P(Sweep, DistribGranularityProperty, ::testing::Values(1, 3, 7, 16));
 

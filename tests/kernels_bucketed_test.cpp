@@ -468,8 +468,9 @@ TEST(ProfilePin, DataDependentFormulationsKeepEverySimulatedCounter) {
   constexpr Algorithm k4 = Algorithm::kBlockBuffered;
   constexpr Algorithm k5 = Algorithm::kBlockBucketed;
   // algo5 at 8 threads: 64-slot blocks, so 216 episodes make a 4-block grid
-  // with a short last block; algo2 pads 216 to 7 blocks of 32; algo4 runs
-  // one 16-thread block per episode.
+  // with a short last block.  The trie rows at 20 threads make 2 blocks of
+  // 108 slots, each split into 8-thread groups of 8, 8 and 4 threads.  algo2
+  // pads 216 to 7 blocks of 32; algo4 runs one 16-thread block per episode.
   const std::vector<PinCase> cases = {
       {"algo5-flat/sub/W0", k5, false, kSub, 0, 3, 8, 0xb07471507041526b},
       {"algo5-flat/sub/W7", k5, false, kSub, 7, 3, 8, 0x35fece05fccaad53},
@@ -477,6 +478,8 @@ TEST(ProfilePin, DataDependentFormulationsKeepEverySimulatedCounter) {
       {"algo5-flat/restart/W7", k5, false, kRestart, 7, 3, 8, 0x0d3e60ef4157b2e1},
       {"algo5-trie/sub/W0", k5, true, kSub, 0, 3, 8, 0xa3b99d57d1fa4646},
       {"algo5-trie/sub/W7", k5, true, kSub, 7, 3, 8, 0x5d54ed898873313b},
+      {"algo5-trie/sub/W0/t20", k5, true, kSub, 0, 3, 20, 0xc7ec1240cf7725f7},
+      {"algo5-trie/sub/W7/t20", k5, true, kSub, 7, 3, 20, 0xf8a21e9eb46fe126},
       {"algo5-trie/restart/W0", k5, true, kRestart, 0, 3, 8, 0x0d3e60ef4157b2e1},
       {"algo5-trie/restart/W7", k5, true, kRestart, 7, 3, 8, 0x0d3e60ef4157b2e1},
       {"algo2/sub/W0", k2, false, kSub, 0, 3, 32, 0xf20bca1948db4f1d},

@@ -309,31 +309,34 @@ void BM_ChunkedComposition(benchmark::State& state) {
 }
 BENCHMARK(BM_ChunkedComposition)->Arg(8)->Arg(64);
 
-// One simulated thread's engine work in `gpusim-algo5-trie` at the paper's
-// level 3, which the kernel repeats for each of its 2,304 threads: the
-// thread's share of kBucketEpisodesPerThread consecutive lexicographic
-// episodes (the first, AAA..AAH), counted over the 50k-event stream in
+// One shared counter's engine work in `gpusim-algo5-trie` at the paper's
+// level 3, which the kernel repeats for each of its 288 groups of 8 threads
+// (18 blocks of 16 groups): the first 64 lexicographic episodes, AAA..ACL, as
+// 8 groups of kBucketEpisodesPerThread, counted over the 50k-event stream in
 // staged-buffer batches.
-void BM_TrieKernelThreadSlice(benchmark::State& state) {
+void BM_TrieKernelGroupSlice(benchmark::State& state) {
   const auto db = gm::data::uniform_database(kAlphabet, kDenseEvents, 1);
   std::vector<Episode> episodes;
-  for (int last = 0; last < gm::kernels::kBucketEpisodesPerThread; ++last) {
-    episodes.push_back(Episode({0, 0, static_cast<Symbol>(last)}));
+  for (int e = 0; e < static_cast<int>(gm::core::TrieCounter::kMaxEpisodes); ++e) {
+    episodes.push_back(Episode({0, static_cast<Symbol>(e / 26), static_cast<Symbol>(e % 26)}));
   }
+  const std::vector<std::size_t> groups(
+      gm::core::TrieCounter::kMaxEpisodes / gm::kernels::kBucketEpisodesPerThread,
+      gm::kernels::kBucketEpisodesPerThread);
   const auto batch = static_cast<std::size_t>(gm::kernels::kDefaultBufferBytes);
   for (auto _ : state) {
-    gm::core::TrieCounter counter(episodes, Semantics::kNonOverlappedSubsequence, {},
+    gm::core::TrieCounter counter(episodes, groups, Semantics::kNonOverlappedSubsequence, {},
                                   kDenseEvents);
     for (std::size_t base = 0; base < db.size(); base += batch) {
       counter.advance_batch(std::span<const Symbol>(db).subspan(
                                 base, std::min(batch, db.size() - base)),
                             static_cast<std::int64_t>(base));
     }
-    benchmark::DoNotOptimize(counter.ops());
+    benchmark::DoNotOptimize(counter.ops(groups.size() - 1));
   }
   state.SetItemsProcessed(state.iterations() * kDenseEvents);
 }
-BENCHMARK(BM_TrieKernelThreadSlice);
+BENCHMARK(BM_TrieKernelGroupSlice);
 
 // An incremental engine fed 1,500-event append batches at increasing
 // absolute positions, expiry 32: StreamScan counts on LaneCounter whenever

@@ -85,7 +85,7 @@ std::vector<Episode> generate_candidates(const std::vector<Episode>& frequent_pr
                                                         frequent_prev.end());
 
   // Join from a lexicographically sorted view so candidates come out in
-  // prefix-sorted order (the trie engine then builds in one linear pass):
+  // prefix-sorted order (prefix_compression then needs no sort):
   // a-major emission sorts by the full (level-1)-prefix a, and every b
   // joinable with one a shares the prefix a[1..], so within the group the
   // appended last symbols are ascending too.  Mining levels are usually

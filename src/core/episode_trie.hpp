@@ -1,42 +1,36 @@
-// Shared-prefix co-counting: a prefix-trie episode engine.
+// Shared-prefix co-counting: a node-free prefix-trie episode engine.
 //
 // Apriori level-L candidates share (L-1)-prefixes by construction, yet the
 // single-scan engine (`core/multi_counter`) still advances one automaton per
-// episode.  This engine folds the candidate set into a prefix trie and
-// advances *tokens* instead: a token is one in-flight partial match pinned to
-// a trie node, carrying the set of episodes that are mid-match with exactly
-// that prefix and the same match start.  One token drain advances every
-// episode sharing the prefix, shrinking per-symbol work from
-// O(|episodes| / |alphabet|) toward O(|distinct prefixes| / |alphabet|).
+// episode.  This engine advances *tokens*: one in-flight partial match of
+// the episodes that matched the same prefix from the same start, in
+// lockstep, so one drain advances them all and expiry acts on the token as a
+// unit.  Per-symbol work shrinks from O(|episodes| / |alphabet|) toward
+// O(|distinct prefixes| / |alphabet|), and counts equal `SerialCounter`'s: a
+// prefix may host several tokens, as under non-overlapped semantics one
+// episode can accept and restart while its prefix-siblings wait deeper.
 //
-// Why tokens and not per-node state: under non-overlapped semantics two
-// episodes through the same prefix node can be desynchronized (one accepted
-// and restarted while the other still waits deeper), so a node may host
-// several tokens with different match starts.  Episodes inside one token are
-// provably in lockstep — same matched prefix, same first_pos — so expiry and
-// advancement act on the token as a unit and bit-exactness vs `SerialCounter`
-// is preserved for every input.
+// A counter holds at most kMaxEpisodes = 64 episodes, so every episode set
+// is one uint64_t over the lexicographic episode order.  A token is (depth,
+// first, members); its members share their first `depth` symbols, so no trie
+// node is built.  Per-depth symbol masks (`at[d][s]`: the episodes whose
+// symbol d is s) and per-level end masks do the trie's work: a drain on s
+// moves `members & at[depth][s]` one symbol deeper, those of that level
+// accept, and the rest are filed once under each distinct symbol they await
+// next.  Each symbol keeps a mask of the token slots waiting on it (member
+// sets are disjoint and non-empty, so 64 slots suffice) and of the idle
+// episodes it would start.  The waiting set is taken before a symbol is
+// dispatched, so a repeated prefix symbol steps once per event.
+// kContiguousRestart is refused: its mismatch edges defeat any
+// waiting-symbol index (the flat engine's dense path serves it).
 //
-// Representation: one counter holds at most kMaxEpisodes = 64 episodes, so
-// every episode set is one uint64_t over the lexicographic episode order, in
-// which each subtree is a contiguous bit range.  A token is a fixed slot (trie
-// node, match start, member mask) and a drain toward a child is one AND;
-// member sets are disjoint and non-empty, so 64 slots always suffice.  Each
-// symbol keeps a mask of the token slots waiting on it (a token is filed
-// under exactly the child edges it has members behind) and a mask of the idle
-// episodes it would start.  64 is enough because the engine's one production
-// caller, gpusim's trie kernel, gives each simulated thread at most
-// kBucketEpisodesPerThread = 8 episodes; `count_all_trie_scan` splits larger
-// sets into consecutive counters.  As in `multi_counter`, the waiting set is
-// taken before a symbol is dispatched, so a repeated prefix symbol steps once
-// per event.  kContiguousRestart is refused: its mismatch edges defeat any
-// waiting-symbol index, so there is nothing for a trie to share (the flat
-// engine's dense path serves it).
-//
-// On the host this engine loses to the flat single scan on every measured
-// shape; it exists as the functional model behind gpusim's trie mode
-// (kernels/mining_kernels, `gpusim-algo5-trie`), whose device charges come
-// from its `Ops` counters.
+// Groups: a counter may split its episodes into consecutive groups and count
+// each as a counter of its own would (sort, tokens, `Ops` and counts), in one
+// pass over the stream.  gpusim's trie kernel (kernels/mining_kernels,
+// `gpusim-algo5-trie`), the engine's one production caller, runs a counter
+// per 8 simulated threads, one group of at most kBucketEpisodesPerThread = 8
+// episodes per thread, and charges each thread from its group's `Ops`.  On
+// the host the engine loses to the flat single scan on every measured shape.
 #pragma once
 
 #include <array>
@@ -50,51 +44,11 @@
 
 namespace gm::core {
 
-/// Prefix trie over a candidate set.  Nodes are distinct nonempty prefixes;
-/// episode indices are re-ordered lexicographically (see `order()`) so that
-/// every subtree covers the contiguous sorted-index range `[lo, hi)`.
-class EpisodeTrie {
- public:
-  struct Edge {
-    Symbol symbol = 0;
-    std::uint32_t node = 0;
-  };
-
-  struct Node {
-    Symbol first_symbol = 0;  // depth-1 ancestor's edge symbol (== prefix[0])
-    std::uint32_t lo = 0;  // sorted-episode index range covered by this subtree
-    std::uint32_t hi = 0;
-    std::vector<Edge> children;             // sorted by symbol
-    std::vector<std::uint32_t> terminals;   // sorted indices of episodes ending here
-  };
-
-  /// Builds the trie.  Accepts any order (indices are sorted internally) and
-  /// any mix of levels; duplicates become distinct terminals of one node.
-  explicit EpisodeTrie(std::span<const Episode> episodes);
-
-  [[nodiscard]] const Node& node(std::uint32_t index) const { return nodes_[index]; }
-  [[nodiscard]] const Node& root() const { return nodes_.front(); }
-  /// Root child reached by `symbol`, or 0 (the root itself) when absent.
-  [[nodiscard]] std::uint32_t root_child(Symbol symbol) const {
-    return root_children_[symbol];
-  }
-  /// Number of nodes including the root; `node_count() - 1` distinct prefixes.
-  [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
-  /// Sum of episode levels == total automaton states the flat engine tracks.
-  [[nodiscard]] std::int64_t total_symbols() const { return total_symbols_; }
-  /// `order()[k]` = original index of the k-th episode in sorted order.
-  [[nodiscard]] std::span<const std::uint32_t> order() const { return order_; }
-
- private:
-  std::vector<Node> nodes_;
-  std::vector<std::uint32_t> order_;
-  std::array<std::uint32_t, 256> root_children_{};
-  std::int64_t total_symbols_ = 0;
-};
-
 /// Distinct-prefix count over total automaton states, in (0, 1]: 1.0 means no
 /// two candidates share any prefix (the trie degenerates to the flat engine),
-/// 1/|episodes|-ish means everything rides one shared chain.  This is the
+/// 1/|episodes|-ish means everything rides one shared chain.  In lexicographic
+/// order each episode adds (level - longest common prefix with the previous
+/// episode) distinct prefixes, so no trie is built.  This is the
 /// candidate-set-shape signal the planner's trie cost curves consume.
 [[nodiscard]] double prefix_compression(std::span<const Episode> episodes);
 
@@ -120,10 +74,16 @@ class TrieCounter {
     std::int64_t starts = 0;       // episodes swept into a fresh root token
   };
 
-  /// Refuses Semantics::kContiguousRestart (see the file comment) and more
-  /// than kMaxEpisodes episodes.
+  /// One group.  Refuses Semantics::kContiguousRestart (see the file comment)
+  /// and more than kMaxEpisodes episodes.
   TrieCounter(std::span<const Episode> episodes, Semantics semantics, ExpiryPolicy expiry,
               std::int64_t database_size);
+
+  /// Consecutive groups of `group_sizes[g]` episodes (empty groups allowed),
+  /// each counted as the one-group counter over its episodes would count it,
+  /// `ops(g)` included.  The sizes must sum to the episode count.
+  TrieCounter(std::span<const Episode> episodes, std::span<const std::size_t> group_sizes,
+              Semantics semantics, ExpiryPolicy expiry, std::int64_t database_size);
 
   void advance(Symbol symbol, std::int64_t pos);
 
@@ -135,28 +95,22 @@ class TrieCounter {
 
   /// Per-episode counts in the ORIGINAL input order.
   [[nodiscard]] std::vector<std::int64_t> counts() const;
-  [[nodiscard]] const Ops& ops() const { return ops_; }
+  /// Work counters of group `group` (of the only group by default).
+  [[nodiscard]] const Ops& ops(std::size_t group = 0) const { return groups_[group].ops; }
 
  private:
-  /// One in-flight partial match: the episodes in `members` have matched
-  /// exactly the prefix of `node`, all starting at `first`.
+  /// One in-flight partial match: the episodes in `members`, all of group
+  /// `group`, have matched exactly their first `depth` symbols, starting at
+  /// `first`.
   struct Token {
-    std::uint32_t node = 0;
     std::int64_t first = 0;
     std::uint64_t members = 0;
+    std::uint32_t depth = 0;
+    std::uint32_t group = 0;
   };
-  /// A trie node: the episodes ending at it and its slice of `children_`.
-  struct Node {
-    std::uint64_t terminals = 0;
-    std::uint32_t child_begin = 0;
-    std::uint32_t child_end = 0;
-    Symbol first_symbol = 0;  // the depth-1 ancestor's edge symbol
-  };
-  /// An edge: the child node and the episodes in its subtree.
-  struct Child {
-    std::uint64_t subtree = 0;
-    std::uint32_t node = 0;
-    Symbol symbol = 0;
+  struct Group {
+    std::uint64_t members = 0;
+    Ops ops;
   };
   /// Per symbol, side by side so the batch loop's empty test is one load.
   struct SymbolMasks {
@@ -166,16 +120,20 @@ class TrieCounter {
   static constexpr std::uint32_t kNewSlot = kMaxEpisodes;
 
   void step(Symbol symbol, std::int64_t pos);
-  [[nodiscard]] const Child& child(std::uint32_t node, Symbol symbol) const;
-  void arrive(std::uint32_t node, std::int64_t first, std::uint64_t members, std::uint32_t slot);
+  void arrive(Token token, std::uint32_t slot);
   void expire_due(std::int64_t pos);
+  /// Symbol `depth` of the lowest episode in `members`.
+  [[nodiscard]] Symbol symbol_of(std::uint64_t members, std::uint32_t depth) const;
 
-  std::vector<Node> nodes_;  // [0] is the root
-  std::vector<Child> children_;
-  std::vector<std::uint32_t> order_;  // EpisodeTrie::order()
+  std::vector<std::array<std::uint64_t, 256>> at_;  // at_[d][s]: symbol d is s
+  std::vector<std::uint64_t> ends_;  // ends_[d]: episodes of level d
+  std::vector<Symbol> spelled_;      // sorted episode k's symbols from k * stride_
+  std::size_t stride_ = 0;           // the longest level
+  std::vector<std::uint32_t> order_;  // sorted index -> input index
+  std::vector<Group> groups_;
+  std::array<std::uint32_t, kMaxEpisodes> group_of_{};  // sorted index -> group
   ExpiryPolicy expiry_;
-  Ops ops_;
-  std::array<std::int64_t, kMaxEpisodes> counts_{};  // lexicographic order
+  std::array<std::int64_t, kMaxEpisodes> counts_{};  // sorted order
   std::array<Token, kMaxEpisodes> tokens_{};
   std::uint64_t live_ = 0;  // occupied token slots
   std::array<SymbolMasks, 256> symbols_{};

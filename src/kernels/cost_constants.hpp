@@ -72,14 +72,14 @@ inline constexpr int kBucketFileInstr = 2;
 /// Per expiry-deadline min-heap push or pop.
 inline constexpr int kExpiryHeapInstr = 4;
 
-/// Trie mode: per drained shared-prefix token — child-edge lookup plus the
-/// interval split that moves the surviving members one trie level deeper.
+/// Trie mode: per drained shared-prefix token — the symbol-mask lookup and
+/// the split that moves the members awaiting the symbol one symbol deeper.
 /// Heavier than a flat drain (kBucketDrainInstr), but one token drain
 /// advances every episode sharing the prefix.
 inline constexpr int kTrieDrainInstr = 6;
 
-/// Trie mode: per completed episode occurrence at a trie terminal (count
-/// bump + membership removal + idle-interval return).
+/// Trie mode: per completed episode occurrence (count bump + membership
+/// removal + idle-set return).
 inline constexpr int kTrieAcceptInstr = 4;
 
 /// Registers per thread declared to the occupancy calculator.

@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <array>
 #include <numeric>
-#include <optional>
 #include <queue>
 #include <span>
 
 #include "common/error.hpp"
-#include "core/episode_trie.hpp"
 #include "core/segment_counter.hpp"
 
 namespace gm::kernels {
@@ -37,8 +35,20 @@ struct Views {
   core::Semantics semantics = core::Semantics::kNonOverlappedSubsequence;
   core::ExpiryPolicy expiry = {};
   int buffer_bytes = kDefaultBufferBytes;
-  bool trie_buckets = false;  ///< algorithm 5: shared-prefix token buckets
+  /// Algorithm 5's shared-prefix token buckets: one host counter slot per
+  /// (block, group of threads), block-major; null in every other mode.
+  DeviceProblem::TrieSlot* trie_slots = nullptr;
 };
+
+/// Trie mode: consecutive threads of a block that share one host counter, one
+/// group of at most kBucketEpisodesPerThread episodes per thread.
+constexpr int kTrieGroupThreads =
+    static_cast<int>(core::TrieCounter::kMaxEpisodes) / kBucketEpisodesPerThread;
+static_assert(kTrieGroupThreads == 8, "a trie counter serves 8 threads of 8 episodes");
+
+int trie_groups_per_block(int threads_per_block) {
+  return (threads_per_block + kTrieGroupThreads - 1) / kTrieGroupThreads;
+}
 
 std::uint32_t pack_outcome(std::uint32_t count, int exit_state) {
   return (count << 8) | static_cast<std::uint32_t>(exit_state);
@@ -425,6 +435,28 @@ std::uint32_t bucket_state_word(const BucketOwned& o) {
          o.episode[static_cast<std::size_t>(o.state)];
 }
 
+/// The counter threads [first, first + kTrieGroupThreads) of a block share:
+/// group g is thread first + g's contiguous slice of the block's `slots`, the
+/// episodes that thread owns.
+DeviceProblem::TrieSlot build_trie_group(const Views& v, core::ChunkRange slots, int threads,
+                                         int first) {
+  const auto level = static_cast<std::size_t>(v.level);
+  std::vector<core::Episode> episodes;
+  std::vector<std::size_t> sizes;
+  int readers = 0;
+  for (int th = first; th < std::min(first + kTrieGroupThreads, threads); ++th) {
+    const core::ChunkRange sub = core::chunk_range(slots.size(), threads, th);
+    sizes.push_back(static_cast<std::size_t>(sub.size()));
+    readers += sub.size() > 0 ? 1 : 0;
+    for (std::int64_t s = slots.begin + sub.begin; s < slots.begin + sub.end; ++s) {
+      const auto symbols = v.episodes_host.subspan(static_cast<std::size_t>(s) * level, level);
+      episodes.emplace_back(std::vector<Symbol>(symbols.begin(), symbols.end()));
+    }
+  }
+  return {std::make_unique<core::TrieCounter>(episodes, sizes, v.semantics, v.expiry, v.db_size),
+          readers};
+}
+
 // Device port of the host single-scan engine (core/multi_counter).  The
 // block owns the contiguous slot range of the first-symbol-sorted episode
 // list that launch_geometry assigned it, thread `tid` owns the interleaved
@@ -440,9 +472,12 @@ std::uint32_t bucket_state_word(const BucketOwned& o) {
 // constants.  Expiry mirrors the host engine exactly: lazy deadlines on a
 // min-heap, reset-and-re-bucket under episode[0] when a match can no longer
 // finish, generation tags invalidating the stale entry left in the old
-// bucket.  Contiguous-restart semantics fall back to a dense per-thread scan
-// (its mismatch edges let any symbol transition any in-flight automaton, so
-// a waiting-symbol index cannot skip work) — still one database pass.
+// bucket.  Trie mode files shared-prefix tokens instead: kTrieGroupThreads
+// threads share one host core::TrieCounter, one group each, and each thread
+// is charged its own group's op deltas, as a counter per thread would give.
+// Contiguous-restart semantics fall back to a dense per-thread scan (its
+// mismatch edges let any symbol transition any in-flight automaton, so a
+// waiting-symbol index cannot skip work) — still one database pass.
 // Because the database is never chunked, counts are bit-exact against the
 // serial oracle for both semantics and every expiry window.
 gpusim::KernelTask algo5_kernel(ThreadCtx& ctx, Views v) {
@@ -467,11 +502,11 @@ gpusim::KernelTask algo5_kernel(ThreadCtx& ctx, Views v) {
   // Stage owned episodes (device loads; symbol data through the host
   // mirror), then file each automaton under its first symbol.  Trie mode
   // takes a *contiguous* slice of the block's (lexicographically staged)
-  // slot range so the owned episodes form whole trie subtrees; the flat
+  // slot range so the owned episodes form runs of shared prefixes; the flat
   // formulation keeps the interleaved slice.  Both assignments give lane
   // `tid` the same owned count, so the workload model's occupancy math is
   // shared.
-  const bool trie = v.trie_buckets && !dense;
+  const bool trie = v.trie_slots != nullptr && !dense;
   std::vector<BucketOwned> owned;
   const auto stage_slot = [&](std::int64_t s) {
     BucketOwned o;
@@ -484,7 +519,7 @@ gpusim::KernelTask algo5_kernel(ThreadCtx& ctx, Views v) {
                                         static_cast<std::size_t>(L));
     owned.push_back(o);
   };
-  if (v.trie_buckets) {
+  if (v.trie_slots != nullptr) {
     const core::ChunkRange sub = core::chunk_range(slots.size(), t, tid);
     for (std::int64_t s = slots.begin + sub.begin; s < slots.begin + sub.end; ++s) {
       stage_slot(s);
@@ -500,13 +535,12 @@ gpusim::KernelTask algo5_kernel(ThreadCtx& ctx, Views v) {
   std::priority_queue<BucketDeadline, std::vector<BucketDeadline>, std::greater<>>
       deadlines;
   std::vector<BucketEntry> drain;
-  // Trie mode: the host shared-prefix engine runs the thread's contiguous
-  // episode range; device charges come from its op deltas over each staged
-  // buffer below.  A TrieCounter keeps each episode set in one 64-bit mask,
-  // and a thread owns at most kBucketEpisodesPerThread episodes.
-  static_assert(kBucketEpisodesPerThread <= core::TrieCounter::kMaxEpisodes);
-  std::vector<core::Episode> trie_episodes;
-  std::optional<core::TrieCounter> trie_counter;
+  // Trie mode: the kTrieGroupThreads threads from `group_first` share the
+  // counter in `group`, where this thread's episodes are group tid - group_first.
+  const int group_first = tid - tid % kTrieGroupThreads;
+  DeviceProblem::TrieSlot* group =
+      trie ? v.trie_slots + ctx.block_idx() * trie_groups_per_block(t) + tid / kTrieGroupThreads
+           : nullptr;
   core::TrieCounter::Ops trie_prev{};
   if (dense) {
     dense_automata.reserve(owned.size());
@@ -514,20 +548,12 @@ gpusim::KernelTask algo5_kernel(ThreadCtx& ctx, Views v) {
       dense_automata.emplace_back(o.episode, v.semantics, v.expiry);
     }
   } else if (trie) {
-    trie_episodes.reserve(owned.size());
-    for (const BucketOwned& o : owned) {
-      trie_episodes.emplace_back(
-          std::vector<Symbol>(o.episode.begin(), o.episode.end()));
-    }
-    if (!owned.empty()) {
-      trie_counter.emplace(trie_episodes, v.semantics, v.expiry, v.db_size);
-      // Initial idle filing under episode[0], one per owned slot — the same
-      // upfront charge as the flat formulation's first-symbol bucketing.  The
-      // counter's own `files` already holds one filing per root subtree, and
-      // `trie_prev` starts at zero, so the first buffer charges those again.
-      // Pinned simulated figures depend on both charges; they stay.
-      ctx.charge(static_cast<int>(owned.size()) * kBucketFileInstr);
-    }
+    // Initial idle filing under episode[0], one per owned slot — the same
+    // upfront charge as the flat formulation's first-symbol bucketing.  The
+    // counter's own `files` already holds one filing per root subtree, and
+    // `trie_prev` starts at zero, so the first buffer charges those again.
+    // Pinned simulated figures depend on both charges; they stay.
+    ctx.charge(owned.size() * kBucketFileInstr);
   } else {
     buckets.resize(256);
     for (std::uint32_t u = 0; u < owned.size(); ++u) {
@@ -566,14 +592,18 @@ gpusim::KernelTask algo5_kernel(ThreadCtx& ctx, Views v) {
           owned[u].count += accepted;
         }
       } else if (trie) {
-        // One probe per position (loop control, deadline peek, bucket-head
-        // lookup — same shape as the flat path), then the host trie engine's
-        // op deltas over the buffer as device charges: each token drain
-        // re-reads and writes back one automaton record in device scratch
-        // exactly like a flat drain, but one drain advances every episode
-        // sharing the prefix.
-        trie_counter->advance_batch(staged, base);
-        const core::TrieCounter::Ops& ops = trie_counter->ops();
+        // The first of the group's threads here builds the shared counter
+        // (once) and advances it over the buffer.  Each thread then charges
+        // one probe per position (loop control, deadline peek, bucket-head
+        // lookup — as on the flat path) and its group's op deltas: a token
+        // drain re-reads and writes back one automaton record in device
+        // scratch like a flat drain, but advances every episode sharing the
+        // prefix.
+        if (!group->counter) *group = build_trie_group(v, slots, t, group_first);
+        // A counter probes every position it advances over, in every group.
+        if (group->counter->ops().probes == base) group->counter->advance_batch(staged, base);
+        const core::TrieCounter::Ops& ops =
+            group->counter->ops(static_cast<std::size_t>(tid - group_first));
         const auto delta = [](std::int64_t now, std::int64_t before) {
           return static_cast<std::uint64_t>(now - before);
         };
@@ -647,11 +677,15 @@ gpusim::KernelTask algo5_kernel(ThreadCtx& ctx, Views v) {
     co_await ctx.syncthreads();
   }
 
-  if (trie && trie_counter.has_value()) {
-    const std::vector<std::int64_t> trie_counts = trie_counter->counts();
+  if (trie && !owned.empty()) {
+    // The group's counts list its threads' episodes in thread order.
+    const std::vector<std::int64_t> trie_counts = group->counter->counts();
+    const auto offset = static_cast<std::size_t>(
+        owned.front().slot - slots.begin - core::chunk_range(slots.size(), t, group_first).begin);
     for (std::size_t k = 0; k < owned.size(); ++k) {
-      owned[k].count = static_cast<std::uint32_t>(trie_counts[k]);
+      owned[k].count = static_cast<std::uint32_t>(trie_counts[offset + k]);
     }
+    if (--group->readers == 0) group->counter.reset();
   }
   for (const BucketOwned& o : owned) {
     ctx.charge(1);
@@ -873,7 +907,11 @@ gpusim::KernelFn DeviceProblem::kernel() {
   v.semantics = params_.semantics;
   v.expiry = params_.expiry;
   v.buffer_bytes = params_.buffer_bytes;
-  v.trie_buckets = params_.trie_buckets;
+  if (params_.trie_buckets) {
+    trie_slots_ = std::vector<TrieSlot>(static_cast<std::size_t>(
+        config_.total_blocks() * trie_groups_per_block(params_.threads_per_block)));
+    v.trie_slots = trie_slots_.data();
+  }
 
   switch (params_.algorithm) {
     case Algorithm::kThreadTexture:

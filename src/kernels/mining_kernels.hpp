@@ -33,11 +33,13 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/automaton.hpp"
 #include "core/episode.hpp"
+#include "core/episode_trie.hpp"
 #include "sim/engine.hpp"
 #include "sim/memory.hpp"
 
@@ -76,14 +78,14 @@ struct MiningLaunchParams {
   core::ExpiryPolicy expiry = {};
   int buffer_bytes = kDefaultBufferBytes;  ///< buffered algorithms only
   /// Algorithm 5 only: bucket shared-prefix trie tokens instead of
-  /// per-episode automata.  Staging sorts the candidates into full
-  /// lexicographic order (so every trie subtree is a contiguous slot range),
-  /// each thread owns a *contiguous* slot range instead of an interleaved
-  /// slice, and one waiting token advances every owned episode sharing that
-  /// prefix — per-symbol drain work scales with |distinct prefixes| instead
-  /// of |episodes| (core/episode_trie.hpp).  Contiguous-restart semantics
-  /// keep the dense per-thread fallback, charged identically to the flat
-  /// formulation.
+  /// per-episode automata.  Staging sorts the candidates lexicographically,
+  /// each thread owns a *contiguous* slot range, and one waiting token
+  /// advances every owned episode sharing that prefix — per-symbol drain work
+  /// scales with |distinct prefixes| instead of |episodes|.  On the host, 8
+  /// threads share one core::TrieCounter, a group each, and each is charged
+  /// from its own group's work counters (core/episode_trie.hpp).
+  /// Contiguous-restart semantics keep the dense per-thread fallback, charged
+  /// identically to the flat formulation.
   bool trie_buckets = false;
 };
 
@@ -98,9 +100,17 @@ void validate_launch_params(const MiningLaunchParams& params, int level);
 /// A counting problem staged into simulated device memory, ready to launch.
 ///
 /// Owns the device buffers; `kernel()` returns a kernel closure over views
-/// into them, so the problem must outlive the launch.
+/// into them, so the problem must outlive the launch, and runs one launch at
+/// a time.
 class DeviceProblem {
  public:
+  /// Trie mode: the counter 8 threads of one block share, built by the first
+  /// of them to scan a staged buffer, touched only by that block's worker.
+  struct TrieSlot {
+    std::unique_ptr<core::TrieCounter> counter;
+    int readers = 0;  ///< threads yet to read their counts; the last frees the counter
+  };
+
   DeviceProblem(const core::Sequence& database, std::span<const core::Episode> episodes,
                 const MiningLaunchParams& params);
 
@@ -130,6 +140,7 @@ class DeviceProblem {
   gpusim::DeviceBuffer<core::Symbol> episodes_;
   gpusim::DeviceBuffer<std::uint32_t> counts_;
   gpusim::DeviceBuffer<std::uint32_t> scratch_;  ///< block-level transfer tables
+  std::vector<TrieSlot> trie_slots_;  ///< trie mode: block-major, one per group
   gpusim::LaunchConfig config_;
   std::int64_t db_size_ = 0;
 };

@@ -53,12 +53,12 @@ struct WorkloadSpec {
   /// `bucket_drain_rate`.
   std::vector<double> symbol_freq;
   /// Trie-bucketed formulation only: distinct-prefix mass of the candidate
-  /// set — trie nodes over total episode symbols, in (0, 1] — measured from
-  /// the actual candidates via core::prefix_compression.  1.0 means no two
-  /// candidates share a prefix (the trie degenerates to the flat engine);
-  /// apriori level-L sets sit near 1/L plus the last-symbol fringe.  Scales
-  /// the trie drain/expiry terms: one token drain advances every episode
-  /// sharing the prefix.
+  /// set — distinct nonempty prefixes over total episode symbols, in (0, 1] —
+  /// measured from the actual candidates via core::prefix_compression.  1.0
+  /// means no two candidates share a prefix (the trie degenerates to the flat
+  /// engine); apriori level-L sets sit near 1/L plus the last-symbol fringe.
+  /// Scales the trie drain/expiry terms: one token drain advances every
+  /// episode sharing the prefix.
   double prefix_compression = 1.0;
   MiningLaunchParams params;
 };

@@ -22,12 +22,12 @@ struct Workload {
   /// 1), feeding the bucketed formulations' skew-aware occupancy term.  Empty
   /// means assume uniform.
   std::vector<double> symbol_freq;
-  /// Distinct-prefix mass of the candidate set (trie nodes over total episode
-  /// symbols, in (0, 1]), measured from the actual episodes via
-  /// core::prefix_compression.  Drives the drain terms of the shared-prefix
-  /// trie kernel (gpusim-algo5-trie): 1.0 (the default, and any level-1 set)
-  /// means no sharing, apriori level-L sets sit near 1/L plus the last-symbol
-  /// fringe.
+  /// Distinct-prefix mass of the candidate set (distinct nonempty prefixes
+  /// over total episode symbols, in (0, 1]), measured from the actual
+  /// episodes via core::prefix_compression.  Drives the drain terms of the
+  /// shared-prefix trie kernel (gpusim-algo5-trie): 1.0 (the default, and any
+  /// level-1 set) means no sharing, apriori level-L sets sit near 1/L plus the
+  /// last-symbol fringe.
   double prefix_compression = 1.0;
   core::Semantics semantics = core::Semantics::kNonOverlappedSubsequence;
   core::ExpiryPolicy expiry = {};

@@ -6,7 +6,8 @@
 // at accepting nodes, episodes that are prefixes of other episodes), the
 // refusal of contiguous-restart semantics and of more than 64 episodes per
 // counter, the parity of batched and per-symbol advancing down to the work
-// counters, and those counters pinned on full 64-episode sets.
+// counters, those counters pinned on full 64-episode sets, grouped counters
+// against solo ones, and prefix_compression.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -75,8 +76,6 @@ TEST(TrieCounter, MatchesSerialUnderHeavySharingAndDesync) {
 
 TEST(TrieCounter, SingletonCandidateSetDegeneratesToOneChain) {
   const std::vector<Episode> episodes = {Episode({2, 0, 1})};
-  const EpisodeTrie trie(episodes);
-  EXPECT_EQ(trie.node_count(), 4u);  // root + one node per symbol
   EXPECT_DOUBLE_EQ(prefix_compression(episodes), 1.0);
 
   const Sequence db = {2, 2, 0, 1, 2, 0, 0, 1, 1};
@@ -134,7 +133,7 @@ TEST(TrieCounter, NoSharedPrefixMatchesFlatEngineShape) {
 
 TEST(TrieCounter, PrefixEpisodeAcceptsWhileExtensionContinues) {
   // <A,B> is a proper prefix of <A,B,C>: the short episode must accept and
-  // restart at the internal trie node while the long one keeps waiting — the
+  // restart after the shared prefix while the long one keeps waiting — the
   // per-token divergence the shared representation has to get right.
   const std::vector<Episode> episodes = {Episode({0, 1}), Episode({0, 1, 2}), Episode({0})};
   const Sequence db = {0, 1, 0, 1, 2, 0, 2, 1, 2};
@@ -399,24 +398,82 @@ TEST(TrieCounter, CountAllSplitsLargeSetsExactly) {
   }
 }
 
-TEST(EpisodeTrie, SubtreeRangesCoverSortedOrder) {
-  const std::vector<Episode> episodes = {Episode({1, 2}), Episode({0, 1, 2}), Episode({0, 1}),
-                                         Episode({1, 2}), Episode({0, 3})};
-  const EpisodeTrie trie(episodes);
-  // Sorted order: <0,1>, <0,1,2>, <0,3>, <1,2>, <1,2>.
-  EXPECT_EQ(trie.order().size(), 5u);
-  EXPECT_EQ(trie.root().lo, 0u);
-  EXPECT_EQ(trie.root().hi, 5u);
-  const auto& zero = trie.node(trie.root_child(0));
-  EXPECT_EQ(zero.lo, 0u);
-  EXPECT_EQ(zero.hi, 3u);
-  const auto& one = trie.node(trie.root_child(1));
-  EXPECT_EQ(one.lo, 3u);
-  EXPECT_EQ(one.hi, 5u);
-  EXPECT_EQ(trie.root_child(7), 0u);  // absent first symbol -> root sentinel
-  // Distinct prefixes: 0, 01, 012, 03, 1, 12 -> 6 nodes below the root; the
+// Groups: one counter over consecutive groups must count each group exactly as
+// a counter of its own does, op for op after every batch.  Small alphabets
+// repeat symbols and duplicate episodes; empty groups and windows from 0 to
+// 30 are drawn too.
+TEST(TrieCounter, GroupsMatchSoloCountersOpForOp) {
+  Rng rng(0x6A0C9);
+  const Semantics semantics = Semantics::kNonOverlappedSubsequence;
+  for (int trial = 0; trial < 200; ++trial) {
+    const auto alphabet_size = static_cast<int>(rng.between(2, 7));
+    const auto db = data::uniform_database(Alphabet(alphabet_size), 2000, rng());
+    const auto size = static_cast<std::int64_t>(db.size());
+    std::vector<Episode> episodes;
+    std::vector<std::size_t> group_sizes(static_cast<std::size_t>(rng.between(1, 8)));
+    std::vector<std::vector<Episode>> groups;
+    for (std::size_t& group_size : group_sizes) {
+      groups.push_back(
+          random_episodes(rng, alphabet_size, static_cast<int>(rng.between(0, 8)), 4));
+      group_size = groups.back().size();
+      episodes.insert(episodes.end(), groups.back().begin(), groups.back().end());
+    }
+    for (const std::int64_t window : {std::int64_t{0}, rng.between(1, 30)}) {
+      const ExpiryPolicy expiry{window};
+      TrieCounter grouped(episodes, group_sizes, semantics, expiry, size);
+      std::vector<TrieCounter> solo;
+      for (const auto& group : groups) solo.emplace_back(group, semantics, expiry, size);
+      for (std::size_t fed = 0; fed < db.size();) {
+        const auto n = std::min(db.size() - fed, static_cast<std::size_t>(rng.between(1, 500)));
+        const auto batch = std::span<const Symbol>(db).subspan(fed, n);
+        grouped.advance_batch(batch, static_cast<std::int64_t>(fed));
+        for (TrieCounter& counter : solo) {
+          counter.advance_batch(batch, static_cast<std::int64_t>(fed));
+        }
+        fed += n;
+        for (std::size_t g = 0; g < groups.size(); ++g) {
+          const std::string where = "trial " + std::to_string(trial) + " window " +
+                                    std::to_string(window) + " group " + std::to_string(g) +
+                                    " at " + std::to_string(fed);
+          const TrieCounter::Ops& a = grouped.ops(g);
+          const TrieCounter::Ops& b = solo[g].ops();
+          ASSERT_EQ(a.probes, b.probes) << where;
+          ASSERT_EQ(a.drains, b.drains) << where;
+          ASSERT_EQ(a.files, b.files) << where;
+          ASSERT_EQ(a.accepts, b.accepts) << where;
+          ASSERT_EQ(a.heap_ops, b.heap_ops) << where;
+          ASSERT_EQ(a.starts, b.starts) << where;
+        }
+      }
+      EXPECT_EQ(grouped.counts(), count_all(episodes, db, semantics, expiry))
+          << "trial " << trial << " window " << window;
+    }
+  }
+}
+
+TEST(TrieCounter, RefusesGroupsThatDoNotPartitionItsEpisodes) {
+  const std::vector<Episode> episodes = {Episode({0, 1}), Episode({1}), Episode({0})};
+  const Semantics semantics = Semantics::kNonOverlappedSubsequence;
+  const std::vector<std::vector<std::size_t>> bad = {
+      {}, {2}, {1, 1}, {2, 2}, {3, 1}, {0, 4}, {65}, {64, 1}, {64, 64, 64},
+      {std::numeric_limits<std::size_t>::max(), 4}};
+  for (const auto& sizes : bad) {
+    EXPECT_THROW(TrieCounter(episodes, sizes, semantics, {}, 10), gm::Error)
+        << sizes.size() << " groups";
+  }
+  EXPECT_NO_THROW(TrieCounter(episodes, std::vector<std::size_t>{0, 3, 0}, semantics, {}, 10));
+  EXPECT_NO_THROW(TrieCounter({}, std::vector<std::size_t>{0}, semantics, {}, 10));
+}
+
+// prefix_compression counts distinct prefixes from sorted longest common
+// prefixes, whatever order the set arrives in.
+TEST(PrefixCompression, CountsDistinctPrefixesInAnyOrder) {
+  std::vector<Episode> episodes = {Episode({1, 2}), Episode({0, 1, 2}), Episode({0, 1}),
+                                   Episode({1, 2}), Episode({0, 3})};
+  // Distinct prefixes: 0, 01, 012, 03, 1, 12 -> 6 of 11 symbols; the
   // duplicated <1,2> shares everything.
-  EXPECT_EQ(trie.node_count(), 7u);
+  EXPECT_DOUBLE_EQ(prefix_compression(episodes), 6.0 / 11.0);
+  std::sort(episodes.begin(), episodes.end());
   EXPECT_DOUBLE_EQ(prefix_compression(episodes), 6.0 / 11.0);
 }
 

@@ -600,7 +600,7 @@ gpusim::KernelTask algo5_kernel(ThreadCtx& ctx, Views v) {
         // scratch like a flat drain, but advances every episode sharing the
         // prefix.
         if (!group->counter) *group = build_trie_group(v, slots, t, group_first);
-        // A counter probes every position it advances over, in every group.
+        // Probes count the positions advanced over: `base` means unscanned.
         if (group->counter->ops().probes == base) group->counter->advance_batch(staged, base);
         const core::TrieCounter::Ops& ops =
             group->counter->ops(static_cast<std::size_t>(tid - group_first));

@@ -3,8 +3,9 @@
 // C closed-loop client threads replay a seeded mix of MineRequests (drawn
 // from a small pool of templates, so repeats hit the result cache) and
 // CountRequests (drawn from a pool of episode sets, so concurrent submissions
-// batch) against a MiningService.  Every successful response is checked
-// bit-for-bit against a direct, uncached oracle (mine_frequent_episodes /
+// batch) against a MiningService.  Every successful response (and every
+// level a budget-truncated mine counted) is checked bit-for-bit against a
+// direct, uncached oracle (mine_frequent_episodes /
 // SerialCpuBackend) computed up front — the replay measures throughput and
 // latency *of answers that are provably identical to unserviced mining*.
 //
@@ -190,7 +191,7 @@ int main(int argc, char** argv) {
 
     // Shared-prefix telemetry: every count template's measured prefix mass,
     // and the formulation the planner picks for its workload (the same
-    // plan_level call a session running `--backend auto` makes per level).
+    // plan_level call an `auto` backend makes per count).
     planner::PlannerOptions plan_options;
     plan_options.cpu_threads = opt.threads;
     std::vector<double> template_prefix_mass;
@@ -266,14 +267,24 @@ int main(int argc, char** argv) {
             if (response.disposition == service::Disposition::kRejected) {
               if (response.rejection.code == ErrorCode::kAdmissionRejected) ++local_budget;
               else ++local_unexpected;
-            } else if (response.disposition == service::Disposition::kTruncated) {
-              ++local_trunc;
             } else {
+              // A run the budget truncated counted its levels completely: its
+              // answer is the oracle's first levels.
+              const bool cut = response.disposition == service::Disposition::kTruncated;
+              local_trunc += cut ? 1 : 0;
               const core::MiningResult& want = mine_oracle[t];
-              bool same = response.result.frequent.size() == want.frequent.size();
-              for (std::size_t i = 0; same && i < want.frequent.size(); ++i) {
-                same = response.result.frequent[i].episode == want.frequent[i].episode &&
-                       response.result.frequent[i].count == want.frequent[i].count;
+              const core::MiningResult& got = response.result;
+              std::int64_t expected = want.total_frequent();
+              if (cut) {
+                expected = 0;
+                for (std::size_t l = 0; l < got.levels.size() && l < want.levels.size(); ++l) {
+                  expected += want.levels[l].frequent;
+                }
+              }
+              bool same = got.total_frequent() == expected;
+              for (std::size_t i = 0; same && i < got.frequent.size(); ++i) {
+                same = got.frequent[i].episode == want.frequent[i].episode &&
+                       got.frequent[i].count == want.frequent[i].count;
               }
               local_mismatch += same ? 0 : 1;
             }

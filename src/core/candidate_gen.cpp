@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <limits>
-#include <unordered_set>
 
 #include "common/error.hpp"
 
@@ -81,9 +80,6 @@ std::vector<Episode> generate_candidates(const std::vector<Episode>& frequent_pr
     gm::expects(e.level() == prev_level, "frequent set must share one level");
   }
 
-  std::unordered_set<Episode, EpisodeHash> frequent_set(frequent_prev.begin(),
-                                                        frequent_prev.end());
-
   // Join from a lexicographically sorted view so candidates come out in
   // prefix-sorted order (prefix_compression then needs no sort):
   // a-major emission sorts by the full (level-1)-prefix a, and every b
@@ -133,19 +129,17 @@ std::vector<Episode> generate_candidates(const std::vector<Episode>& frequent_pr
              "candidate join must emit lexicographic prefix-sorted episodes");
   if (!prune) return candidates;
 
-  std::vector<Episode> pruned;
-  pruned.reserve(candidates.size());
-  for (const auto& c : candidates) {
-    bool keep = true;
-    for (int drop = 0; drop < c.level(); ++drop) {
-      if (!frequent_set.contains(c.without(drop))) {
-        keep = false;
-        break;
-      }
+  // Apriori pruning in place.  Dropping a candidate's first or last symbol
+  // gives the two frequent episodes it was joined from, so only the middle
+  // drops are looked up, in the sorted frequent set: no hash set and no
+  // second candidate vector at the level's peak.
+  std::erase_if(candidates, [&](const Episode& c) {
+    for (int drop = 1; drop + 1 < c.level(); ++drop) {
+      if (!std::binary_search(frequent->begin(), frequent->end(), c.without(drop))) return true;
     }
-    if (keep) pruned.push_back(c);
-  }
-  return pruned;
+    return false;
+  });
+  return candidates;
 }
 
 std::vector<std::size_t> eliminate_infrequent(std::span<const Episode> episodes,

@@ -53,16 +53,16 @@ MiningResult mine_frequent_episodes(std::span<const Symbol> database, const Alph
           ErrorCode::kCapability);
     }
 
-    if (observer != nullptr && !observer->on_level_start(level, candidates)) {
-      result.truncated = true;
-      break;
-    }
-
     CountRequest request;
     request.database = database;
     request.episodes = candidates;  // view, not a per-level deep copy
     request.semantics = config.semantics;
     request.expiry = config.expiry;
+
+    if (observer != nullptr && !observer->on_level_start(level, request)) {
+      result.truncated = true;
+      break;
+    }
 
     const CountResult counted = backend.count(request);
     gm::ensure(counted.counts.size() == candidates.size(),

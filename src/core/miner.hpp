@@ -54,17 +54,18 @@ struct MiningResult {
   }
 };
 
-/// Per-level hook into the mining loop.  The service layer uses it to predict
-/// each level's cost before counting (admission/budget enforcement) and to
-/// collect per-level plan notes; passing no observer reproduces the classic
-/// one-shot behaviour bit for bit.
+/// Per-level hook into the mining loop.  The service layer uses it to price
+/// each level before counting (admission/budget enforcement) and to collect
+/// per-level plan notes; passing no observer reproduces the classic one-shot
+/// behaviour bit for bit.
 class LevelObserver {
  public:
   virtual ~LevelObserver() = default;
-  /// Called with each level's candidate set before the counting request is
-  /// issued.  Return false to stop the run: the level is not counted and the
-  /// result is marked truncated.
-  virtual bool on_level_start(int level, std::span<const Episode> candidates) = 0;
+  /// Called with each level's counting request before count() receives the
+  /// same object (so planner::AutoBackend::plan here plans what runs).
+  /// Return false to stop the run: the level is not counted and the result
+  /// is marked truncated.
+  virtual bool on_level_start(int level, const CountRequest& request) = 0;
   /// Called after each counted level's elimination step.
   virtual void on_level_done(const LevelReport& report) = 0;
 };

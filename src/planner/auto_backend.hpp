@@ -7,6 +7,9 @@
 // constructs that backend, and delegates.  The full per-level decision
 // history stays queryable so the CLI can report what was picked and why.
 //
+// A caller that prices a level before counting it (service admission) calls
+// plan(request): the following count() of that request runs the kept plan.
+//
 // Online feedback: after every delegated count() the backend compares the
 // measured time (wall-clock for CPU formulations, engine-measured kernel
 // time for gpusim) against the plan's prediction and folds the ratio into
@@ -20,6 +23,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -37,6 +41,12 @@ class AutoBackend final : public core::CountingBackend {
   /// CPU formulation past the GPU kernels' level cap); otherwise the cap is
   /// the GPU kernels'.
   [[nodiscard]] int max_level() const override;
+
+  /// The plan count(request) will run, kept until the next count(), which
+  /// runs it for the same request (same spans, semantics and expiry; their
+  /// storage must live until then) and plans afresh otherwise.  Throws like
+  /// plan_level.
+  const Plan& plan(const core::CountRequest& request);
 
   /// One plan per count() call, in call order.
   [[nodiscard]] const std::vector<Plan>& plans() const noexcept { return plans_; }
@@ -61,6 +71,8 @@ class AutoBackend final : public core::CountingBackend {
  private:
   PlannerOptions options_;
   std::vector<Plan> plans_;
+  std::optional<Plan> kept_;  ///< plan()'s result, for the request kept_for_
+  core::CountRequest kept_for_;
   /// Constructed backends by candidate label: a formulation that wins several
   /// levels is built once (SimGpuBackend construction stages an engine).
   std::map<std::string, std::unique_ptr<core::CountingBackend>> backends_;

@@ -119,8 +119,10 @@ ScoredCandidate score_gpu(const Workload& w, kernels::Algorithm algorithm, int t
   return c;
 }
 
-/// Measured-bias multiplier for a candidate: exact label match first, then
-/// the backend kind name, then 1 (no feedback recorded).
+}  // namespace
+
+PlannerOptions::PlannerOptions() : device(gpusim::geforce_gtx_280()) {}
+
 double bias_for(const PlannerOptions& options, const CandidateConfig& config) {
   if (options.measured_bias.empty()) return 1.0;
   auto it = options.measured_bias.find(config.label());
@@ -129,10 +131,6 @@ double bias_for(const PlannerOptions& options, const CandidateConfig& config) {
   }
   return it == options.measured_bias.end() ? 1.0 : it->second;
 }
-
-}  // namespace
-
-PlannerOptions::PlannerOptions() : device(gpusim::geforce_gtx_280()) {}
 
 kernels::WorkloadSpec gpu_workload_spec(const Workload& w, kernels::Algorithm algorithm,
                                         int tpb, bool trie_buckets) {

@@ -136,6 +136,10 @@ struct PlannerOptions {
   PlannerOptions();  ///< defaults the device to the paper's GTX 280
 };
 
+/// The measured_bias multiplier plan_level applies to a candidate: its
+/// label's entry, else its kind name's, else 1 (no feedback recorded).
+[[nodiscard]] double bias_for(const PlannerOptions& options, const CandidateConfig& config);
+
 /// Score the full candidate space for one level's workload.  Throws
 /// gm::PreconditionError when the workload is degenerate (empty database or
 /// episode set) or every candidate is infeasible.

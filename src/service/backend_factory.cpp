@@ -1,13 +1,8 @@
 #include "service/backend_factory.hpp"
 
-#include <utility>
-
 #include "calib/calibration.hpp"
 #include "common/error.hpp"
 #include "common/parallel.hpp"
-#include "core/cpu_backend.hpp"
-#include "distrib/distrib_backend.hpp"
-#include "kernels/gpu_backend.hpp"
 #include "planner/auto_backend.hpp"
 #include "sim/device_spec.hpp"
 
@@ -36,35 +31,51 @@ planner::PlannerOptions planner_options_for(const BackendSpec& spec) {
   return options;
 }
 
-std::unique_ptr<core::CountingBackend> make_backend(const BackendSpec& spec) {
-  if (auto cpu = core::make_cpu_backend(spec.name, spec.threads)) return cpu;
-  if (spec.name == "distrib" || spec.name == "distrib-gpu") {
-    distrib::DistribOptions options;
-    const bool gpu = spec.name == "distrib-gpu";
+planner::CandidateConfig candidate_for(const BackendSpec& spec) {
+  using planner::BackendKind;
+  const std::string_view name = spec.name;
+  const auto cpu = [name](std::string_view canonical) {
+    return name == canonical || name == canonical.substr(4);  // "cpu-" optional
+  };
+  const kernels::MiningLaunchParams& launch = spec.launch;
+  if (cpu("cpu-serial")) return {.kind = BackendKind::kCpuSerial};
+  if (cpu("cpu-single-scan")) return {.kind = BackendKind::kCpuSingleScan};
+  if (cpu("cpu-lane-scan")) return {.kind = BackendKind::kCpuLaneScan};
+  if (cpu("cpu-parallel")) {
+    return {.kind = BackendKind::kCpuParallel,
+            .threads = gm::resolved_thread_count(spec.threads)};
+  }
+  if (name == "gpusim") {
+    return {.kind = BackendKind::kGpuSim,
+            .algorithm = launch.algorithm,
+            .threads_per_block = launch.threads_per_block,
+            .trie_buckets = launch.trie_buckets};
+  }
+  if (name == "distrib" || name == "distrib-gpu") {
     // Host flavor defaults to one shard per hardware thread; the card flavor
     // to the paper's dual-die 9800 GX2 deployment.
-    options.shards = spec.shards > 0 ? spec.shards
-                     : gpu           ? 2
-                                     : gm::resolved_thread_count(0);
-    options.worker = gpu ? distrib::WorkerKind::kGpuSim : distrib::WorkerKind::kSingleScan;
-    options.device = gpusim::device_by_name(spec.card);
-    options.launch = spec.launch;
-    return std::make_unique<distrib::DistribBackend>(options);
+    const bool gpu = name == "distrib-gpu";
+    return {.kind = BackendKind::kDistrib,
+            .threads = spec.shards > 0 ? spec.shards : gpu ? 2 : gm::resolved_thread_count(0),
+            .algorithm = launch.algorithm,
+            .threads_per_block = launch.threads_per_block,
+            .distrib_gpu = gpu};
   }
-  if (spec.name == "gpusim") {
-    return std::make_unique<kernels::SimGpuBackend>(gpusim::device_by_name(spec.card),
-                                                    spec.launch);
-  }
-  if (spec.name == "auto") {
-    return std::make_unique<planner::AutoBackend>(planner_options_for(spec));
-  }
+  gm::expects(name != "auto", "'auto' plans a formulation per level, not one candidate");
   std::string known;
-  for (const auto name : backend_names()) {
+  for (const auto valid : backend_names()) {
     if (!known.empty()) known += ", ";
-    known += name;
+    known += valid;
   }
   gm::raise_precondition("unknown backend '" + spec.name + "' (expected one of: " + known +
                          ")");
+}
+
+std::unique_ptr<core::CountingBackend> make_backend(const BackendSpec& spec) {
+  if (spec.name == "auto") {
+    return std::make_unique<planner::AutoBackend>(planner_options_for(spec));
+  }
+  return planner::make_planned_backend(candidate_for(spec), planner_options_for(spec));
 }
 
 }  // namespace gm::service

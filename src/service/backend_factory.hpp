@@ -28,8 +28,10 @@ struct BackendSpec {
   std::string name = "gpusim";
   int threads = 0;  ///< CPU backends: 0 = hardware concurrency
   std::string card = "gtx280";
-  kernels::MiningLaunchParams launch = {};  ///< gpusim only
-  /// "auto" only: path of a fitted calibration profile (see calib/ and
+  /// gpusim and distrib-gpu: algorithm and threads_per_block (gpusim also
+  /// trie_buckets); other fields keep the kernel defaults.
+  kernels::MiningLaunchParams launch = {};
+  /// Path of a fitted calibration profile (see calib/ and
   /// `backend_shootout --fit-calibration`) whose constants replace the
   /// shipped cost-model defaults the planner scores with.  Empty = shipped.
   std::string calibration = {};
@@ -40,8 +42,14 @@ struct BackendSpec {
   int shards = 0;
 };
 
-/// Construct the backend a spec names.  Throws gm::PreconditionError for an
-/// unknown name, listing the valid ones.
+/// The formulation a fixed (non-"auto") spec names, with thread and shard
+/// counts resolved: the one spec-to-candidate mapping, so one config both
+/// builds and prices a fixed backend.  Throws gm::PreconditionError for
+/// "auto" and for an unknown name, listing the valid ones.
+[[nodiscard]] planner::CandidateConfig candidate_for(const BackendSpec& spec);
+
+/// Construct the backend a spec names: "auto" as a planner::AutoBackend,
+/// any other as make_planned_backend(candidate_for(spec), planner_options_for(spec)).
 [[nodiscard]] std::unique_ptr<core::CountingBackend> make_backend(const BackendSpec& spec);
 
 /// The names make_backend accepts (for --help text and shootout sweeps).
@@ -49,12 +57,8 @@ struct BackendSpec {
 
 /// The planner options a spec implies: the device its card names, its CPU
 /// thread budget, and (when set) its calibration profile applied on top of
-/// the shipped cost constants.  This is what "auto" constructs AutoBackend
-/// with; MiningSession scores admission-control predictions with the same
-/// options.  The admission plan can still differ from the one that runs:
-/// the session's level workload carries no measured prefix compression, and
-/// a caller-owned backend passed to mine_with() plans with its own options
-/// while admission keeps the session's (ROADMAP item 1 has measured cases).
+/// the shipped cost constants.  "auto" constructs AutoBackend with them; a
+/// fixed spec is built with them and MiningSession prices it with them.
 [[nodiscard]] planner::PlannerOptions planner_options_for(const BackendSpec& spec);
 
 }  // namespace gm::service

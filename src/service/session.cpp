@@ -1,13 +1,15 @@
 #include "service/session.hpp"
 
-#include <algorithm>
 #include <chrono>
+#include <functional>
 #include <iomanip>
+#include <map>
 #include <sstream>
 #include <utility>
 
 #include "common/error.hpp"
 #include "core/scan_checkpoint.hpp"
+#include "planner/auto_backend.hpp"
 
 namespace gm::service {
 namespace {
@@ -24,64 +26,53 @@ std::string fmt_ms(double ms) {
   return os.str();
 }
 
-/// Per-level budget enforcement + plan-note collection for one mining run.
-/// Before each level is counted, the planner scores the level's actual
-/// candidate set; once the accumulated prediction exceeds the budget the run
-/// stops between levels, so every level that did run is complete and exact.
-class BudgetObserver final : public core::LevelObserver {
- public:
-  BudgetObserver(planner::Workload base, const planner::PlannerOptions& options,
-                 double budget_ms)
-      : base_(std::move(base)), options_(options), budget_ms_(budget_ms) {}
+/// "plan <label>, predicted <ms> ms <clock>", or "not priced (<reason>)".
+/// gpusim and distrib-gpu picks predict simulated time, the others host time.
+std::string price_note(const planner::ScoredCandidate& price) {
+  if (!price.feasible) return "not priced (" + price.reason + ")";
+  const planner::CandidateConfig& c = price.config;
+  const bool simulated = c.kind == planner::BackendKind::kGpuSim ||
+                         (c.kind == planner::BackendKind::kDistrib && c.distrib_gpu);
+  return "plan " + c.label() + ", predicted " + fmt_ms(price.predicted_ms) + " ms " +
+         (simulated ? "simulated" : "host");
+}
 
-  bool on_level_start(int level, std::span<const core::Episode> candidates) override {
-    base_.level = level;
-    base_.episode_count = static_cast<std::int64_t>(candidates.size());
+/// Per-level budget enforcement + plan-note collection for one mining run:
+/// each level is priced before it is counted, and once the accumulated price
+/// exceeds the budget the run stops between levels, so every level that did
+/// run is complete and exact.
+struct BudgetObserver final : core::LevelObserver {
+  bool on_level_start(int level, const core::CountRequest& request) override {
+    const planner::ScoredCandidate priced = price(request);
     std::string note = "level " + std::to_string(level) + ": " +
-                       std::to_string(candidates.size()) + " candidates";
-    double level_ms = 0.0;
-    try {
-      const planner::Plan plan = planner::plan_level(base_, options_);
-      level_ms = plan.winner().predicted_ms;
-      note += ", plan " + plan.winner().config.label() + ", predicted " + fmt_ms(level_ms) +
-              " ms";
-    } catch (const gm::Error&) {
-      // No feasible formulation to predict with: count anyway (the backend
-      // itself will surface a real capability failure).
-      note += ", no feasible formulation to predict";
-    }
-    predicted_total_ms_ += level_ms;
-    if (budget_ms_ > 0.0 && predicted_total_ms_ > budget_ms_) {
-      stop_ = Rejection{
-          ErrorCode::kAdmissionRejected,
-          "admission control: planner predicts " + fmt_ms(predicted_total_ms_) +
-              " ms through level " + std::to_string(level) + " (" +
-              std::to_string(candidates.size()) + " candidates), over the " +
-              fmt_ms(budget_ms_) + " ms latency budget"};
-      notes_.push_back(note + " — stopped: over budget");
+                       std::to_string(request.episodes.size()) + " candidates, " +
+                       price_note(priced);
+    predicted_total_ms += priced.feasible ? priced.predicted_ms : 0.0;
+    if (budget_ms > 0.0 && predicted_total_ms > budget_ms) {
+      stop = {ErrorCode::kAdmissionRejected,
+              "admission control: " + note + "; " + fmt_ms(predicted_total_ms) +
+                  " ms through this level, over the " + fmt_ms(budget_ms) +
+                  " ms latency budget"};
+      notes.push_back(note + " — stopped: over budget");
       return false;
     }
-    notes_.push_back(std::move(note));
+    notes.push_back(std::move(note));
     return true;
   }
 
   void on_level_done(const core::LevelReport& report) override {
-    notes_.back() += " -> " + std::to_string(report.frequent) + " frequent (counted in " +
-                     fmt_ms(report.count_host_ms) + " ms)";
+    notes.back() += " -> " + std::to_string(report.frequent) + " frequent (";
+    if (report.simulated_kernel_ms > 0.0) {
+      notes.back() += "simulated kernel " + fmt_ms(report.simulated_kernel_ms) + " ms, ";
+    }
+    notes.back() += "counted in " + fmt_ms(report.count_host_ms) + " ms host)";
   }
 
-  [[nodiscard]] double predicted_total_ms() const noexcept { return predicted_total_ms_; }
-  [[nodiscard]] const Rejection& stop() const noexcept { return stop_; }
-  [[nodiscard]] bool stopped() const noexcept { return stop_.code != ErrorCode::kUnknown; }
-  [[nodiscard]] std::vector<std::string>&& take_notes() noexcept { return std::move(notes_); }
-
- private:
-  planner::Workload base_;
-  const planner::PlannerOptions& options_;
-  double budget_ms_;
-  double predicted_total_ms_ = 0.0;
-  std::vector<std::string> notes_;
-  Rejection stop_;
+  std::function<planner::ScoredCandidate(const core::CountRequest&)> price;
+  double budget_ms = 0.0;
+  double predicted_total_ms = 0.0;
+  std::vector<std::string> notes;
+  Rejection stop;
 };
 
 }  // namespace
@@ -92,6 +83,10 @@ MiningSession::MiningSession(data::Dataset dataset, SessionOptions options)
       mine_cache_(options_.mine_cache_capacity),
       count_cache_(options_.count_cache_capacity),
       backend_(make_backend(options_.backend)) {
+  if (options_.backend.name != "auto") {
+    fixed_ = candidate_for(options_.backend);
+    fixed_name_ = backend_->name();
+  }
   load_locked(std::move(dataset));
 }
 
@@ -112,20 +107,7 @@ void MiningSession::load_locked(data::Dataset dataset) {
   db_digest_state_ = digest;
   db_digest_ = digest.value();
   symbol_counts_ = std::move(counts);
-  refresh_symbol_freq_locked();
   monitors_.clear();  // their scans describe the replaced stream
-}
-
-void MiningSession::refresh_symbol_freq_locked() {
-  // Mirrors kernels::measured_symbol_freq bit-for-bit: counts accumulate as
-  // integers (the double conversion is exact far past any real stream), so
-  // the incremental path and a full re-measure agree exactly.
-  const double denom = static_cast<double>(dataset_.events.size()) +
-                       static_cast<double>(dataset_.alphabet.size());
-  symbol_freq_.resize(symbol_counts_.size());
-  for (std::size_t s = 0; s < symbol_counts_.size(); ++s) {
-    symbol_freq_[s] = (static_cast<double>(symbol_counts_[s]) + 1.0) / denom;
-  }
 }
 
 void MiningSession::reload(data::Dataset dataset) {
@@ -151,7 +133,6 @@ MiningSession::AppendOutcome MiningSession::append_events(std::span<const core::
     ++symbol_counts_[s];
   }
   db_digest_ = db_digest_state_.value();
-  refresh_symbol_freq_locked();
   // Deliberately no cache clear: the new generation is mixed into every
   // future cache key, so stale entries can never hit again — they simply age
   // out of the LRU.  Telling the caches the new generation lets them book
@@ -233,21 +214,33 @@ std::vector<MonitorSnapshot> MiningSession::monitor_snapshots() const {
 
 std::vector<double> MiningSession::measured_frequencies() const {
   std::shared_lock db_lock(db_mutex_);
-  return symbol_freq_;
+  // kernels::measured_symbol_freq's formula on integer counts (exact in a
+  // double far past any real stream), so it agrees bit for bit.
+  const double denom = static_cast<double>(dataset_.events.size()) +
+                       static_cast<double>(dataset_.alphabet.size());
+  std::vector<double> freq(symbol_counts_.size());
+  for (std::size_t s = 0; s < symbol_counts_.size(); ++s) {
+    freq[s] = (static_cast<double>(symbol_counts_[s]) + 1.0) / denom;
+  }
+  return freq;
 }
 
-planner::Workload MiningSession::level_workload(std::int64_t episode_count, int level,
-                                                core::Semantics semantics,
-                                                core::ExpiryPolicy expiry) const {
-  planner::Workload w;
-  w.db_size = static_cast<std::int64_t>(dataset_.events.size());
-  w.episode_count = episode_count;
-  w.level = level;
-  w.alphabet_size = dataset_.alphabet.size();
-  w.symbol_freq = symbol_freq_;
-  w.semantics = semantics;
-  w.expiry = expiry;
-  return w;
+planner::ScoredCandidate MiningSession::price(const core::CountRequest& request,
+                                              core::CountingBackend& backend) const {
+  planner::ScoredCandidate unpriced;
+  try {
+    if (auto* adaptive = dynamic_cast<planner::AutoBackend*>(&backend)) {
+      return adaptive->plan(request).winner();
+    }
+    if (fixed_ && backend.name() == fixed_name_) {
+      return planner::price_candidate(
+          planner::workload_of(request, dataset_.alphabet.size()), *fixed_, planner_options_);
+    }
+    unpriced.reason = "backend '" + backend.name() + "' is neither auto nor the session's";
+  } catch (const gm::Error& e) {
+    unpriced.reason = e.what();  // the backend's count() reports any real failure
+  }
+  return unpriced;
 }
 
 std::uint64_t MiningSession::mine_key(const core::MinerConfig& config) const {
@@ -328,43 +321,30 @@ MineResponse MiningSession::mine_with(const MineRequest& request,
     }
   }
 
-  BudgetObserver observer(
-      level_workload(dataset_.alphabet.size(), 1, request.config.semantics,
-                     request.config.expiry),
-      planner_options_, request.limits.latency_budget_ms);
+  BudgetObserver observer;
+  observer.price = [&](const core::CountRequest& level) { return price(level, backend); };
+  observer.budget_ms = request.limits.latency_budget_ms;
   core::MiningResult result;
   try {
     result = core::mine_frequent_episodes(dataset_.events, dataset_.alphabet, backend,
                                           request.config, &observer);
+    if (result.truncated) response.rejection = observer.stop;
   } catch (const gm::Error& e) {
     response.rejection = {e.code(), e.what()};
-    response.plan_notes = observer.take_notes();
-    response.timing.predicted_ms = observer.predicted_total_ms();
-    response.timing.service_ms = elapsed_ms(start);
-    return response;
   }
-
-  response.plan_notes = observer.take_notes();
-  response.timing.predicted_ms = observer.predicted_total_ms();
-  if (result.truncated) {
-    response.rejection = observer.stop();
-    if (result.levels.empty()) {
-      // Budget blown at level 1: nothing ran, a pure admission rejection.
-      response.timing.service_ms = elapsed_ms(start);
-      return response;
-    }
-    response.disposition = Disposition::kTruncated;
+  response.plan_notes = std::move(observer.notes);
+  response.timing.predicted_ms = observer.predicted_total_ms;
+  if (response.rejection.code == ErrorCode::kUnknown) {
+    response.disposition = Disposition::kServed;
     response.result = std::move(result);
-    response.timing.service_ms = elapsed_ms(start);
-    return response;
-  }
-
-  response.disposition = Disposition::kServed;
-  response.result = std::move(result);
-  {
     std::lock_guard cache_lock(cache_mutex_);
     mine_cache_.put(response.cache_key, CachedMine{response.result, response.plan_notes,
                                                   response.timing.predicted_ms});
+  } else if (!result.levels.empty()) {
+    // Stopped between levels; a budget blown at level 1 ran nothing and
+    // stays a pure admission rejection.
+    response.disposition = Disposition::kTruncated;
+    response.result = std::move(result);
   }
   response.timing.service_ms = elapsed_ms(start);
   return response;
@@ -381,15 +361,13 @@ std::vector<CountResponse> MiningSession::count_batch_with(
   std::vector<CountResponse> responses(requests.size());
 
   std::shared_lock db_lock(db_mutex_);
+  const auto core_request = [&](const CountRequest& r) {
+    return core::CountRequest{dataset_.events, r.episodes, r.semantics, r.expiry};
+  };
 
   // Per-request validation, cache lookup and admission; survivors join their
-  // batch group (same level/semantics/expiry) for a shared backend call.
-  struct Group {
-    core::Semantics semantics;
-    core::ExpiryPolicy expiry;
-    std::vector<std::size_t> members;  ///< request indices
-  };
-  std::vector<std::pair<std::uint64_t, Group>> groups;
+  // batch group (same level/semantics/expiry): request indices by batch key.
+  std::map<std::uint64_t, std::vector<std::size_t>> groups;
 
   for (std::size_t i = 0; i < requests.size(); ++i) {
     const CountRequest& request = requests[i];
@@ -435,58 +413,42 @@ std::vector<CountResponse> MiningSession::count_batch_with(
       }
     }
 
-    try {
-      const planner::Plan plan = planner::plan_level(
-          level_workload(static_cast<std::int64_t>(request.episodes.size()), level,
-                         request.semantics, request.expiry),
-          planner_options_);
-      response.timing.predicted_ms = plan.winner().predicted_ms;
-    } catch (const gm::Error&) {
-      // No feasible formulation to predict with; admission passes and the
-      // backend call below decides.
-    }
+    const planner::ScoredCandidate priced = price(core_request(request), backend);
+    if (priced.feasible) response.timing.predicted_ms = priced.predicted_ms;
     if (request.limits.latency_budget_ms > 0.0 &&
         response.timing.predicted_ms > request.limits.latency_budget_ms) {
       response.rejection = {ErrorCode::kAdmissionRejected,
-                            "admission control: planner predicts " +
-                                fmt_ms(response.timing.predicted_ms) + " ms for " +
-                                std::to_string(request.episodes.size()) +
-                                " level-" + std::to_string(level) + " episodes, over the " +
+                            "admission control: " + price_note(priced) + " for " +
+                                std::to_string(request.episodes.size()) + " level-" +
+                                std::to_string(level) + " episodes, over the " +
                                 fmt_ms(request.limits.latency_budget_ms) +
                                 " ms latency budget"};
       response.timing.service_ms = elapsed_ms(start);
       continue;
     }
 
-    const std::uint64_t key = batch_key(request);
-    auto it = std::find_if(groups.begin(), groups.end(),
-                           [key](const auto& g) { return g.first == key; });
-    if (it == groups.end()) {
-      groups.push_back({key, Group{request.semantics, request.expiry, {}}});
-      it = groups.end() - 1;
-    }
-    it->second.members.push_back(i);
+    groups[batch_key(request)].push_back(i);
   }
 
-  for (auto& [key, group] : groups) {
+  for (const auto& [key, members] : groups) {
     const auto group_start = Clock::now();
+    // A request counted alone is counted as the very request admission
+    // priced, so an AutoBackend runs the plan it priced with.
+    core::CountRequest counting = core_request(requests[members.front()]);
     std::vector<core::Episode> combined;
-    for (const std::size_t i : group.members) {
-      combined.insert(combined.end(), requests[i].episodes.begin(),
-                      requests[i].episodes.end());
+    if (members.size() > 1) {
+      for (const std::size_t i : members) {
+        combined.insert(combined.end(), requests[i].episodes.begin(),
+                        requests[i].episodes.end());
+      }
+      counting.episodes = combined;
     }
-
-    core::CountRequest core_request;
-    core_request.database = dataset_.events;
-    core_request.episodes = combined;
-    core_request.semantics = group.semantics;
-    core_request.expiry = group.expiry;
 
     core::CountResult counted;
     try {
-      counted = backend.count(core_request);
+      counted = backend.count(counting);
     } catch (const gm::Error& e) {
-      for (const std::size_t i : group.members) {
+      for (const std::size_t i : members) {
         responses[i].rejection = {e.code(), e.what()};
         responses[i].timing.service_ms = elapsed_ms(group_start);
       }
@@ -494,13 +456,13 @@ std::vector<CountResponse> MiningSession::count_batch_with(
     }
 
     std::size_t offset = 0;
-    for (const std::size_t i : group.members) {
+    for (const std::size_t i : members) {
       CountResponse& response = responses[i];
       const std::size_t n = requests[i].episodes.size();
       response.disposition = Disposition::kServed;
       response.counts.assign(counted.counts.begin() + static_cast<std::ptrdiff_t>(offset),
                              counted.counts.begin() + static_cast<std::ptrdiff_t>(offset + n));
-      response.batched_with = static_cast<int>(group.members.size()) - 1;
+      response.batched_with = static_cast<int>(members.size()) - 1;
       response.timing.service_ms = elapsed_ms(group_start);
       offset += n;
       std::lock_guard cache_lock(cache_mutex_);

@@ -1,20 +1,20 @@
 // MiningSession: the long-lived object behind the service API.
 //
 // A session owns one loaded database (data::Dataset: events + Alphabet), the
-// workload statistics the planner scores against (alphabet size + smoothed
-// symbol distribution, measured once per load instead of once per request),
-// the planner options a BackendSpec implies (including a fitted
+// planner options a BackendSpec implies (including a fitted
 // CalibrationProfile when configured), a default counting backend, and the
 // result caches.  It serves MineRequest/CountRequest synchronously:
 //
-//   validate -> cache lookup -> planner-driven admission -> count -> cache
+//   validate -> cache lookup -> admission -> count -> cache
 //
-// Admission control uses plan_level cost predictions: a request whose
-// predicted time exceeds its latency budget is rejected before any counting
-// runs (ErrorCode::kAdmissionRejected), and a mining run whose later levels
-// blow the remaining budget is stopped between levels with the partial
-// result marked kTruncated.  Failures never escape as exceptions — they come
-// back as structured Rejections.
+// Admission prices a counting request on the backend that counts it: an
+// AutoBackend's plan, which its count() then runs (each level is planned
+// once), or price_candidate on a fixed spec's candidate_for() config; any
+// other backend goes unpriced.  A request priced over its latency budget is
+// rejected before any counting runs (ErrorCode::kAdmissionRejected), and a
+// mine whose later levels blow the budget stops between levels, marked
+// kTruncated.  Failures never escape as exceptions — they come back as
+// structured Rejections.
 //
 // Concurrency: any number of threads may call mine/count concurrently.  A
 // shared mutex guards the database (reload() takes it exclusively, so a
@@ -25,9 +25,8 @@
 // MiningService does.
 //
 // Streaming: append_events() extends the database in place — generation
-// bumps, the content digest and measured symbol frequencies update
-// incrementally, and registered StreamingMonitors advance by exactly the new
-// events.  Unlike reload(), an append does NOT clear the result caches:
+// bumps, the content digest and symbol counts update incrementally, and
+// registered StreamingMonitors advance by exactly the new events.  Unlike reload(), an append does NOT clear the result caches:
 // cache keys mix the generation, so entries for earlier generations can
 // never be returned for a new request, yet a client that pinned an old
 // response's cache key still observes it until LRU age-out.  Monitors
@@ -38,6 +37,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <span>
 #include <string>
@@ -73,10 +73,10 @@ class MiningSession {
   MiningSession(const MiningSession&) = delete;
   MiningSession& operator=(const MiningSession&) = delete;
 
-  /// Swap in a new database: bumps the generation, re-measures the workload
-  /// statistics, and invalidates both result caches.  Waits for in-flight
-  /// requests to drain.  Registered monitors are dropped: their scans
-  /// describe a stream that no longer exists.
+  /// Swap in a new database: bumps the generation, re-counts the symbols,
+  /// and invalidates both result caches.  Waits for in-flight requests to
+  /// drain.  Registered monitors are dropped: their scans describe a stream
+  /// that no longer exists.
   void reload(data::Dataset dataset);
 
   /// What one append did: the generation it created, the stream size after
@@ -89,9 +89,9 @@ class MiningSession {
 
   /// Extend the database with a batch of new events (all inside the session
   /// alphabet).  Bumps the generation and incrementally updates the content
-  /// digest and measured symbol frequencies; still-cached results from
-  /// earlier generations stay resident (their keys can no longer be
-  /// produced) instead of being invalidated wholesale like reload() does.
+  /// digest and symbol counts; still-cached results from earlier generations
+  /// stay resident (their keys can no longer be produced) instead of being
+  /// invalidated wholesale like reload() does.
   /// Every registered monitor advances over exactly this batch.
   AppendOutcome append_events(std::span<const core::Symbol> events);
 
@@ -114,8 +114,8 @@ class MiningSession {
   /// checkpoints carry the current generation.
   [[nodiscard]] std::vector<MonitorSnapshot> monitor_snapshots() const;
 
-  /// The smoothed symbol distribution the planner scores against, as
-  /// maintained incrementally across appends (bit-identical to
+  /// The smoothed symbol distribution of the loaded stream, computed from
+  /// the per-symbol counts appends maintain (bit-identical to
   /// kernels::measured_symbol_freq over the full stream).
   [[nodiscard]] std::vector<double> measured_frequencies() const;
 
@@ -165,19 +165,20 @@ class MiningSession {
   };
 
   void load_locked(data::Dataset dataset);
-  void refresh_symbol_freq_locked();
 
-  /// Planner workload for one level of the loaded database (db stats cached
-  /// at load time; caller holds the shared db lock).
-  [[nodiscard]] planner::Workload level_workload(std::int64_t episode_count, int level,
-                                                 core::Semantics semantics,
-                                                 core::ExpiryPolicy expiry) const;
+  /// Counting `request` on `backend`, priced: an AutoBackend's plan, else
+  /// price_candidate on fixed_ if `backend` is named fixed_name_, else
+  /// unpriced (feasible = false, with a reason).  Caller holds the db lock.
+  [[nodiscard]] planner::ScoredCandidate price(const core::CountRequest& request,
+                                               core::CountingBackend& backend) const;
 
   [[nodiscard]] std::uint64_t mine_key(const core::MinerConfig& config) const;
   [[nodiscard]] std::uint64_t count_key(const CountRequest& request) const;
 
   SessionOptions options_;
   planner::PlannerOptions planner_options_;
+  std::optional<planner::CandidateConfig> fixed_;  ///< the spec's formulation, unless "auto"
+  std::string fixed_name_;                         ///< name() of the backend fixed_ builds
 
   mutable std::shared_mutex db_mutex_;
   data::Dataset dataset_;
@@ -185,7 +186,6 @@ class MiningSession {
   Digest db_digest_state_;  ///< running content digest; appends extend it
   std::uint64_t db_digest_ = 0;
   std::vector<std::int64_t> symbol_counts_;  ///< raw occurrence counts per symbol
-  std::vector<double> symbol_freq_;
   std::vector<StreamingMonitor> monitors_;
 
   mutable std::mutex cache_mutex_;

@@ -312,14 +312,28 @@ TEST(Miner, LevelCapErrorCarriesCapabilityCode) {
 }
 
 TEST(Miner, ObserverSeesLevelsAndCanTruncate) {
+  // The observer sees each level's counting request, and the backend's
+  // count() receives that very object.
+  class RecordingBackend final : public CountingBackend {
+   public:
+    [[nodiscard]] std::string name() const override { return "recording"; }
+    [[nodiscard]] CountResult count(const CountRequest& request) override {
+      counted.push_back(&request);
+      return serial.count(request);
+    }
+    SerialCpuBackend serial;
+    std::vector<const CountRequest*> counted;
+  };
   class StopAfterOne final : public LevelObserver {
    public:
-    bool on_level_start(int level, std::span<const Episode> candidates) override {
-      starts.push_back({level, static_cast<std::int64_t>(candidates.size())});
+    bool on_level_start(int level, const CountRequest& request) override {
+      starts.push_back({level, static_cast<std::int64_t>(request.episodes.size())});
+      seen.push_back(&request);
       return level <= 1;
     }
     void on_level_done(const LevelReport& report) override { done.push_back(report.level); }
     std::vector<std::pair<int, std::int64_t>> starts;
+    std::vector<const CountRequest*> seen;
     std::vector<int> done;
   };
 
@@ -332,7 +346,7 @@ TEST(Miner, ObserverSeesLevelsAndCanTruncate) {
   MinerConfig config;
   config.support_threshold = 0.1;
   config.max_level = 3;
-  SerialCpuBackend backend;
+  RecordingBackend backend;
 
   StopAfterOne observer;
   const MiningResult truncated =
@@ -344,6 +358,8 @@ TEST(Miner, ObserverSeesLevelsAndCanTruncate) {
   EXPECT_EQ(observer.starts[0].second, 26);  // level-1 candidates = alphabet
   EXPECT_EQ(observer.starts[1].first, 2);
   EXPECT_EQ(observer.done, std::vector<int>{1});
+  ASSERT_EQ(backend.counted.size(), 1u);  // the stopped level is never counted
+  EXPECT_EQ(backend.counted[0], observer.seen[0]);
 
   // The truncated prefix is bit-identical to the classic run's first level.
   const MiningResult full = mine(db, kAbc, config);

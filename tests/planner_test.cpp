@@ -416,6 +416,77 @@ TEST(AutoBackend, KeepsADevicePickAcrossRepeatedCalls) {
   EXPECT_EQ(adaptive.constructed_backends(), 1u);
 }
 
+TEST(AutoBackend, CountRunsThePlanKeptForTheSameRequest) {
+  // plan(r) then count(r): one plans() entry, and it is the returned plan
+  // itself (its decision table moved in, not re-planned).
+  const core::Alphabet alphabet(10);
+  const auto db = data::uniform_database(alphabet, 5'000, 3);
+  const auto episodes = core::all_distinct_episodes(alphabet, 2);
+  core::CountRequest request;
+  request.database = db;
+  request.episodes = episodes;
+
+  AutoBackend adaptive{deterministic_options()};
+  const Plan& kept = adaptive.plan(request);
+  const ScoredCandidate* table = kept.table.data();
+  const std::string label = kept.winner().config.label();
+  EXPECT_TRUE(adaptive.plans().empty());
+  EXPECT_EQ(adaptive.count(request).counts,
+            core::count_all(episodes, db, core::Semantics::kNonOverlappedSubsequence));
+  ASSERT_EQ(adaptive.plans().size(), 1u);
+  EXPECT_EQ(adaptive.plans()[0].table.data(), table);
+  EXPECT_EQ(adaptive.plans()[0].winner().config.label(), label);
+}
+
+TEST(AutoBackend, PlanWithoutCountAddsNoPlan) {
+  const core::Alphabet alphabet(10);
+  const auto db = data::uniform_database(alphabet, 5'000, 3);
+  const auto episodes = core::all_distinct_episodes(alphabet, 2);
+  core::CountRequest request;
+  request.database = db;
+  request.episodes = episodes;
+
+  AutoBackend adaptive{deterministic_options()};
+  (void)adaptive.plan(request);
+  (void)adaptive.plan(request);
+  EXPECT_TRUE(adaptive.plans().empty());
+  EXPECT_EQ(adaptive.constructed_backends(), 0u);
+}
+
+TEST(AutoBackend, CountOfAnotherRequestPlansAfresh) {
+  // count(other) after plan(r) plans `other`.  Same spans under another
+  // expiry are another request too.
+  const core::Alphabet alphabet(10);
+  const auto db = data::uniform_database(alphabet, 5'000, 3);
+  const auto pairs = core::all_distinct_episodes(alphabet, 2);
+  const auto singles = core::level1_candidates(alphabet);
+  core::CountRequest request;
+  request.database = db;
+  request.episodes = pairs;
+  core::CountRequest other = request;
+  other.episodes = singles;
+  core::CountRequest expiring = request;
+  expiring.expiry = {6};
+
+  AutoBackend adaptive{deterministic_options()};
+  (void)adaptive.plan(request);
+  (void)adaptive.count(other);
+  ASSERT_EQ(adaptive.plans().size(), 1u);
+  EXPECT_EQ(adaptive.plans()[0].workload.level, 1);
+  EXPECT_EQ(adaptive.plans()[0].workload.episode_count,
+            static_cast<std::int64_t>(singles.size()));
+
+  (void)adaptive.count(request);
+  ASSERT_EQ(adaptive.plans().size(), 2u);
+  EXPECT_EQ(adaptive.plans()[1].workload.level, 2);
+
+  (void)adaptive.plan(request);
+  EXPECT_EQ(adaptive.count(expiring).counts,
+            core::count_all(pairs, db, core::Semantics::kNonOverlappedSubsequence, {6}));
+  ASSERT_EQ(adaptive.plans().size(), 3u);
+  EXPECT_EQ(adaptive.plans()[2].workload.expiry, expiring.expiry);
+}
+
 TEST(AutoBackend, FeedbackRecordsRecencyWeightedBias) {
   // Every delegated count() must fold measured/predicted into the winner's
   // bias.  The update is an EWMA toward the floored observed ratio, so after

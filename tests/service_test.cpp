@@ -9,20 +9,26 @@
 
 #include <cstdint>
 #include <future>
+#include <iomanip>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
+#include "core/candidate_gen.hpp"
 #include "core/cpu_backend.hpp"
 #include "core/miner.hpp"
 #include "core/serial_counter.hpp"
 #include "data/generators.hpp"
 #include "kernels/mining_kernels.hpp"
+#include "planner/auto_backend.hpp"
+#include "planner/workload.hpp"
 #include "service/backend_factory.hpp"
 #include "service/result_cache.hpp"
 #include "service/service.hpp"
@@ -62,6 +68,15 @@ std::vector<std::int64_t> oracle_counts(const data::Dataset& dataset,
   request.semantics = semantics;
   request.expiry = expiry;
   return serial.count(request).counts;
+}
+
+/// What a session with the fixed `spec` prices counting `episodes` on
+/// `dataset` at: price_candidate on the spec's own candidate.
+planner::ScoredCandidate fixed_price(const data::Dataset& dataset, const BackendSpec& spec,
+                                     const std::vector<core::Episode>& episodes) {
+  const core::CountRequest request{.database = dataset.events, .episodes = episodes};
+  return planner::price_candidate(planner::workload_of(request, dataset.alphabet.size()),
+                                  candidate_for(spec), planner_options_for(spec));
 }
 
 void expect_same_mining(const core::MiningResult& got, const core::MiningResult& want) {
@@ -306,8 +321,8 @@ TEST(ServiceSession, AdmissionRejectsWorkOverTheLatencyBudget) {
 
 TEST(ServiceSession, MidBudgetMineTruncatesBetweenLevelsExactly) {
   data::Dataset dataset = make_dataset(12, 6000, 13);
-  SessionOptions options{.backend = {.name = "cpu-single-scan"}};
-  MiningSession session(dataset, options);
+  const BackendSpec spec{.name = "cpu-single-scan"};
+  MiningSession session(dataset, {.backend = spec});
 
   MineRequest unbounded;
   unbounded.config.support_threshold = 0.0;  // everything survives to level 3
@@ -316,32 +331,206 @@ TEST(ServiceSession, MidBudgetMineTruncatesBetweenLevelsExactly) {
   ASSERT_EQ(full.disposition, Disposition::kServed);
   ASSERT_EQ(full.result.levels.size(), 3u);
 
-  // Budget covers level 1 (26 candidates' worth of prediction) but not the
-  // accumulated prediction through level 2's candidate explosion: pick the
-  // midpoint of the planner's own per-level accumulation by probing with the
-  // full run's predicted total.
-  MineRequest budgeted = unbounded;
-  budgeted.limits.latency_budget_ms = full.timing.predicted_ms * 0.5;
-  const MineResponse partial = session.mine(budgeted);
-  if (partial.disposition == Disposition::kTruncated) {
-    EXPECT_TRUE(partial.result.truncated);
-    EXPECT_EQ(partial.rejection.code, ErrorCode::kAdmissionRejected);
-    ASSERT_LT(partial.result.levels.size(), full.result.levels.size());
-    // The levels that did run are complete and identical to the full run.
-    for (std::size_t i = 0; i < partial.result.levels.size(); ++i) {
-      EXPECT_EQ(partial.result.levels[i].candidates, full.result.levels[i].candidates);
-      EXPECT_EQ(partial.result.levels[i].frequent, full.result.levels[i].frequent);
-    }
-    for (std::size_t i = 0; i < partial.result.frequent.size(); ++i) {
-      EXPECT_EQ(partial.result.frequent[i].episode, full.result.frequent[i].episode);
-      EXPECT_EQ(partial.result.frequent[i].count, full.result.frequent[i].count);
-    }
-  } else {
-    // Half the predicted total still covered every level on this machine's
-    // cost model — the budget path was still exercised by the tiny-budget
-    // rejection test above.
-    EXPECT_EQ(partial.disposition, Disposition::kCached);
+  // A budget between the level-1 price and the level-1+2 price: level 1 is
+  // counted, level 2 is not.
+  std::vector<core::Episode> survivors;
+  for (const core::FrequentEpisode& f : full.result.frequent) {
+    if (f.episode.level() == 1) survivors.push_back(f.episode);
   }
+  const double through_1 =
+      fixed_price(dataset, spec, core::level1_candidates(dataset.alphabet)).predicted_ms;
+  const double through_2 =
+      through_1 +
+      fixed_price(dataset, spec, core::generate_candidates(survivors, true)).predicted_ms;
+  ASSERT_LT(through_1, through_2);
+
+  // A fresh cache: the unbounded run's result has the same cache key.
+  session.reload(dataset);
+  MineRequest budgeted = unbounded;
+  budgeted.limits.latency_budget_ms = (through_1 + through_2) / 2.0;
+  const MineResponse partial = session.mine(budgeted);
+  ASSERT_EQ(partial.disposition, Disposition::kTruncated) << partial.rejection.reason;
+  EXPECT_TRUE(partial.result.truncated);
+  EXPECT_EQ(partial.rejection.code, ErrorCode::kAdmissionRejected);
+  EXPECT_DOUBLE_EQ(partial.timing.predicted_ms, through_2);
+  ASSERT_EQ(partial.result.levels.size(), 1u);
+  // The level that did run is complete and identical to the full run.
+  EXPECT_EQ(partial.result.levels[0].candidates, full.result.levels[0].candidates);
+  EXPECT_EQ(partial.result.levels[0].frequent, full.result.levels[0].frequent);
+  ASSERT_EQ(partial.result.total_frequent(), full.result.levels[0].frequent);
+  for (std::size_t i = 0; i < partial.result.frequent.size(); ++i) {
+    EXPECT_EQ(partial.result.frequent[i].episode, full.result.frequent[i].episode);
+    EXPECT_EQ(partial.result.frequent[i].count, full.result.frequent[i].count);
+  }
+  ASSERT_EQ(partial.plan_notes.size(), 2u);
+  EXPECT_NE(partial.plan_notes[1].find("stopped: over budget"), std::string::npos);
+}
+
+/// How the session's notes print a price: "plan <label>, predicted <ms> ms".
+std::string named_price(const planner::ScoredCandidate& price) {
+  std::ostringstream os;
+  os << "plan " << price.config.label() << ", predicted " << std::fixed
+     << std::setprecision(3) << price.predicted_ms << " ms";
+  return os.str();
+}
+
+TEST(ServiceSession, AdmissionNamesTheFormulationThatRuns) {
+  // A uniform 26-symbol stream (seed 1) mined to level 3 at support 0: 26,
+  // 676 and 17,576 candidates.  Every level's note names the plan the
+  // backend ran, for the session's default backend (auto on the GTX 280,
+  // whose level 3 runs the shared-prefix trie kernel: an admission plan
+  // without the candidates' prefix mass named gpusim-algo2/t128) and for a
+  // CPU-only caller-owned AutoBackend.  Optimised builds mine the paper
+  // stream of 50k events; debug and sanitizer builds mine 2k, where the same
+  // picks run and a simulated level 3 does not take a minute.
+#ifdef NDEBUG
+  constexpr std::int64_t kEvents = 50'000;
+#else
+  constexpr std::int64_t kEvents = 2'000;
+#endif
+  const data::Dataset dataset = make_dataset(26, kEvents, 1);
+  MiningSession session(dataset);
+  MineRequest request;
+  request.config.support_threshold = 0.0;
+  request.config.max_level = 3;
+
+  planner::PlannerOptions cpu_only = planner_options_for({.name = "auto", .threads = 1});
+  cpu_only.enable_gpu = false;
+  std::vector<std::unique_ptr<core::CountingBackend>> backends;
+  backends.push_back(session.new_backend());
+  backends.push_back(std::make_unique<planner::AutoBackend>(cpu_only));
+  for (const auto& backend : backends) {
+    session.reload(dataset);  // a cold cache, so the mine runs
+    const MineResponse response = session.mine_with(request, *backend);
+    ASSERT_EQ(response.disposition, Disposition::kServed) << response.rejection.reason;
+    const auto& plans = dynamic_cast<const planner::AutoBackend&>(*backend).plans();
+    ASSERT_EQ(plans.size(), 3u);
+    ASSERT_EQ(response.plan_notes.size(), 3u);
+    double total_ms = 0.0;
+    for (std::size_t i = 0; i < plans.size(); ++i) {
+      const planner::ScoredCandidate& winner = plans[i].winner();
+      const std::string& note = response.plan_notes[i];
+      EXPECT_NE(note.find(named_price(winner)), std::string::npos) << note;
+      // Simulated and host figures are labelled with their clocks.
+      if (winner.config.kind == planner::BackendKind::kGpuSim) {
+        EXPECT_NE(note.find(" ms simulated -> "), std::string::npos) << note;
+        EXPECT_NE(note.find("(simulated kernel "), std::string::npos) << note;
+      } else {
+        EXPECT_NE(note.find(" ms host -> "), std::string::npos) << note;
+      }
+      EXPECT_NE(note.find(" ms host)"), std::string::npos) << note;
+      total_ms += winner.predicted_ms;
+    }
+    EXPECT_DOUBLE_EQ(response.timing.predicted_ms, total_ms);
+  }
+  const auto& device_plans = dynamic_cast<const planner::AutoBackend&>(*backends[0]).plans();
+  EXPECT_EQ(device_plans[2].winner().config.label(), "gpusim-algo5-trie/t128");
+}
+
+TEST(ServiceSession, FixedBackendIsPricedAsItsOwnCandidate) {
+  const data::Dataset dataset = make_dataset(26, 5'000, 1);
+  const BackendSpec spec{.name = "cpu-single-scan"};
+  MiningSession session(dataset, {.backend = spec});
+
+  MineRequest mine;
+  mine.config.support_threshold = 0.0;
+  mine.config.max_level = 3;
+  const MineResponse mined = session.mine(mine);
+  ASSERT_EQ(mined.disposition, Disposition::kServed) << mined.rejection.reason;
+  ASSERT_EQ(mined.plan_notes.size(), 3u);
+  std::vector<core::Episode> candidates = core::level1_candidates(dataset.alphabet);
+  for (int level = 1; level <= 3; ++level) {
+    const std::string& note = mined.plan_notes[static_cast<std::size_t>(level - 1)];
+    EXPECT_NE(note.find(named_price(fixed_price(dataset, spec, candidates)) + " host"),
+              std::string::npos)
+        << note;
+    if (level == 3) break;
+    std::vector<core::Episode> frequent;
+    for (const core::FrequentEpisode& f : mined.result.frequent) {
+      if (f.episode.level() == level) frequent.push_back(f.episode);
+    }
+    candidates = core::generate_candidates(frequent, true);
+  }
+
+  Rng rng(26);
+  CountRequest count;
+  count.episodes = random_level_episodes(rng, 26, 40, 3);
+  const double price_ms = fixed_price(dataset, spec, count.episodes).predicted_ms;
+  const CountResponse served = session.count(count);
+  ASSERT_EQ(served.disposition, Disposition::kServed) << served.rejection.reason;
+  EXPECT_DOUBLE_EQ(served.timing.predicted_ms, price_ms);
+
+  count.episodes = random_level_episodes(rng, 26, 40, 3);
+  count.limits.latency_budget_ms = fixed_price(dataset, spec, count.episodes).predicted_ms / 2.0;
+  const CountResponse refused = session.count(count);
+  EXPECT_EQ(refused.rejection.code, ErrorCode::kAdmissionRejected);
+  EXPECT_NE(refused.rejection.reason.find("plan cpu-single-scan, predicted"), std::string::npos)
+      << refused.rejection.reason;
+  EXPECT_DOUBLE_EQ(refused.timing.predicted_ms, 2.0 * count.limits.latency_budget_ms);
+}
+
+TEST(ServiceSession, UnpricedCallerBackendIsAdmittedAndSaysSo) {
+  // A caller-owned backend that is neither an AutoBackend nor the session's
+  // own formulation has no price: admission lets it through whatever the
+  // budget, and the notes say why.
+  const data::Dataset dataset = make_dataset(8, 2'000, 3);
+  MiningSession session(dataset, {.backend = {.name = "cpu-single-scan"}});
+  core::SerialCpuBackend serial;
+
+  MineRequest mine;
+  mine.config.support_threshold = 0.01;
+  mine.config.max_level = 2;
+  mine.limits.latency_budget_ms = 1e-9;
+  const MineResponse mined = session.mine_with(mine, serial);
+  ASSERT_EQ(mined.disposition, Disposition::kServed) << mined.rejection.reason;
+  EXPECT_EQ(mined.timing.predicted_ms, 0.0);
+  ASSERT_EQ(mined.plan_notes.size(), 2u);
+  for (const std::string& note : mined.plan_notes) {
+    EXPECT_NE(note.find("not priced (backend 'cpu-serial'"), std::string::npos) << note;
+  }
+
+  Rng rng(8);
+  CountRequest count;
+  count.episodes = random_level_episodes(rng, 8, 20, 2);
+  count.limits.latency_budget_ms = 1e-9;
+  const CountResponse counted = session.count_with(count, serial);
+  ASSERT_EQ(counted.disposition, Disposition::kServed) << counted.rejection.reason;
+  EXPECT_EQ(counted.timing.predicted_ms, 0.0);
+  EXPECT_EQ(counted.counts, oracle_counts(dataset, count.episodes, count.semantics, {}));
+}
+
+TEST(ServiceSession, FixedBackendsAreBuiltFromTheirCandidate) {
+  // One CandidateConfig both builds and prices a fixed backend; the names
+  // make_backend gives stay those of the backends' own constructors.
+  const std::string threads = std::to_string(gm::resolved_thread_count(0));
+  const std::string gtx = gpusim::geforce_gtx_280().name;
+  const std::map<std::string, std::pair<std::string, std::string>> expected = {
+      {"cpu-serial", {"cpu-serial", "cpu-serial"}},
+      {"cpu-parallel", {"cpu-parallel-x" + threads, "cpu-parallel-x" + threads}},
+      {"cpu-single-scan", {"cpu-single-scan", "cpu-single-scan"}},
+      {"cpu-lane-scan", {"cpu-lane-scan", "cpu-lane-scan"}},
+      {"distrib", {"distrib-x" + threads + "[cpu-single-scan]", "distrib-x" + threads}},
+      {"distrib-gpu", {"distrib-x2[gpusim]", "distrib-gpu-x2"}},
+      {"gpusim", {"gpusim/" + kernels::to_string(kernels::Algorithm::kThreadTexture) +
+                      "/t128/" + gtx,
+                  "gpusim-algo1/t128"}},
+  };
+  for (const std::string_view name : backend_names()) {
+    const BackendSpec spec{.name = std::string(name)};
+    if (name == "auto") {
+      EXPECT_EQ(make_backend(spec)->name(), "auto(" + gtx + ")");
+      EXPECT_THROW((void)candidate_for(spec), gm::PreconditionError);
+      continue;
+    }
+    const auto& [backend_name, label] = expected.at(spec.name);
+    EXPECT_EQ(make_backend(spec)->name(), backend_name);
+    EXPECT_EQ(candidate_for(spec).label(), label);
+  }
+  EXPECT_EQ(candidate_for({.name = "lane-scan"}).label(), "cpu-lane-scan");
+  BackendSpec trie{.name = "gpusim"};
+  trie.launch.algorithm = kernels::Algorithm::kBlockBucketed;
+  trie.launch.trie_buckets = true;
+  EXPECT_EQ(candidate_for(trie).label(), "gpusim-algo5-trie/t128");
 }
 
 TEST(ServiceSession, LevelCapIsACapabilityRejection) {

@@ -470,7 +470,8 @@ TEST(ProfilePin, DataDependentFormulationsKeepEverySimulatedCounter) {
   // algo5 at 8 threads: 64-slot blocks, so 216 episodes make a 4-block grid
   // with a short last block.  The trie rows at 20 threads make 2 blocks of
   // 108 slots, each split into 8-thread groups of 8, 8 and 4 threads.  algo2
-  // pads 216 to 7 blocks of 32; algo4 runs one 16-thread block per episode.
+  // pads 216 to 7 blocks of 32, and the six level-1 episodes to 2 blocks of 4
+  // with two sentinel threads; algo4 runs one 16-thread block per episode.
   const std::vector<PinCase> cases = {
       {"algo5-flat/sub/W0", k5, false, kSub, 0, 3, 8, 0xb07471507041526b},
       {"algo5-flat/sub/W7", k5, false, kSub, 7, 3, 8, 0x35fece05fccaad53},
@@ -484,7 +485,9 @@ TEST(ProfilePin, DataDependentFormulationsKeepEverySimulatedCounter) {
       {"algo5-trie/restart/W7", k5, true, kRestart, 7, 3, 8, 0x0d3e60ef4157b2e1},
       {"algo2/sub/W0", k2, false, kSub, 0, 3, 32, 0xf20bca1948db4f1d},
       {"algo2/sub/W7", k2, false, kSub, 7, 3, 32, 0x55b04b3f8c26e06b},
+      {"algo2/restart/W0", k2, false, kRestart, 0, 3, 32, 0x790befdb89420053},
       {"algo2/restart/W7", k2, false, kRestart, 7, 3, 32, 0x790befdb89420053},
+      {"algo2-level1/sub/W0/t4", k2, false, kSub, 0, 1, 4, 0xeb9a3134ff8b8899},
       {"algo4/sub/W0", k4, false, kSub, 0, 3, 16, 0x53fe1409e6fc4820},
       {"algo4/sub/W7", k4, false, kSub, 7, 3, 16, 0x18a19483fb25535a},
       {"algo4/restart/W0", k4, false, kRestart, 0, 3, 16, 0xa7d14f2bada16f60},

@@ -274,10 +274,7 @@ int run_planner_validation(const Options& opt, const gm::core::Alphabet& alphabe
       // Device-time candidates are measured by simulated kernel time: the
       // single-card formulations through the functional engine, the distrib
       // card flavor through its per-chunk device model.
-      const bool is_gpu =
-          candidate.config.kind == planner::BackendKind::kGpuSim ||
-          (candidate.config.kind == planner::BackendKind::kDistrib &&
-           candidate.config.distrib_gpu);
+      const bool is_gpu = candidate.config.simulated();
       // The simulated kernel time is deterministic: one repetition.
       const int reps = is_gpu ? 1 : opt.repeat;
       gm::core::CountResult result;

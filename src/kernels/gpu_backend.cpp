@@ -7,15 +7,14 @@
 namespace gm::kernels {
 
 SimGpuBackend::SimGpuBackend(gpusim::DeviceSpec device, MiningLaunchParams params,
-                             gpusim::CostParams cost_params,
-                             gpusim::EngineOptions engine_options)
-    : engine_(std::move(device), engine_options),
+                             gpusim::CostParams cost_params)
+    : engine_(std::move(device), {.simulate_texture_cache = false}),
       params_(params),
       cost_model_(cost_params) {}
 
 std::string SimGpuBackend::name() const {
-  return "gpusim/" + to_string(params_.algorithm) + "/t" +
-         std::to_string(params_.threads_per_block) + "/" + engine_.spec().name;
+  return "gpusim/" + to_string(params_.algorithm) + (params_.trie_buckets ? "-trie" : "") +
+         "/t" + std::to_string(params_.threads_per_block) + "/" + engine_.spec().name;
 }
 
 core::CountResult SimGpuBackend::count(const core::CountRequest& request) {

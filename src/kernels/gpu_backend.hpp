@@ -3,6 +3,10 @@
 // kernel time on the configured card.  Plugs into core::mine_frequent_episodes
 // so the full miner (paper Algorithm 1) can run "on" any of the three cards
 // with any of the four algorithms.
+//
+// It launches without the texture-cache model: a CountResult carries no
+// cache statistic, and CostModel reads a block's measured misses only when
+// the block declares no texture pattern, which every mining kernel does.
 #pragma once
 
 #include "core/counting.hpp"
@@ -14,7 +18,7 @@ namespace gm::kernels {
 class SimGpuBackend final : public core::CountingBackend {
  public:
   SimGpuBackend(gpusim::DeviceSpec device, MiningLaunchParams params,
-                gpusim::CostParams cost_params = {}, gpusim::EngineOptions engine_options = {});
+                gpusim::CostParams cost_params = {});
 
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] core::CountResult count(const core::CountRequest& request) override;

@@ -35,10 +35,14 @@ struct Views {
   core::Semantics semantics = core::Semantics::kNonOverlappedSubsequence;
   core::ExpiryPolicy expiry = {};
   int buffer_bytes = kDefaultBufferBytes;
-  /// Algorithm 5's shared-prefix token buckets: one host counter slot per
-  /// (block, group of threads), block-major; null in every other mode.
-  DeviceProblem::TrieSlot* trie_slots = nullptr;
+  bool trie_buckets = false;  ///< Algorithm 5: contiguous owned slices (MiningLaunchParams)
+  /// Host counters threads of one block share, block-major: one per group of
+  /// threads for Algorithm 5's shared-prefix token buckets, one per block for
+  /// the buffered thread-level scans; null for the other formulations.
+  DeviceProblem::CounterSlot* slots = nullptr;
 };
+
+static_assert(kMaxLevel == core::kLaneMaxLevel, "a block's lane counter counts every level");
 
 /// Trie mode: consecutive threads of a block that share one host counter, one
 /// group of at most kBucketEpisodesPerThread episodes per thread.
@@ -48,6 +52,50 @@ static_assert(kTrieGroupThreads == 8, "a trie counter serves 8 threads of 8 epis
 
 int trie_groups_per_block(int threads_per_block) {
   return (threads_per_block + kTrieGroupThreads - 1) / kTrieGroupThreads;
+}
+
+/// Whether a launch counts on one lane counter per block: Algorithm 2, and
+/// Algorithm 5 under contiguous restart (its dense fallback).
+bool counts_on_block_lanes(const MiningLaunchParams& params) {
+  return params.algorithm == Algorithm::kThreadBuffered ||
+         (params.algorithm == Algorithm::kBlockBucketed &&
+          params.semantics == core::Semantics::kContiguousRestart);
+}
+
+/// The lane counter a block's buffered thread-level scan shares: one lane per
+/// episode slot in `slots`, read by `readers` threads.
+DeviceProblem::CounterSlot build_lane_slot(const Views& v, core::ChunkRange slots, int readers) {
+  const auto level = static_cast<std::size_t>(v.level);
+  std::vector<core::Episode> episodes;
+  episodes.reserve(static_cast<std::size_t>(slots.size()));
+  for (std::int64_t s = slots.begin; s < slots.end; ++s) {
+    const auto symbols = v.episodes_host.subspan(static_cast<std::size_t>(s) * level, level);
+    episodes.emplace_back(std::vector<Symbol>(symbols.begin(), symbols.end()));
+  }
+  // A window <= 0 disables expiry, as it does for the automaton.
+  const core::ExpiryPolicy expiry{v.expiry.enabled() ? v.expiry.window : 0};
+  DeviceProblem::CounterSlot slot;
+  slot.lanes = std::make_unique<core::LaneCounter>(episodes, v.semantics, expiry);
+  slot.readers = readers;
+  return slot;
+}
+
+/// Advance `slot`'s counter over staged positions [base, base + staged.size())
+/// unless another thread past this barrier already has.
+void advance_once(DeviceProblem::CounterSlot& slot, std::span<const Symbol> staged,
+                  std::int64_t base) {
+  if (slot.scanned != base) return;
+  if (slot.trie) {
+    slot.trie->advance_batch(staged, base);
+  } else {
+    slot.lanes->advance_batch(staged, base);
+  }
+  slot.scanned = base + static_cast<std::int64_t>(staged.size());
+}
+
+/// One reader is done with `slot`; the last frees its counter.
+void release(DeviceProblem::CounterSlot& slot) {
+  if (--slot.readers == 0) slot = {};
 }
 
 std::uint32_t pack_outcome(std::uint32_t count, int exit_state) {
@@ -117,17 +165,18 @@ gpusim::KernelTask algo2_kernel(ThreadCtx& ctx, Views v) {
   const std::int64_t ep = ctx.global_thread();
   const std::int64_t ep_off = ep * v.level;
 
-  // Episode staged once into frame registers.
-  std::array<Symbol, kMaxLevel> ep_syms{};
+  // Episode staged once into frame registers; the host counts from the
+  // episodes' host mirror.
   for (int k = 0; k < v.level; ++k) {
-    ep_syms[static_cast<std::size_t>(k)] =
-        v.episodes.load(ctx, static_cast<std::size_t>(ep_off + k));
+    (void)v.episodes.load(ctx, static_cast<std::size_t>(ep_off + k));
   }
-  const std::span<const Symbol> episode(ep_syms.data(), static_cast<std::size_t>(v.level));
 
   gpusim::SharedArray<Symbol> buffer(ctx, static_cast<std::size_t>(v.buffer_bytes), 0);
-  EpisodeAutomaton automaton(episode, v.semantics, v.expiry);
-  std::uint32_t count = 0;
+  // The block's real episodes, one lane each of the counter its threads
+  // share; padded sentinel threads own none.
+  const std::int64_t first = ep - tid;
+  const core::ChunkRange lanes{first, std::min(first + t, v.episode_count)};
+  DeviceProblem::CounterSlot& block = v.slots[ctx.block_idx()];
 
   const std::int64_t B = v.buffer_bytes;
   for (std::int64_t base = 0; base < v.db_size; base += B) {
@@ -140,13 +189,18 @@ gpusim::KernelTask algo2_kernel(ThreadCtx& ctx, Views v) {
     }
     co_await ctx.syncthreads();
     // Every thread scans the whole buffer for its own episode.  Counters are
-    // read only at barriers, so the buffer's per-symbol charges go in at once.
+    // read only at barriers, so the buffer's per-symbol charges go in at once;
+    // the first thread here steps every lane of the block over the buffer.
     const std::span<const Symbol> staged = buffer.load_span(0, static_cast<std::size_t>(n));
     ctx.charge(static_cast<std::uint64_t>(n * kBufferedScanInstr));
-    for (std::size_t j = 0; j < staged.size(); ++j) {
-      if (automaton.step(staged[j], base + static_cast<std::int64_t>(j))) ++count;
-    }
+    if (!block.lanes) block = build_lane_slot(v, lanes, static_cast<int>(lanes.size()));
+    advance_once(block, staged, base);
     co_await ctx.syncthreads();
+  }
+  std::uint32_t count = 0;
+  if (ep < lanes.end) {
+    count = static_cast<std::uint32_t>(block.lanes->counts()[static_cast<std::size_t>(tid)]);
+    release(block);
   }
   v.counts.store(ctx, static_cast<std::size_t>(ep), count);
   co_return;
@@ -438,8 +492,8 @@ std::uint32_t bucket_state_word(const BucketOwned& o) {
 /// The counter threads [first, first + kTrieGroupThreads) of a block share:
 /// group g is thread first + g's contiguous slice of the block's `slots`, the
 /// episodes that thread owns.
-DeviceProblem::TrieSlot build_trie_group(const Views& v, core::ChunkRange slots, int threads,
-                                         int first) {
+DeviceProblem::CounterSlot build_trie_group(const Views& v, core::ChunkRange slots, int threads,
+                                            int first) {
   const auto level = static_cast<std::size_t>(v.level);
   std::vector<core::Episode> episodes;
   std::vector<std::size_t> sizes;
@@ -453,8 +507,11 @@ DeviceProblem::TrieSlot build_trie_group(const Views& v, core::ChunkRange slots,
       episodes.emplace_back(std::vector<Symbol>(symbols.begin(), symbols.end()));
     }
   }
-  return {std::make_unique<core::TrieCounter>(episodes, sizes, v.semantics, v.expiry, v.db_size),
-          readers};
+  DeviceProblem::CounterSlot slot;
+  slot.trie =
+      std::make_unique<core::TrieCounter>(episodes, sizes, v.semantics, v.expiry, v.db_size);
+  slot.readers = readers;
+  return slot;
 }
 
 // Device port of the host single-scan engine (core/multi_counter).  The
@@ -477,7 +534,8 @@ DeviceProblem::TrieSlot build_trie_group(const Views& v, core::ChunkRange slots,
 // is charged its own group's op deltas, as a counter per thread would give.
 // Contiguous-restart semantics fall back to a dense per-thread scan (its
 // mismatch edges let any symbol transition any in-flight automaton, so a
-// waiting-symbol index cannot skip work) — still one database pass.
+// waiting-symbol index cannot skip work) — still one database pass, counted
+// on the host by one lane counter per block, a lane per slot.
 // Because the database is never chunked, counts are bit-exact against the
 // serial oracle for both semantics and every expiry window.
 gpusim::KernelTask algo5_kernel(ThreadCtx& ctx, Views v) {
@@ -506,7 +564,7 @@ gpusim::KernelTask algo5_kernel(ThreadCtx& ctx, Views v) {
   // formulation keeps the interleaved slice.  Both assignments give lane
   // `tid` the same owned count, so the workload model's occupancy math is
   // shared.
-  const bool trie = v.trie_slots != nullptr && !dense;
+  const bool trie = v.trie_buckets && !dense;
   std::vector<BucketOwned> owned;
   const auto stage_slot = [&](std::int64_t s) {
     BucketOwned o;
@@ -519,7 +577,7 @@ gpusim::KernelTask algo5_kernel(ThreadCtx& ctx, Views v) {
                                         static_cast<std::size_t>(L));
     owned.push_back(o);
   };
-  if (v.trie_slots != nullptr) {
+  if (v.trie_buckets) {
     const core::ChunkRange sub = core::chunk_range(slots.size(), t, tid);
     for (std::int64_t s = slots.begin + sub.begin; s < slots.begin + sub.end; ++s) {
       stage_slot(s);
@@ -528,33 +586,29 @@ gpusim::KernelTask algo5_kernel(ThreadCtx& ctx, Views v) {
     for (std::int64_t s = slots.begin + tid; s < slots.end; s += t) stage_slot(s);
   }
 
-  // Dense fallback state (contiguous restart).
-  std::vector<EpisodeAutomaton> dense_automata;
   // Bucketed state: a direct-mapped table covers every 8-bit alphabet.
   std::vector<std::vector<BucketEntry>> buckets;
   std::priority_queue<BucketDeadline, std::vector<BucketDeadline>, std::greater<>>
       deadlines;
   std::vector<BucketEntry> drain;
-  // Trie mode: the kTrieGroupThreads threads from `group_first` share the
-  // counter in `group`, where this thread's episodes are group tid - group_first.
+  // The host counter this thread shares.  Dense fallback: the block's, where
+  // this thread's episodes are lanes o.slot - slots.begin.  Trie mode: the
+  // kTrieGroupThreads threads from `group_first` share the counter in
+  // `group`, where this thread's episodes are group tid - group_first.
   const int group_first = tid - tid % kTrieGroupThreads;
-  DeviceProblem::TrieSlot* group =
-      trie ? v.trie_slots + ctx.block_idx() * trie_groups_per_block(t) + tid / kTrieGroupThreads
-           : nullptr;
+  DeviceProblem::CounterSlot* group =
+      dense  ? v.slots + ctx.block_idx()
+      : trie ? v.slots + ctx.block_idx() * trie_groups_per_block(t) + tid / kTrieGroupThreads
+             : nullptr;
   core::TrieCounter::Ops trie_prev{};
-  if (dense) {
-    dense_automata.reserve(owned.size());
-    for (const BucketOwned& o : owned) {
-      dense_automata.emplace_back(o.episode, v.semantics, v.expiry);
-    }
-  } else if (trie) {
+  if (trie) {
     // Initial idle filing under episode[0], one per owned slot — the same
     // upfront charge as the flat formulation's first-symbol bucketing.  The
     // counter's own `files` already holds one filing per root subtree, and
     // `trie_prev` starts at zero, so the first buffer charges those again.
     // Pinned simulated figures depend on both charges; they stay.
     ctx.charge(owned.size() * kBucketFileInstr);
-  } else {
+  } else if (!dense) {
     buckets.resize(256);
     for (std::uint32_t u = 0; u < owned.size(); ++u) {
       ctx.charge(kBucketFileInstr);
@@ -581,16 +635,13 @@ gpusim::KernelTask algo5_kernel(ThreadCtx& ctx, Views v) {
       const auto symbols = static_cast<std::uint64_t>(n);
       if (dense) {
         // Plus one step per owned automaton; each automaton runs over the
-        // whole buffer.
+        // whole buffer.  The first thread here steps every lane of the block.
         ctx.charge(symbols * (kBufferedScanInstr + owned.size() * kAutomatonStepInstr));
-        for (std::size_t u = 0; u < owned.size(); ++u) {
-          EpisodeAutomaton& automaton = dense_automata[u];
-          std::uint32_t accepted = 0;
-          for (std::size_t j = 0; j < staged.size(); ++j) {
-            if (automaton.step(staged[j], base + static_cast<std::int64_t>(j))) ++accepted;
-          }
-          owned[u].count += accepted;
+        if (!group->lanes) {
+          const auto readers = static_cast<int>(std::min<std::int64_t>(t, slots.size()));
+          *group = build_lane_slot(v, slots, readers);  // every thread owning a slot
         }
+        advance_once(*group, staged, base);
       } else if (trie) {
         // The first of the group's threads here builds the shared counter
         // (once) and advances it over the buffer.  Each thread then charges
@@ -599,11 +650,10 @@ gpusim::KernelTask algo5_kernel(ThreadCtx& ctx, Views v) {
         // drain re-reads and writes back one automaton record in device
         // scratch like a flat drain, but advances every episode sharing the
         // prefix.
-        if (!group->counter) *group = build_trie_group(v, slots, t, group_first);
-        // Probes count the positions advanced over: `base` means unscanned.
-        if (group->counter->ops().probes == base) group->counter->advance_batch(staged, base);
+        if (!group->trie) *group = build_trie_group(v, slots, t, group_first);
+        advance_once(*group, staged, base);
         const core::TrieCounter::Ops& ops =
-            group->counter->ops(static_cast<std::size_t>(tid - group_first));
+            group->trie->ops(static_cast<std::size_t>(tid - group_first));
         const auto delta = [](std::int64_t now, std::int64_t before) {
           return static_cast<std::uint64_t>(now - before);
         };
@@ -677,15 +727,17 @@ gpusim::KernelTask algo5_kernel(ThreadCtx& ctx, Views v) {
     co_await ctx.syncthreads();
   }
 
-  if (trie && !owned.empty()) {
-    // The group's counts list its threads' episodes in thread order.
-    const std::vector<std::int64_t> trie_counts = group->counter->counts();
-    const auto offset = static_cast<std::size_t>(
-        owned.front().slot - slots.begin - core::chunk_range(slots.size(), t, group_first).begin);
-    for (std::size_t k = 0; k < owned.size(); ++k) {
-      owned[k].count = static_cast<std::uint32_t>(trie_counts[offset + k]);
+  if (group != nullptr && !owned.empty()) {
+    // Lanes follow the block's slots; a trie group's counts list its
+    // threads' episodes in thread order.
+    const std::vector<std::int64_t> shared =
+        dense ? group->lanes->counts() : group->trie->counts();
+    const std::int64_t first =
+        dense ? slots.begin : slots.begin + core::chunk_range(slots.size(), t, group_first).begin;
+    for (BucketOwned& o : owned) {
+      o.count = static_cast<std::uint32_t>(shared[static_cast<std::size_t>(o.slot - first)]);
     }
-    if (--group->readers == 0) group->counter.reset();
+    release(*group);
   }
   for (const BucketOwned& o : owned) {
     ctx.charge(1);
@@ -907,10 +959,14 @@ gpusim::KernelFn DeviceProblem::kernel() {
   v.semantics = params_.semantics;
   v.expiry = params_.expiry;
   v.buffer_bytes = params_.buffer_bytes;
-  if (params_.trie_buckets) {
-    trie_slots_ = std::vector<TrieSlot>(static_cast<std::size_t>(
-        config_.total_blocks() * trie_groups_per_block(params_.threads_per_block)));
-    v.trie_slots = trie_slots_.data();
+  v.trie_buckets = params_.trie_buckets;
+  if (counts_on_block_lanes(params_) || params_.trie_buckets) {
+    const std::int64_t per_block = counts_on_block_lanes(params_)
+                                       ? 1
+                                       : trie_groups_per_block(params_.threads_per_block);
+    slots_ =
+        std::vector<CounterSlot>(static_cast<std::size_t>(config_.total_blocks() * per_block));
+    v.slots = slots_.data();
   }
 
   switch (params_.algorithm) {

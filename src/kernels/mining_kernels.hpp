@@ -30,6 +30,12 @@
 // serial oracle for both semantics and every expiry window (expiry uses the
 // host engine's lazy deadlines + generation-tagged re-bucketing; contiguous
 // restart falls back to a dense per-thread scan, still one database pass).
+//
+// On the host, the thread-level buffered scans (Algorithm 2, and Algorithm
+// 5's contiguous-restart fallback) count on one core::LaneCounter per block,
+// a lane per episode: the first thread past each barrier advances it over
+// the staged buffer and each thread reads its own lane's count.  Charges are
+// made per thread as before, so every simulated counter is unchanged.
 #pragma once
 
 #include <cstdint>
@@ -40,6 +46,7 @@
 #include "core/automaton.hpp"
 #include "core/episode.hpp"
 #include "core/episode_trie.hpp"
+#include "core/lane_counter.hpp"
 #include "sim/engine.hpp"
 #include "sim/memory.hpp"
 
@@ -104,10 +111,15 @@ void validate_launch_params(const MiningLaunchParams& params, int level);
 /// a time.
 class DeviceProblem {
  public:
-  /// Trie mode: the counter 8 threads of one block share, built by the first
-  /// of them to scan a staged buffer, touched only by that block's worker.
-  struct TrieSlot {
-    std::unique_ptr<core::TrieCounter> counter;
+  /// A host counter threads of one block share, built by the first of them
+  /// to scan a staged buffer and touched only by that block's worker.  Trie
+  /// mode: 8 threads share a TrieCounter, one group each.  Buffered
+  /// thread-level scans: the whole block shares a LaneCounter, one lane per
+  /// real episode.
+  struct CounterSlot {
+    std::unique_ptr<core::TrieCounter> trie;
+    std::unique_ptr<core::LaneCounter> lanes;
+    std::int64_t scanned = 0;  ///< stream positions the counter has advanced over
     int readers = 0;  ///< threads yet to read their counts; the last frees the counter
   };
 
@@ -140,7 +152,7 @@ class DeviceProblem {
   gpusim::DeviceBuffer<core::Symbol> episodes_;
   gpusim::DeviceBuffer<std::uint32_t> counts_;
   gpusim::DeviceBuffer<std::uint32_t> scratch_;  ///< block-level transfer tables
-  std::vector<TrieSlot> trie_slots_;  ///< trie mode: block-major, one per group
+  std::vector<CounterSlot> slots_;  ///< block-major: one per trie group, else per block
   gpusim::LaunchConfig config_;
   std::int64_t db_size_ = 0;
 };

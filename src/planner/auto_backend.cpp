@@ -49,8 +49,8 @@ core::CountResult AutoBackend::count(const core::CountRequest& request) {
   // divide it back out to compare against the raw model value — otherwise a
   // stable 2x model error would compound to 4x, 8x, ... instead of settling
   // at a 2x multiplier.
-  const bool simulated = winner.config.kind == BackendKind::kGpuSim;
-  const double measured_ms = simulated ? result.simulated_kernel_ms : result.host_ms;
+  const double measured_ms =
+      winner.config.simulated() ? result.simulated_kernel_ms : result.host_ms;
   const double prior = bias_for(options_, winner.config);
   const double raw_predicted_ms = winner.predicted_ms / prior;
   const double observed =

@@ -67,6 +67,12 @@ struct CandidateConfig {
   /// Stable display / cache key, e.g. "cpu-parallel-x8", "gpusim-algo5/t128",
   /// "gpusim-algo5-trie/t128", "distrib-x4", or "distrib-gpu-x2".
   [[nodiscard]] std::string label() const;
+  /// Priced and measured on the simulated clock (CountResult's
+  /// simulated_kernel_ms): gpusim and distrib-gpu.  Every other candidate is
+  /// priced and measured in host wall time.
+  [[nodiscard]] bool simulated() const {
+    return kind == BackendKind::kGpuSim || (kind == BackendKind::kDistrib && distrib_gpu);
+  }
 };
 
 struct ScoredCandidate {

@@ -30,11 +30,8 @@ std::string fmt_ms(double ms) {
 /// gpusim and distrib-gpu picks predict simulated time, the others host time.
 std::string price_note(const planner::ScoredCandidate& price) {
   if (!price.feasible) return "not priced (" + price.reason + ")";
-  const planner::CandidateConfig& c = price.config;
-  const bool simulated = c.kind == planner::BackendKind::kGpuSim ||
-                         (c.kind == planner::BackendKind::kDistrib && c.distrib_gpu);
-  return "plan " + c.label() + ", predicted " + fmt_ms(price.predicted_ms) + " ms " +
-         (simulated ? "simulated" : "host");
+  return "plan " + price.config.label() + ", predicted " + fmt_ms(price.predicted_ms) + " ms " +
+         (price.config.simulated() ? "simulated" : "host");
 }
 
 /// Per-level budget enforcement + plan-note collection for one mining run:

@@ -14,13 +14,6 @@ namespace {
 
 using core::Alphabet;
 
-gpusim::EngineOptions fast_engine() {
-  gpusim::EngineOptions opts;
-  opts.host_threads = 2;
-  opts.simulate_texture_cache = false;
-  return opts;
-}
-
 TEST(SimGpuBackend, MinerMatchesCpuAcrossAlgorithms) {
   const Alphabet alphabet(6);
   const auto db = data::uniform_database(alphabet, 2000, 21);
@@ -37,7 +30,7 @@ TEST(SimGpuBackend, MinerMatchesCpuAcrossAlgorithms) {
     params.algorithm = algorithm;
     params.threads_per_block = 64;
     params.buffer_bytes = 512;
-    SimGpuBackend gpu(gpusim::geforce_gtx_280(), params, {}, fast_engine());
+    SimGpuBackend gpu(gpusim::geforce_gtx_280(), params);
 
     const auto mined = core::mine_frequent_episodes(db, alphabet, gpu, config);
     ASSERT_EQ(mined.total_frequent(), reference.total_frequent()) << to_string(algorithm);
@@ -55,11 +48,22 @@ TEST(SimGpuBackend, NameDescribesConfiguration) {
   MiningLaunchParams params;
   params.algorithm = Algorithm::kBlockTexture;
   params.threads_per_block = 96;
-  SimGpuBackend gpu(gpusim::geforce_8800_gts_512(), params, {}, fast_engine());
+  SimGpuBackend gpu(gpusim::geforce_8800_gts_512(), params);
   const auto name = gpu.name();
   EXPECT_NE(name.find("algo3"), std::string::npos);
   EXPECT_NE(name.find("t96"), std::string::npos);
   EXPECT_NE(name.find("8800"), std::string::npos);
+
+  // The trie mode is part of the configuration: a session recognises its
+  // own fixed backend by name.
+  params.algorithm = Algorithm::kBlockBucketed;
+  params.threads_per_block = 128;
+  const std::string gtx = gpusim::geforce_gtx_280().name;
+  EXPECT_EQ(SimGpuBackend(gpusim::geforce_gtx_280(), params).name(),
+            "gpusim/algo5-block-bucketed/t128/" + gtx);
+  params.trie_buckets = true;
+  EXPECT_EQ(SimGpuBackend(gpusim::geforce_gtx_280(), params).name(),
+            "gpusim/algo5-block-bucketed-trie/t128/" + gtx);
 }
 
 TEST(SimGpuBackend, RequestSemanticsOverrideLaunchDefaults) {
@@ -68,7 +72,7 @@ TEST(SimGpuBackend, RequestSemanticsOverrideLaunchDefaults) {
   MiningLaunchParams params;
   params.algorithm = Algorithm::kThreadTexture;
   params.threads_per_block = 32;
-  SimGpuBackend gpu(gpusim::geforce_gtx_280(), params, {}, fast_engine());
+  SimGpuBackend gpu(gpusim::geforce_gtx_280(), params);
 
   const auto episodes = core::all_distinct_episodes(alphabet, 2);
   core::CountRequest request;
@@ -78,6 +82,51 @@ TEST(SimGpuBackend, RequestSemanticsOverrideLaunchDefaults) {
   const auto result = gpu.count(request);
   EXPECT_EQ(result.counts,
             core::count_all(request.episodes, db, core::Semantics::kContiguousRestart));
+}
+
+TEST(SimGpuBackend, OutputsDoNotDependOnTheTextureCacheModel) {
+  // The backend launches without the texture-cache model.  Every mining
+  // kernel declares its texture pattern, which the cost model prices in
+  // place of measured misses, so counts and price must equal a launch with
+  // the model on; a kernel that declared no pattern would be priced from
+  // its misses and fail here.
+  const Alphabet alphabet(6);
+  const auto db = data::uniform_database(alphabet, 3000, 17);
+  const auto episodes = core::all_distinct_episodes(alphabet, 2);
+  const gpusim::DeviceSpec device = gpusim::geforce_gtx_280();
+  gpusim::EngineOptions with_cache;
+  with_cache.host_threads = 2;
+  with_cache.simulate_texture_cache = true;
+  const gpusim::Engine engine(device, with_cache);
+  const gpusim::CostModel cost_model;
+
+  std::vector<MiningLaunchParams> launches;
+  for (const Algorithm algorithm : all_algorithms()) {
+    MiningLaunchParams params;
+    params.algorithm = algorithm;
+    params.threads_per_block = 32;
+    params.buffer_bytes = 512;
+    launches.push_back(params);
+  }
+  launches.push_back(launches.back());
+  launches.back().trie_buckets = true;
+
+  for (const MiningLaunchParams& params : launches) {
+    SimGpuBackend gpu(device, params, cost_model.params());
+    core::CountRequest request;
+    request.database = db;
+    request.episodes = episodes;
+    const core::CountResult result = gpu.count(request);
+
+    const MiningRun run = run_mining_kernel(engine, db, episodes, params);
+    const DeviceProblem problem(db, episodes, params);
+    const std::string label = gpu.name();
+    EXPECT_GT(run.launch.texture_cache.misses, 0u) << label;
+    EXPECT_EQ(result.counts, run.counts) << label;
+    EXPECT_EQ(result.simulated_kernel_ms,
+              cost_model.predict(device, problem.launch_config(), run.launch.profile).total_ms)
+        << label;
+  }
 }
 
 TEST(MultiGpu, TwoDiesNearlyHalveLargeProblems) {

@@ -416,6 +416,36 @@ TEST(AutoBackend, KeepsADevicePickAcrossRepeatedCalls) {
   EXPECT_EQ(adaptive.constructed_backends(), 1u);
 }
 
+TEST(AutoBackend, KeepsADistribGpuPickOnTheSimulatedClock) {
+  // distrib-gpu is priced in simulated card time, so its feedback must read
+  // the simulated kernel time too.  Compared with host wall time (about 10x
+  // the simulated figure here), one count pushed its bias past 4 and the
+  // next plans ran gpusim-algo2/t128, predicted 0.813 against 0.518 ms.
+  const core::Alphabet alphabet(26);
+  const auto db = data::uniform_database(alphabet, 20'000, 1);
+  const auto episodes = core::all_distinct_episodes(alphabet, 2);
+
+  core::CountRequest request;
+  request.database = db;
+  request.episodes = episodes;
+
+  PlannerOptions options = deterministic_options();
+  options.enable_cpu = false;
+  options.device_sweep = {1, 2};
+  AutoBackend adaptive{options};
+  const auto expected = core::count_all(episodes, db, core::Semantics::kNonOverlappedSubsequence);
+  for (int call = 0; call < 3; ++call) {
+    const core::CountResult result = adaptive.count(request);
+    EXPECT_EQ(result.counts, expected) << "call " << call;
+    EXPECT_EQ(adaptive.plans().back().winner().config.label(), "distrib-gpu-x2")
+        << "call " << call << "\n"
+        << adaptive.plans().back().explanation;
+    const double bias = adaptive.feedback().at("distrib-gpu-x2");
+    EXPECT_GT(bias, 0.8) << "call " << call;
+    EXPECT_LT(bias, 1.25) << "call " << call;
+  }
+}
+
 TEST(AutoBackend, CountRunsThePlanKeptForTheSameRequest) {
   // plan(r) then count(r): one plans() entry, and it is the returned plan
   // itself (its decision table moved in, not re-planned).

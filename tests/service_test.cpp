@@ -26,6 +26,7 @@
 #include "core/miner.hpp"
 #include "core/serial_counter.hpp"
 #include "data/generators.hpp"
+#include "kernels/gpu_backend.hpp"
 #include "kernels/mining_kernels.hpp"
 #include "planner/auto_backend.hpp"
 #include "planner/workload.hpp"
@@ -497,6 +498,31 @@ TEST(ServiceSession, UnpricedCallerBackendIsAdmittedAndSaysSo) {
   ASSERT_EQ(counted.disposition, Disposition::kServed) << counted.rejection.reason;
   EXPECT_EQ(counted.timing.predicted_ms, 0.0);
   EXPECT_EQ(counted.counts, oracle_counts(dataset, count.episodes, count.semantics, {}));
+}
+
+TEST(ServiceSession, OtherTrieModeBackendIsNotPricedAsTheSessions) {
+  // A flat-algo5 session handed a caller-owned trie backend: the trie mode
+  // is part of a gpusim backend's name, so the session does not price it as
+  // its own formulation, and a tiny budget cannot reject it.
+  const data::Dataset dataset = make_dataset(8, 2'000, 3);
+  BackendSpec flat{.name = "gpusim"};
+  flat.launch.algorithm = kernels::Algorithm::kBlockBucketed;
+  MiningSession session(dataset, {.backend = flat});
+  kernels::MiningLaunchParams params = flat.launch;
+  params.trie_buckets = true;
+  kernels::SimGpuBackend trie(gpusim::geforce_gtx_280(), params);
+
+  MineRequest mine;
+  mine.config.support_threshold = 0.01;
+  mine.config.max_level = 2;
+  mine.limits.latency_budget_ms = 1e-9;
+  const MineResponse mined = session.mine_with(mine, trie);
+  ASSERT_EQ(mined.disposition, Disposition::kServed) << mined.rejection.reason;
+  EXPECT_EQ(mined.timing.predicted_ms, 0.0);
+  ASSERT_EQ(mined.plan_notes.size(), 2u);
+  for (const std::string& note : mined.plan_notes) {
+    EXPECT_NE(note.find("not priced (backend '" + trie.name() + "'"), std::string::npos) << note;
+  }
 }
 
 TEST(ServiceSession, FixedBackendsAreBuiltFromTheirCandidate) {

@@ -30,12 +30,14 @@
 // whenever the CPU reports AVX2 and the baseline otherwise; nothing else
 // chooses the width, and lane_isa() reports which one runs.
 //
-// Tracked mode.  LaneCounter, the resumable engine behind core::StreamScan,
-// runs the same kernel one vector per block (16 lanes, 32 with AVX2; four
-// vectors would spill) with two more uint8 registers per lane: the events
-// since its match started, and a flag for a start in the current run.  At
-// each run's end the two give the run index where the match started, which
-// is flushed into an int64 first_pos the way the counters are flushed.
+// Tracked mode.  LaneCounter, the resumable engine behind core::StreamScan
+// and behind gpusim's buffered thread-level kernels (one per simulated block,
+// kernels/mining_kernels), runs the same kernel one vector per block (16
+// lanes, 32 with AVX2; four vectors would spill) with two more uint8
+// registers per lane: the events since its match started, and a flag for a
+// start in the current run.  At each run's end the two give the run index
+// where the match started, which is flushed into an int64 first_pos the way
+// the counters are flushed.
 // Expiry compares the age with the window.  A match carried in from an
 // earlier run has its countdown reloaded at each run start from
 // first_pos + window - run base (clamped, overflow-safe) and its age offset

@@ -24,8 +24,11 @@ struct EngineOptions {
   /// Host threads used to execute independent blocks; 0 = hardware default
   /// (gm::resolved_thread_count).
   int host_threads = 0;
-  /// Feed every texture fetch through a per-block CacheSim.  Disable to speed
-  /// up functional runs whose miss counts are not needed.
+  /// Feed every texture fetch through a per-block CacheSim, for
+  /// LaunchResult::texture_cache and BlockProfile::tex_miss_bytes.  CostModel
+  /// reads the misses only for blocks that declare no texture pattern; every
+  /// mining kernel declares one, so kernels::SimGpuBackend launches without
+  /// the model.  Disable it wherever the miss counts are not read.
   bool simulate_texture_cache = true;
 };
 

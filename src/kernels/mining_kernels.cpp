@@ -62,16 +62,20 @@ bool counts_on_block_lanes(const MiningLaunchParams& params) {
           params.semantics == core::Semantics::kContiguousRestart);
 }
 
+/// Episode slot `s`, from the zero-cost host mirror: what a block's shared
+/// host counter is built from.
+core::Episode host_episode(const Views& v, std::int64_t s) {
+  const auto level = static_cast<std::size_t>(v.level);
+  const auto symbols = v.episodes_host.subspan(static_cast<std::size_t>(s) * level, level);
+  return core::Episode(std::vector<Symbol>(symbols.begin(), symbols.end()));
+}
+
 /// The lane counter a block's buffered thread-level scan shares: one lane per
 /// episode slot in `slots`, read by `readers` threads.
 DeviceProblem::CounterSlot build_lane_slot(const Views& v, core::ChunkRange slots, int readers) {
-  const auto level = static_cast<std::size_t>(v.level);
   std::vector<core::Episode> episodes;
   episodes.reserve(static_cast<std::size_t>(slots.size()));
-  for (std::int64_t s = slots.begin; s < slots.end; ++s) {
-    const auto symbols = v.episodes_host.subspan(static_cast<std::size_t>(s) * level, level);
-    episodes.emplace_back(std::vector<Symbol>(symbols.begin(), symbols.end()));
-  }
+  for (std::int64_t s = slots.begin; s < slots.end; ++s) episodes.push_back(host_episode(v, s));
   // A window <= 0 disables expiry, as it does for the automaton.
   const core::ExpiryPolicy expiry{v.expiry.enabled() ? v.expiry.window : 0};
   DeviceProblem::CounterSlot slot;
@@ -494,7 +498,6 @@ std::uint32_t bucket_state_word(const BucketOwned& o) {
 /// episodes that thread owns.
 DeviceProblem::CounterSlot build_trie_group(const Views& v, core::ChunkRange slots, int threads,
                                             int first) {
-  const auto level = static_cast<std::size_t>(v.level);
   std::vector<core::Episode> episodes;
   std::vector<std::size_t> sizes;
   int readers = 0;
@@ -503,8 +506,7 @@ DeviceProblem::CounterSlot build_trie_group(const Views& v, core::ChunkRange slo
     sizes.push_back(static_cast<std::size_t>(sub.size()));
     readers += sub.size() > 0 ? 1 : 0;
     for (std::int64_t s = slots.begin + sub.begin; s < slots.begin + sub.end; ++s) {
-      const auto symbols = v.episodes_host.subspan(static_cast<std::size_t>(s) * level, level);
-      episodes.emplace_back(std::vector<Symbol>(symbols.begin(), symbols.end()));
+      episodes.push_back(host_episode(v, s));
     }
   }
   DeviceProblem::CounterSlot slot;

@@ -419,7 +419,7 @@ TEST(AutoBackend, KeepsADevicePickAcrossRepeatedCalls) {
 TEST(AutoBackend, KeepsADistribGpuPickOnTheSimulatedClock) {
   // distrib-gpu is priced in simulated card time, so its feedback must read
   // the simulated kernel time too.  Compared with host wall time (about 10x
-  // the simulated figure here), one count pushed its bias past 4 and the
+  // the simulated figure here), one count raised its bias to 2.5-4 and the
   // next plans ran gpusim-algo2/t128, predicted 0.813 against 0.518 ms.
   const core::Alphabet alphabet(26);
   const auto db = data::uniform_database(alphabet, 20'000, 1);

@@ -3,12 +3,12 @@
 // mapped onto host SIMD lanes — the accelerator-oriented transformation
 // pointed back at the CPU.
 //
-// Layout.  Episodes are transposed into per-level uint8 symbol columns: lane
-// j of column k holds symbol k of episode j, and a per-lane length column
-// holds its level.  Each lane keeps a uint8 automaton state and the symbol it
-// awaits.  For every event, all lanes compare their awaited symbol with it,
-// advance their state, and refill the awaited symbol from the columns with
-// branchless masks:
+// Layout.  count_all_lanes transposes episodes into per-level uint8 symbol
+// columns: lane j of column k holds symbol k of episode j, and a per-lane
+// length column holds its level.  Each lane keeps a uint8 automaton state
+// and the symbol it awaits.  For every event, all lanes compare their
+// awaited symbol with it, advance their state, and refill the awaited
+// symbol from the columns with branchless masks:
 //
 //   w = c0 ^ sum_k ((c0 ^ ck) & (state == k))       (XOR sum, k = 1..L-1)
 //
@@ -32,18 +32,31 @@
 //
 // Tracked mode.  LaneCounter, the resumable engine behind core::StreamScan
 // and behind gpusim's buffered thread-level kernels (one per simulated block,
-// kernels/mining_kernels), runs the same kernel one vector per block (16
-// lanes, 32 with AVX2; four vectors would spill) with two more uint8
-// registers per lane: the events since its match started, and a flag for a
-// start in the current run.  At each run's end the two give the run index
-// where the match started, which is flushed into an int64 first_pos the way
-// the counters are flushed.
+// kernels/mining_kernels), runs a second kernel one vector per block (16
+// lanes, 32 with AVX2), the Shift-And form of the same automaton.  Each
+// lane's state is one-hot (bit d set = d symbols matched), and each block
+// holds a match table: bit d of lane j's row for symbol s is set when symbol
+// d of episode j is s.  Per event a lane reads its block's row T:
+//
+//   adv = state & T;  next = state + adv       (adv is 0 or the state bit)
+//
+// A lane completes where next reaches its end bit 1 << level (which wraps
+// to 0 at level 8) and restarts at 1; kContiguousRestart sends a lane that
+// cannot advance to 1, or to 2 when T holds its first symbol.  The row
+// address depends on the event only, so no refill waits on the state.  The
+// table stops at the largest symbol the episodes use plus one zero row that
+// every larger event reads, and each run's event-to-row index is computed
+// once for all blocks.  Two more uint8 registers per lane hold the events
+// since its match started and a flag for a start in the current run.  At
+// each run's end the two give the run index where the match started, which
+// is flushed into an int64 first_pos the way the counters are flushed.
 // Expiry compares the age with the window.  A match carried in from an
 // earlier run has its countdown reloaded at each run start from
 // first_pos + window - run base (clamped, overflow-safe) and its age offset
 // to meet the window at exactly that event, so windows of 1, 255, 256 and
 // INT64_MAX are all exact and no age is carried between runs.  Its progress
-// records equal MultiCounter's field for field.
+// records equal MultiCounter's field for field; progress() and restore()
+// convert EpisodeProgress::state to and from the one-hot byte.
 //
 // Scope.  Levels 1..kLaneMaxLevel and both counting semantics.  count_all_lanes
 // runs the untracked kernel and has no expiry: expiry requests are refused
@@ -64,8 +77,9 @@
 
 namespace gm::core {
 
-/// Highest episode level the lane engine counts: the awaited-symbol refill is
-/// unrolled over at most this many symbol columns.
+/// Highest episode level the lane engine counts: the untracked refill is
+/// unrolled over at most this many symbol columns, and a tracked lane's
+/// one-hot state is one byte.
 inline constexpr int kLaneMaxLevel = 8;
 
 /// Count every episode by streaming `database` through the episode lanes, at

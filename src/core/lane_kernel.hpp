@@ -2,8 +2,12 @@
 // inside core/lane_counter.cpp (SSE2 on x86-64, NEON on AArch64, no -march
 // flag), and on x86-64 builds at 32 bytes in core/lane_kernel_avx2.cpp, the
 // one file built with -mavx2.  count_all_lanes and LaneCounter
-// (core/lane_counter.hpp) lay the episodes out in this header's columns and
-// run the widest kernel the CPU supports.
+// (core/lane_counter.hpp) lay the episodes out in this header's blocks and
+// run the widest kernel the CPU supports.  It has two modes: the untracked
+// four-vector kernel behind count_all_lanes, which refills each lane's
+// awaited symbol from its symbol columns, and the tracked one-vector kernel
+// behind LaneCounter, which keeps each lane's automaton one-hot and reads a
+// per-block match table (the Shift-And form of the same automaton).
 //
 // Freestanding on purpose: no standard library beyond <cstddef>/<cstdint>,
 // no core types, raw pointers only.  Any inline function the AVX2 file
@@ -25,17 +29,17 @@ namespace gm::core::lanes {
 /// Highest episode level the kernel counts (core::kLaneMaxLevel).
 inline constexpr int kMaxLevel = 8;
 
-/// Vectors per register block: an untracked block holds 4 x 16 lanes at the
-/// baseline width and 4 x 32 with AVX2.  Tracked blocks are one vector wide:
-/// their extra per-lane registers would spill at four.
+/// Vectors per untracked register block: 4 x 16 lanes at the baseline width
+/// and 4 x 32 with AVX2.  Tracked blocks are one vector wide: their extra
+/// per-lane registers would spill at four.
 inline constexpr int kVectors = 4;
 
-/// A register block is kColumns byte columns, one byte per lane, so vector v
-/// of a column holds lanes v * vector-bytes onward.  Column 0 holds each
-/// lane's first symbol, column k (1..kMaxLevel-1) its symbol k xor symbol 0
-/// (0 past its level), so the refill starts from column 0 and toggles in
-/// exactly the column the lane's state selects.  Padding lanes have level 1
-/// and await symbol 0.
+/// An untracked register block is kColumns byte columns, one byte per lane,
+/// so vector v of a column holds lanes v * vector-bytes onward.  Column 0
+/// holds each lane's first symbol, column k (1..kMaxLevel-1) its symbol k xor
+/// symbol 0 (0 past its level), so the refill starts from column 0 and
+/// toggles in exactly the column the lane's state selects.  Padding lanes
+/// have level 1 and await symbol 0.
 enum Column : int {
   kLengthColumn = kMaxLevel,  ///< each lane's level
   kStateColumn,               ///< automaton state, carried between runs
@@ -43,13 +47,28 @@ enum Column : int {
   kColumns,
 };
 
+/// A tracked block is kTableRow + Job::rows vectors, one byte per lane.  A
+/// lane's state is one-hot: bit d is set when d symbols of its episode are
+/// matched.  Bit d of its match-table row for symbol s is set when symbol d
+/// of its episode is s.  The table has a row per symbol up to the largest
+/// one the counter's episodes use, then one zero row that every larger
+/// event reads.  Padding lanes have no table bits, so they never leave the
+/// start state.
+enum TrackedRow : int {
+  kOneHotRow,  ///< one-hot automaton state, carried between runs
+  kEndRow,     ///< the bit a completed match reaches: 1 << level, 0 at level 8
+  kTableRow,   ///< symbol 0's match-table row; symbol s's is kTableRow + s
+};
+
 /// One count over block_count register blocks, in the same layout at every
-/// width.  `columns` is block_count x kColumns x (lanes per block) bytes on a
-/// 64-byte boundary; the kernel loads whole aligned vectors from it and
-/// leaves the carried columns at their final state.
+/// width.  `columns` is block_count blocks on a 64-byte boundary; the kernel
+/// loads whole aligned vectors from it and leaves the carried state at its
+/// final value.
 struct Job {
+  /// Untracked: block_count x kColumns x (lanes per block) bytes.  Tracked:
+  /// block_count x (kTableRow + rows) x (lanes per block) bytes.
   std::uint8_t* columns = nullptr;
-  /// Per block: its longest episode, 1..kMaxLevel.
+  /// Untracked mode: per block, its longest episode, 1..kMaxLevel.
   const std::uint8_t* levels = nullptr;
   std::size_t block_count = 0;
   const std::uint8_t* database = nullptr;
@@ -62,6 +81,9 @@ struct Job {
   /// block_count x lanes absolute match starts (the serial automaton's
   /// first_pos), read at each run start and rewritten at each run end.
   std::int64_t* first_pos = nullptr;
+  /// Tracked mode: match-table rows per block, the largest episode symbol
+  /// plus 2 (the zero row).
+  std::size_t rows = 0;
   /// Tracked mode: the absolute stream position of database[0].
   std::int64_t base = 0;
   /// Tracked mode: the expiry window, 0 = none.  A match starting at p is
@@ -108,10 +130,10 @@ Vector<kBytes> splat(std::uint8_t v) {
   }
 }
 
-/// A register block's columns as vectors, kWide vectors per column.
-template <int kBytes, int kWide>
+/// An untracked register block's columns as vectors, kVectors per column.
+template <int kBytes>
 struct Block {
-  Vector<kBytes> column[kColumns][kWide];
+  Vector<kBytes> column[kColumns][kVectors];
 };
 
 /// Lane masks are 0xFF where equal; vector comparisons yield signed lanes.
@@ -122,8 +144,8 @@ Vector<kBytes> equal(Vector<kBytes> a, Vector<kBytes> b) {
 
 /// The symbol each lane awaits in automaton state `state`, from its block's
 /// columns: column 0, toggled by column k where the state is k.
-template <int kBytes, int kLevels, int kWide>
-Vector<kBytes> awaited(const Block<kBytes, kWide>& block, int v, Vector<kBytes> state) {
+template <int kBytes, int kLevels>
+Vector<kBytes> awaited(const Block<kBytes>& block, int v, Vector<kBytes> state) {
   Vector<kBytes> symbol = block.column[0][v];
   for (int k = 1; k < kLevels; ++k) {
     symbol ^= block.column[k][v] &
@@ -137,7 +159,7 @@ Vector<kBytes> awaited(const Block<kBytes, kWide>& block, int v, Vector<kBytes> 
 /// kLevels is the block's longest episode, so the refill is unrolled over
 /// exactly the columns in use.
 template <int kBytes, int kLevels, bool kContiguous>
-void scan_run(Block<kBytes, kVectors>& block, const Vector<kBytes>* events, std::size_t run,
+void scan_run(Block<kBytes>& block, const Vector<kBytes>* events, std::size_t run,
               std::int64_t* totals) {
   using Lanes = Vector<kBytes>;
   const Lanes one = splat<kBytes>(1);
@@ -196,8 +218,17 @@ inline std::uint8_t countdown(std::int64_t first_pos, std::int64_t window, std::
   return left <= 0 ? 0 : left >= 255 ? 255 : static_cast<std::uint8_t>(left);
 }
 
-/// The tracked mode: scan_run for a one-vector block that also records where
-/// each lane's match started and, when kExpiring, expires matches.
+/// The tracked mode: one run of a one-vector block of one-hot automata,
+/// which also records where each lane's match started and, when kExpiring,
+/// expires matches.  `row` holds each event's match-table row.
+///
+/// Each event reads its table row T and advances the lanes whose awaited
+/// symbol it is: adv = state & T is the state bit where they are, so
+/// state + adv moves it up one.  A lane completes where that reaches its end
+/// bit (1 << level wraps to 0 at level 8) and restarts at 1, nothing
+/// matched.  Under contiguous restart a lane that cannot advance falls back
+/// to 1, or to 2 when the event is its first symbol (Figure 3's mismatch
+/// edge).
 ///
 /// `since` counts the events since each lane's match started: a start zeroes
 /// it, every event adds one, and `began` marks the lanes that started one in
@@ -215,63 +246,58 @@ inline std::uint8_t countdown(std::int64_t first_pos, std::int64_t window, std::
 /// every window is exact and no age is carried between runs.  Idle lanes
 /// count on without meaning; resetting one does nothing.
 ///
-/// The reset is applied one event early, with the refill, except after the
-/// run's last event: the run may end a batch, and a checkpoint must show the
-/// state the serial automaton still holds there.  The next run's reload
-/// resets it instead.
-template <int kBytes, int kLevels, bool kContiguous, bool kExpiring>
-void scan_tracked_run(Block<kBytes, 1>& block, const Vector<kBytes>* events, std::size_t run,
+/// The reset is applied one event early, with the completion reset, except
+/// after the run's last event: the run may end a batch, and a checkpoint
+/// must show the state the serial automaton still holds there.  The next
+/// run's reload resets it instead.
+template <int kBytes, bool kContiguous, bool kExpiring>
+void scan_tracked_run(Vector<kBytes>* block, const std::uint16_t* row, std::size_t run,
                       std::int64_t* totals, std::int64_t* first_pos, std::int64_t base,
                       std::int64_t window) {
   using Lanes = Vector<kBytes>;
   const Lanes one = splat<kBytes>(1);
   const Lanes none = {};
-  const Lanes first = block.column[0][0];
-  const Lanes length = block.column[kLengthColumn][0];
+  const Lanes end = block[kEndRow];
   const std::uint8_t clamped = window >= 255 ? 255 : static_cast<std::uint8_t>(window);
-  Lanes state = block.column[kStateColumn][0];
-  Lanes wait = block.column[kWaitColumn][0];
+  Lanes state = block[kOneHotRow];
   Lanes since = {};
   if constexpr (kExpiring) {
     std::uint8_t lefts[kBytes];
     for (int j = 0; j < kBytes; ++j) lefts[j] = countdown(first_pos[j], window, base);
     Lanes left;
     __builtin_memcpy(&left, lefts, sizeof left);
-    const Lanes due = equal<kBytes>(left, none) & ~equal<kBytes>(state, none);
-    state &= ~due;
-    wait = (wait & ~due) | (first & due);
+    const Lanes due = equal<kBytes>(left, none) & ~equal<kBytes>(state, one);
+    state = (state & ~due) - due;  // due lanes are 0xFF: 0 - 0xFF = 1
     since = splat<kBytes>(clamped) - left;
   }
   const Lanes lifetime = splat<kBytes>(clamped);
   Lanes began = {};
   Lanes hits = {};
-  const auto step = [&](Lanes event, auto expire_next) {
-    const Lanes match = equal<kBytes>(wait, event);
-    Lanes started = match & equal<kBytes>(state, none);
-    Lanes next;
+  const auto step = [&](Lanes table, auto expire_next) {
+    const Lanes adv = state & table;
+    Lanes next = state + adv;
+    Lanes started;
     if constexpr (kContiguous) {
-      // Figure 3's mismatch edge, as in scan_run; it starts a new match.
-      const Lanes restart = equal<kBytes>(first, event) & ~match;
-      started |= restart;
-      next = ((state + one) & match) | (restart & one);
+      // A lane that cannot advance restarts at 1, or at 2 when the event is
+      // its first symbol; either 2 starts a new match.
+      const Lanes stuck = equal<kBytes>(adv, none);
+      next = (next & ~stuck) | ((one + (table & one)) & stuck);
+      started = equal<kBytes>(next, one + one);
     } else {
-      next = state - match;  // match lanes are 0xFF: state + 1
+      started = equal<kBytes>(adv, one);
     }
-    Lanes done = equal<kBytes>(next, length);
+    Lanes done = equal<kBytes>(next, end);
     hits -= done;
     since = (since & ~started) + one;
     began |= started;
     if constexpr (kExpiring && decltype(expire_next)::value) {
       done |= equal<kBytes>(since, lifetime);
     }
-    next &= ~done;
-    state = next;
-    wait = awaited<kBytes, kLevels>(block, 0, next);
+    state = (next & ~done) - done;  // done lanes restart at 1
   };
-  for (std::size_t i = 0; i + 1 < run; ++i) step(events[i], Flag<true>{});
-  step(events[run - 1], Flag<false>{});
-  block.column[kStateColumn][0] = state;
-  block.column[kWaitColumn][0] = wait;
+  for (std::size_t i = 0; i + 1 < run; ++i) step(block[row[i]], Flag<true>{});
+  step(block[row[run - 1]], Flag<false>{});
+  block[kOneHotRow] = state;
   for (int j = 0; j < kBytes; ++j) {
     totals[j] += hits[j];
     // Only a lane that began a match has since <= run.
@@ -280,10 +306,9 @@ void scan_tracked_run(Block<kBytes, 1>& block, const Vector<kBytes>* events, std
 }
 
 template <int kBytes>
-using ScanFn = void (*)(Block<kBytes, kVectors>&, const Vector<kBytes>*, std::size_t,
-                        std::int64_t*);
+using ScanFn = void (*)(Block<kBytes>&, const Vector<kBytes>*, std::size_t, std::int64_t*);
 template <int kBytes>
-using TrackedScanFn = void (*)(Block<kBytes, 1>&, const Vector<kBytes>*, std::size_t,
+using TrackedScanFn = void (*)(Vector<kBytes>*, const std::uint16_t*, std::size_t,
                                std::int64_t*, std::int64_t*, std::int64_t, std::int64_t);
 
 /// The scan_run of a block whose longest episode is `levels`.
@@ -295,25 +320,41 @@ ScanFn<kBytes> scan_for(int levels) {
   return &scan_run<kBytes, kLevels, kContiguous>;
 }
 
-/// The scan_tracked_run of a block whose longest episode is `levels`.
-template <int kBytes, bool kContiguous, bool kExpiring, int kLevels = 1>
-TrackedScanFn<kBytes> tracked_scan_for(int levels) {
-  if constexpr (kLevels < kMaxLevel) {
-    if (levels > kLevels) {
-      return tracked_scan_for<kBytes, kContiguous, kExpiring, kLevels + 1>(levels);
+/// Count a tracked `job` at kBytes-wide vectors.  Runs outermost: each run's
+/// events are turned into match-table rows once, then every block steps
+/// through them with its automata held in registers.
+template <int kBytes>
+void scan_tracked(const Job& job) {
+  using Lanes = Vector<kBytes>;
+  const bool expiring = job.window > 0;
+  const TrackedScanFn<kBytes> scan_fn =
+      job.contiguous ? (expiring ? &scan_tracked_run<kBytes, true, true>
+                                 : &scan_tracked_run<kBytes, true, false>)
+                     : (expiring ? &scan_tracked_run<kBytes, false, true>
+                                 : &scan_tracked_run<kBytes, false, false>);
+  // Copied out of `job`: stores through uint8 vectors may alias anything.
+  Lanes* const blocks = reinterpret_cast<Lanes*>(job.columns);
+  const std::size_t stride = kTableRow + job.rows;  // vectors per block
+  const std::size_t block_count = job.block_count;
+  const std::uint8_t* const database = job.database;
+  const std::size_t events = job.events;
+  std::int64_t* const totals = job.totals;
+  std::int64_t* const first_pos = job.first_pos;
+  const std::int64_t window = job.window;
+  // Symbols past the table's last symbol row read its zero row.
+  const std::size_t zero_row = stride - 1;
+  std::uint16_t row[kRunEvents];
+  for (std::size_t at = 0; block_count > 0 && at < events; at += kRunEvents) {
+    const std::size_t run = events - at < kRunEvents ? events - at : kRunEvents;
+    for (std::size_t i = 0; i < run; ++i) {
+      const std::size_t r = kTableRow + std::size_t{database[at + i]};
+      row[i] = static_cast<std::uint16_t>(r < zero_row ? r : zero_row);
+    }
+    for (std::size_t b = 0; b < block_count; ++b) {
+      scan_fn(blocks + b * stride, row, run, totals + b * kBytes, first_pos + b * kBytes,
+              job.base + static_cast<std::int64_t>(at), window);
     }
   }
-  return &scan_tracked_run<kBytes, kLevels, kContiguous, kExpiring>;
-}
-
-template <int kBytes>
-TrackedScanFn<kBytes> tracked_scan_for(int levels, bool contiguous, bool expiring) {
-  if (contiguous) {
-    return expiring ? tracked_scan_for<kBytes, true, true>(levels)
-                    : tracked_scan_for<kBytes, true, false>(levels);
-  }
-  return expiring ? tracked_scan_for<kBytes, false, true>(levels)
-                  : tracked_scan_for<kBytes, false, false>(levels);
 }
 
 /// Count `job` at kBytes-wide vectors.  Runs outermost: each run's events
@@ -321,33 +362,27 @@ TrackedScanFn<kBytes> tracked_scan_for(int levels, bool contiguous, bool expirin
 /// held in registers.
 template <int kBytes>
 void scan(const Job& job) {
-  static_assert(sizeof(Block<kBytes, kVectors>) == std::size_t{kColumns} * kVectors * kBytes);
-  const bool tracked = job.first_pos != nullptr;
-  const std::size_t lanes = tracked ? kBytes : std::size_t{kVectors} * kBytes;
+  static_assert(sizeof(Block<kBytes>) == std::size_t{kColumns} * kVectors * kBytes);
+  if (job.first_pos != nullptr) {
+    scan_tracked<kBytes>(job);
+    return;
+  }
+  const std::size_t lanes = std::size_t{kVectors} * kBytes;
   // Copied out of `job`: stores through uint8 vectors may alias anything.
   std::uint8_t* const columns = job.columns;
   const std::size_t block_count = job.block_count;
   const std::uint8_t* const database = job.database;
   const std::size_t events = job.events;
   std::int64_t* const totals = job.totals;
-  std::int64_t* const first_pos = job.first_pos;
-  const std::int64_t window = job.window;
   Vector<kBytes> broadcast[kRunEvents] = {};
   for (std::size_t at = 0; block_count > 0 && at < events; at += kRunEvents) {
     const std::size_t run = events - at < kRunEvents ? events - at : kRunEvents;
     for (std::size_t i = 0; i < run; ++i) broadcast[i] = splat<kBytes>(database[at + i]);
     for (std::size_t b = 0; b < block_count; ++b) {
-      if (tracked) {
-        auto* const block = reinterpret_cast<Block<kBytes, 1>*>(columns) + b;
-        tracked_scan_for<kBytes>(job.levels[b], job.contiguous, window > 0)(
-            *block, broadcast, run, totals + b * lanes, first_pos + b * lanes,
-            job.base + static_cast<std::int64_t>(at), window);
-      } else {
-        auto* const block = reinterpret_cast<Block<kBytes, kVectors>*>(columns) + b;
-        const ScanFn<kBytes> scan_fn = job.contiguous ? scan_for<kBytes, true>(job.levels[b])
-                                                      : scan_for<kBytes, false>(job.levels[b]);
-        scan_fn(*block, broadcast, run, totals + b * lanes);
-      }
+      auto* const block = reinterpret_cast<Block<kBytes>*>(columns) + b;
+      const ScanFn<kBytes> scan_fn = job.contiguous ? scan_for<kBytes, true>(job.levels[b])
+                                                    : scan_for<kBytes, false>(job.levels[b]);
+      scan_fn(*block, broadcast, run, totals + b * lanes);
     }
   }
 }

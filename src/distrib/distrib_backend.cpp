@@ -10,6 +10,7 @@
 #include "common/parallel.hpp"
 #include "core/multi_counter.hpp"
 #include "core/segment_counter.hpp"
+#include "kernels/gpu_backend.hpp"
 #include "kernels/workload_model.hpp"
 
 namespace gm::distrib {
@@ -38,8 +39,10 @@ DistribBackend::DistribBackend(DistribOptions options) : options_(std::move(opti
 }
 
 std::string DistribBackend::name() const {
-  return "distrib-x" + std::to_string(options_.shards) + "[" + to_string(options_.worker) +
-         "]";
+  const std::string worker = options_.worker == WorkerKind::kGpuSim
+                                 ? kernels::sim_gpu_name(options_.device, options_.launch)
+                                 : to_string(options_.worker);
+  return "distrib-x" + std::to_string(options_.shards) + "[" + worker + "]";
 }
 
 int DistribBackend::max_level() const {

@@ -60,7 +60,10 @@ class DistribBackend final : public core::CountingBackend {
  public:
   explicit DistribBackend(DistribOptions options = {});
 
-  /// "distrib-x4[cpu-single-scan]", "distrib-x2[gpusim]", ...
+  /// "distrib-x4[cpu-single-scan]"; a gpusim worker's launch and card are
+  /// spelled as SimGpuBackend::name() spells them, so two-shard cards
+  /// running algorithm 2 at 32 threads per block are
+  /// "distrib-x2[gpusim/algo2-thread-buffered/t32/<card>]".
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] core::CountResult count(const core::CountRequest& request) override;
   /// The gpusim worker models cards running the staged kernels, so it

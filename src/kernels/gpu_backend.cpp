@@ -12,10 +12,12 @@ SimGpuBackend::SimGpuBackend(gpusim::DeviceSpec device, MiningLaunchParams param
       params_(params),
       cost_model_(cost_params) {}
 
-std::string SimGpuBackend::name() const {
-  return "gpusim/" + to_string(params_.algorithm) + (params_.trie_buckets ? "-trie" : "") +
-         "/t" + std::to_string(params_.threads_per_block) + "/" + engine_.spec().name;
+std::string sim_gpu_name(const gpusim::DeviceSpec& device, const MiningLaunchParams& params) {
+  return "gpusim/" + to_string(params.algorithm) + (params.trie_buckets ? "-trie" : "") + "/t" +
+         std::to_string(params.threads_per_block) + "/" + device.name;
 }
+
+std::string SimGpuBackend::name() const { return sim_gpu_name(engine_.spec(), params_); }
 
 core::CountResult SimGpuBackend::count(const core::CountRequest& request) {
   const auto start = std::chrono::steady_clock::now();

@@ -9,11 +9,18 @@
 // the block declares no texture pattern, which every mining kernel does.
 #pragma once
 
+#include <string>
+
 #include "core/counting.hpp"
 #include "kernels/mining_kernels.hpp"
 #include "sim/cost_model.hpp"
 
 namespace gm::kernels {
+
+/// The name of a simulated launch of `params` on `device`, as backends spell
+/// it: "gpusim/<algorithm>[-trie]/t<threads per block>/<card>".
+[[nodiscard]] std::string sim_gpu_name(const gpusim::DeviceSpec& device,
+                                       const MiningLaunchParams& params);
 
 class SimGpuBackend final : public core::CountingBackend {
  public:

@@ -669,7 +669,8 @@ TEST(Planner, PlannedDistribBackendsCountExactly) {
     config.threads_per_block = 128;
     const auto backend = make_planned_backend(config, deterministic_options());
     const std::string expected_name =
-        gpu ? "distrib-x3[gpusim]" : "distrib-x3[cpu-single-scan]";
+        gpu ? "distrib-x3[gpusim/algo1-thread-texture/t128/GeForce GTX 280 (GT200)]"
+            : "distrib-x3[cpu-single-scan]";
     EXPECT_EQ(backend->name(), expected_name);
     const auto result = backend->count(request);
     EXPECT_EQ(result.counts, expected.counts) << expected_name;
@@ -687,7 +688,8 @@ TEST(AutoBackend, MakeBackendSpellsDistribAndOpensTheDeviceAxis) {
 
   spec.name = "distrib-gpu";
   spec.shards = 0;  // defaults to the GX2's two dies
-  EXPECT_EQ(service::make_backend(spec)->name(), "distrib-x2[gpusim]");
+  EXPECT_EQ(service::make_backend(spec)->name(),
+            "distrib-x2[gpusim/algo1-thread-texture/t128/GeForce GTX 280 (GT200)]");
 
   spec.name = "auto";
   spec.shards = 3;

@@ -26,6 +26,7 @@
 #include "core/miner.hpp"
 #include "core/serial_counter.hpp"
 #include "data/generators.hpp"
+#include "distrib/distrib_backend.hpp"
 #include "kernels/gpu_backend.hpp"
 #include "kernels/mining_kernels.hpp"
 #include "planner/auto_backend.hpp"
@@ -525,6 +526,40 @@ TEST(ServiceSession, OtherTrieModeBackendIsNotPricedAsTheSessions) {
   }
 }
 
+TEST(ServiceSession, OtherLaunchDistribBackendIsNotPricedAsTheSessions) {
+  // An algo1/t128 distrib-gpu session handed caller-owned two-card backends.
+  // The cards' launch is part of a distrib backend's name, so one running
+  // algorithm 2 at 32 threads per block is not priced as the session's own
+  // formulation and a tiny budget cannot reject it; one built from the
+  // session's own spec is priced, and the budget rejects it.
+  const data::Dataset dataset = make_dataset(8, 2'000, 3);
+  const BackendSpec spec{.name = "distrib-gpu"};
+  MiningSession session(dataset, {.backend = spec});
+  distrib::DistribOptions options;
+  options.worker = distrib::WorkerKind::kGpuSim;
+  options.launch.algorithm = kernels::Algorithm::kThreadBuffered;
+  options.launch.threads_per_block = 32;
+  distrib::DistribBackend other(options);
+  const std::unique_ptr<core::CountingBackend> own = make_backend(spec);
+  ASSERT_NE(other.name(), own->name());
+
+  MineRequest mine;
+  mine.config.support_threshold = 0.01;
+  mine.config.max_level = 2;
+  mine.limits.latency_budget_ms = 1e-9;
+  const MineResponse priced = session.mine_with(mine, *own);
+  EXPECT_EQ(priced.disposition, Disposition::kRejected);
+  EXPECT_GT(priced.timing.predicted_ms, 0.0);
+
+  const MineResponse mined = session.mine_with(mine, other);
+  ASSERT_EQ(mined.disposition, Disposition::kServed) << mined.rejection.reason;
+  EXPECT_EQ(mined.timing.predicted_ms, 0.0);
+  ASSERT_EQ(mined.plan_notes.size(), 2u);
+  for (const std::string& note : mined.plan_notes) {
+    EXPECT_NE(note.find("not priced (backend '" + other.name() + "'"), std::string::npos) << note;
+  }
+}
+
 TEST(ServiceSession, FixedBackendsAreBuiltFromTheirCandidate) {
   // One CandidateConfig both builds and prices a fixed backend; the names
   // make_backend gives stay those of the backends' own constructors.
@@ -536,7 +571,10 @@ TEST(ServiceSession, FixedBackendsAreBuiltFromTheirCandidate) {
       {"cpu-single-scan", {"cpu-single-scan", "cpu-single-scan"}},
       {"cpu-lane-scan", {"cpu-lane-scan", "cpu-lane-scan"}},
       {"distrib", {"distrib-x" + threads + "[cpu-single-scan]", "distrib-x" + threads}},
-      {"distrib-gpu", {"distrib-x2[gpusim]", "distrib-gpu-x2"}},
+      {"distrib-gpu",
+       {"distrib-x2[gpusim/" + kernels::to_string(kernels::Algorithm::kThreadTexture) +
+            "/t128/" + gtx + "]",
+        "distrib-gpu-x2"}},
       {"gpusim", {"gpusim/" + kernels::to_string(kernels::Algorithm::kThreadTexture) +
                       "/t128/" + gtx,
                   "gpusim-algo1/t128"}},

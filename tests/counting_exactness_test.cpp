@@ -16,10 +16,12 @@
 // blocks, the 255-event uint8 counter flush, the unrolled symbol columns of
 // every level it supports, and its refusal of expiry.  Its tracked mode
 // (LaneCounter, behind StreamScan) is held to MultiCounter's progress
-// records, expiry windows around the 255-event run included.
+// records, expiry windows around the 255-event run and the edges of its
+// one-hot automata included.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <utility>
@@ -327,6 +329,108 @@ void lane_windows_around_one_run_are_exact(LaneWidth width) {
       }
     }
   }
+}
+
+// The tracked lanes keep each automaton one-hot and read one match-table
+// row per event.  The cases below pin that form's edges to MultiCounter
+// record by record after every batch: level-8 episodes, whose completing
+// state bit wraps the byte; AAAAAAAA and ABABABAB, which set several bits
+// of one table row; streams carrying symbols no episode uses, up to 254,
+// which read the zero row; windows from 1 to INT64_MAX; and restore() of
+// MultiCounter's mid-match records into a fresh counter.
+void lane_one_hot_edges_match_multi_counter(LaneWidth width) {
+  Rng rng(0x0E40 + static_cast<std::uint64_t>(width));
+  const std::int64_t windows[] = {0, 1, 7, 255, 256, std::numeric_limits<std::int64_t>::max()};
+  for (const Symbol largest : {Symbol{3}, Symbol{200}}) {
+    // Episodes over symbols 0..3 (A = 0, B = 1); with `largest` 200 one
+    // more episode makes the table run to row 200.
+    std::vector<Episode> episodes = {Episode({0, 0, 0, 0, 0, 0, 0, 0}),
+                                     Episode({0, 1, 0, 1, 0, 1, 0, 1}),
+                                     Episode({1, 0, 1, 0, 1, 0, 1, 0}), Episode({0})};
+    for (Episode& e : level_episodes(rng, 4, 14, kLaneMaxLevel)) episodes.push_back(std::move(e));
+    for (Episode& e : random_episodes(rng, 4, 20, kLaneMaxLevel)) {
+      episodes.push_back(std::move(e));
+    }
+    if (largest > 3) episodes.push_back(Episode({largest, 0, largest}));
+    // Runs of A, alternations of A and B, runs of symbols from 4..254 (past
+    // the table's last row, or rows no lane uses) and random symbols, each
+    // 1..12 events long.
+    const auto stream = [&](std::size_t events) {
+      Sequence db;
+      while (db.size() < events) {
+        const std::uint64_t kind = rng.below(4);
+        const std::uint64_t length = rng.between(1, 12);
+        for (std::uint64_t i = 0; i < length && db.size() < events; ++i) {
+          if (kind == 0) {
+            db.push_back(0);
+          } else if (kind == 1) {
+            db.push_back(static_cast<Symbol>(i % 2));
+          } else if (kind == 2) {
+            db.push_back(static_cast<Symbol>(rng.between(4, 254)));
+          } else {
+            db.push_back(rng.below(8) == 0 ? largest : static_cast<Symbol>(rng.below(4)));
+          }
+        }
+      }
+      return db;
+    };
+    for (const Semantics semantics :
+         {Semantics::kNonOverlappedSubsequence, Semantics::kContiguousRestart}) {
+      for (const std::int64_t window : windows) {
+        const ExpiryPolicy expiry{window};
+        MultiCounter flat(episodes, semantics, expiry);
+        std::optional<LaneCounter> lanes(std::in_place, width, episodes, semantics, expiry);
+        std::int64_t pos = 0;
+        int mid_match = 0;  // restored records carrying a match in flight
+        for (int batch = 0; batch < 8; ++batch) {
+          if (batch == 4) {
+            // Restore MultiCounter's records, mid-match states included,
+            // into a fresh counter and carry on from there.
+            const std::vector<EpisodeProgress> captured = flat.progress();
+            for (const EpisodeProgress& p : captured) mid_match += p.state > 0 ? 1 : 0;
+            lanes.emplace(width, episodes, semantics, expiry);
+            lanes->restore(captured);
+          }
+          Sequence events = stream(rng.between(1, 700));
+          if (batch == 3) {
+            // End on ABAB, so matches are in flight at the restore below
+            // under every window: a window of 1 keeps those starting with B.
+            events.insert(events.end(), {0, 1, 0, 1});
+          }
+          flat.advance_batch(events, pos);
+          lanes->advance_batch(events, pos);
+          pos += static_cast<std::int64_t>(events.size());
+          const std::vector<EpisodeProgress> expected = flat.progress();
+          const std::vector<EpisodeProgress> got = lanes->progress();
+          ASSERT_EQ(got.size(), expected.size());
+          for (std::size_t e = 0; e < expected.size(); ++e) {
+            ASSERT_EQ(got[e], expected[e])
+                << "largest symbol " << int{largest} << " semantics " << to_string(semantics)
+                << " window " << window << " batch " << batch << " episode " << e << " level "
+                << episodes[e].level() << " got {" << got[e].count << ", " << got[e].first_pos
+                << ", " << got[e].state << "} want {" << expected[e].count << ", "
+                << expected[e].first_pos << ", " << expected[e].state << "}";
+          }
+        }
+        if (window == 0 || window >= 255) {
+          // Without a short window, AAAAAAAA and ABABABAB complete: the
+          // byte wraps.
+          EXPECT_GT(flat.counts()[0], 0) << to_string(semantics) << " window " << window;
+          EXPECT_GT(flat.counts()[1], 0) << to_string(semantics) << " window " << window;
+        }
+        EXPECT_GT(mid_match, 0) << to_string(semantics) << " window " << window;
+      }
+    }
+  }
+}
+
+TEST(CountingExactness, LaneCounterOneHotEdgesMatchMultiCounter) {
+  lane_one_hot_edges_match_multi_counter(LaneWidth::kBaseline);
+}
+
+TEST(CountingExactness, LaneCounterAvx2OneHotEdgesMatchMultiCounter) {
+  if (!lane_width_runs(LaneWidth::kAvx2)) GTEST_SKIP() << missing_avx2();
+  lane_one_hot_edges_match_multi_counter(LaneWidth::kAvx2);
 }
 
 TEST(CountingExactness, LaneCounterWindowsAroundOneRunAreExact) {

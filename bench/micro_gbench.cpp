@@ -1,15 +1,17 @@
 // Microbenchmarks of the substrate, in two tiers.
 //
 // The counting lane (`--counting`) is the regression-gated hot-path
-// microbench: it races the flat SoA single-scan engine and the episode-lane
-// SIMD engine against the serial per-episode oracle across alphabet size x
+// microbench: it races the flat SoA single-scan engine, the episode-lane
+// SIMD engine and the tracked lanes (LaneCounter, the resumable kernel behind
+// StreamScan) against the serial per-episode oracle across alphabet size x
 // expiry x prefix mass, plus the
 // paper's dense shape (26 symbols, all 17,576 level-3 episodes), cross-checks
 // every engine's counts against the oracle before reporting any timing, and
 // emits a schema-stamped BENCH_counting.json so the events/sec trajectory is
 // tracked commit over commit.  The lane engine has no expiry, so its column
-// is empty on the expiry shapes; its rate depends on the vector width the
-// CPU runs, which the table header and the JSON (`lane_isa`) name.  CI gates
+// is empty on the expiry shapes; the tracked lanes count every shape.  Both
+// rates depend on the vector width the CPU runs, which the table header and
+// the JSON (`lane_isa`) name.  No gate reads the tracked column.  CI gates
 // the reference shape (large alphabet, no expiry) on a relative floor
 // (optimized >= 2x serial) and an absolute events/sec floor; a gated run
 // (--min-speedup set) also holds the lane engine to kDenseLaneGate x flat
@@ -137,7 +139,7 @@ int run_counting_lane(const CountingOptions& opt) {
 
   gm::bench::JsonWriter json;
   json.begin_object();
-  json.field("schema", "gm-bench-counting/2");
+  json.field("schema", "gm-bench-counting/3");
   json.field("db_size", opt.db_size);
   json.field("episodes", opt.episodes);
   json.field("level", opt.level);
@@ -150,9 +152,9 @@ int run_counting_lane(const CountingOptions& opt) {
 
   bool gate_failed = false;
   std::printf("lane engine: %s kernel\n", std::string(gm::core::lane_isa()).c_str());
-  std::printf("%9s %7s %12s %6s %8s | %11s %11s %11s | %8s %8s\n", "alphabet", "expiry",
-              "prefix_pool", "rho", "episodes", "serial_ev/s", "flat_ev/s", "lane_ev/s",
-              "flat_x", "lane_x");
+  std::printf("%9s %7s %12s %6s %8s | %11s %11s %11s %11s | %8s %8s\n", "alphabet",
+              "expiry", "prefix_pool", "rho", "episodes", "serial_ev/s", "flat_ev/s",
+              "lane_ev/s", "tracked_ev/s", "flat_x", "lane_x");
   for (const Shape& shape : shapes) {
     gm::Rng rng(opt.seed + static_cast<std::uint64_t>(shape.alphabet) * 1000 +
                 static_cast<std::uint64_t>(shape.expiry) * 7 +
@@ -168,6 +170,7 @@ int run_counting_lane(const CountingOptions& opt) {
     std::vector<std::int64_t> oracle;
     std::vector<std::int64_t> flat;
     std::vector<std::int64_t> lane;
+    std::vector<std::int64_t> tracked;
     const double serial_s = best_seconds(opt.repeat, oracle, [&] {
       return gm::core::count_all(episodes, db, semantics, expiry);
     });
@@ -181,7 +184,12 @@ int run_counting_lane(const CountingOptions& opt) {
         return gm::core::count_all_lanes(episodes, db, semantics);
       });
     }
-    if (flat != oracle || (!expiry.enabled() && lane != oracle)) {
+    const double tracked_s = best_seconds(opt.repeat, tracked, [&] {
+      gm::core::LaneCounter counter(episodes, semantics, expiry);
+      counter.advance_batch(db, 0);
+      return counter.counts();
+    });
+    if (flat != oracle || tracked != oracle || (!expiry.enabled() && lane != oracle)) {
       std::fprintf(stderr,
                    "FAIL: engine counts diverge from the serial oracle "
                    "(alphabet %d, expiry %lld, prefix_pool %d, episodes %zu)\n",
@@ -194,12 +202,14 @@ int run_counting_lane(const CountingOptions& opt) {
     const double serial_eps = db_events / serial_s;
     const double flat_eps = db_events / flat_s;
     const double lane_eps = db_events / lane_s;
+    const double tracked_eps = db_events / tracked_s;
     const double flat_speedup = serial_s / flat_s;
     const double lane_speedup = serial_s / lane_s;
     const double lane_vs_flat = flat_s / lane_s;
-    std::printf("%9d %7lld %12d %6.3f %8zu | %11.3e %11.3e %11.3e | %8.2f %8.2f\n",
+    std::printf("%9d %7lld %12d %6.3f %8zu | %11.3e %11.3e %11.3e %11.3e | %8.2f %8.2f\n",
                 shape.alphabet, static_cast<long long>(shape.expiry), shape.prefix_pool, rho,
-                episodes.size(), serial_eps, flat_eps, lane_eps, flat_speedup, lane_speedup);
+                episodes.size(), serial_eps, flat_eps, lane_eps, tracked_eps, flat_speedup,
+                lane_speedup);
 
     json.begin_object();
     json.field("alphabet", shape.alphabet);
@@ -213,6 +223,7 @@ int run_counting_lane(const CountingOptions& opt) {
     json.field("serial_events_per_sec", serial_eps);
     json.field("flat_events_per_sec", flat_eps);
     json.field("lane_events_per_sec", lane_eps);
+    json.field("tracked_events_per_sec", tracked_eps);
     json.field("flat_speedup_vs_serial", flat_speedup);
     json.field("lane_speedup_vs_serial", lane_speedup);
     json.field("lane_speedup_vs_flat", lane_vs_flat);
@@ -261,6 +272,9 @@ constexpr const char* kUsage =
 #ifdef GM_HAVE_GBENCH
 #include <benchmark/benchmark.h>
 
+#include <type_traits>
+
+#include "core/scan_checkpoint.hpp"
 #include "core/segment_counter.hpp"
 #include "kernels/cost_constants.hpp"
 #include "kernels/mining_kernels.hpp"
@@ -341,10 +355,12 @@ BENCHMARK(BM_TrieKernelGroupSlice);
 // An incremental engine fed 1,500-event append batches at increasing
 // absolute positions, expiry 32: StreamScan counts on LaneCounter whenever
 // every episode is at most kLaneMaxLevel long, and MultiCounter is the flat
-// scan it falls back to otherwise.  Args: episodes, alphabet, longest level
-// (levels are drawn from 2..longest).  {24, 26, 3} is perfbench
-// stream_append's monitor shape; {4096, 250, 3}, a large set over a large
-// alphabet, is where the flat scan's bucket index still wins.
+// scan it falls back to otherwise.  The StreamScan row is a monitor's whole
+// feed: its LaneCounter plus the FNV-1a digest of each batch.  Args:
+// episodes, alphabet, longest level (levels are drawn from 2..longest).
+// {24, 26, 3} is perfbench stream_append's monitor shape; {4096, 250, 3}, a
+// large set over a large alphabet, is where the flat scan's bucket index
+// still wins.
 template <class Counter>
 void BM_StreamScanFeed(benchmark::State& state) {
   constexpr std::size_t kBatch = 1'500;
@@ -365,7 +381,12 @@ void BM_StreamScanFeed(benchmark::State& state) {
   std::int64_t pos = 0;
   for (auto _ : state) {
     const auto at = static_cast<std::size_t>(pos) % stream.size();
-    counter.advance_batch(std::span<const Symbol>(stream).subspan(at, kBatch), pos);
+    const auto batch = std::span<const Symbol>(stream).subspan(at, kBatch);
+    if constexpr (std::is_same_v<Counter, gm::core::StreamScan>) {
+      counter.feed(batch);  // at its own high-water mark, which is pos
+    } else {
+      counter.advance_batch(batch, pos);
+    }
     pos += static_cast<std::int64_t>(kBatch);
   }
   benchmark::DoNotOptimize(counter.counts());
@@ -377,6 +398,7 @@ BENCHMARK_TEMPLATE(BM_StreamScanFeed, gm::core::MultiCounter)
 BENCHMARK_TEMPLATE(BM_StreamScanFeed, gm::core::LaneCounter)
     ->Args({24, 26, 3})
     ->Args({4096, 250, 3});
+BENCHMARK_TEMPLATE(BM_StreamScanFeed, gm::core::StreamScan)->Args({24, 26, 3});
 
 void BM_CacheSimStream(benchmark::State& state) {
   gpusim::CacheSim cache(8192, 32, 4);

@@ -276,15 +276,13 @@ void scan_tracked_run(Vector<kBytes>* block, const std::uint16_t* row, std::size
   const auto step = [&](Lanes table, auto expire_next) {
     const Lanes adv = state & table;
     Lanes next = state + adv;
-    Lanes started;
+    Lanes started = equal<kBytes>(adv, one);
     if constexpr (kContiguous) {
       // A lane that cannot advance restarts at 1, or at 2 when the event is
-      // its first symbol; either 2 starts a new match.
+      // its first symbol; a lane reaching 2 either way starts a new match.
       const Lanes stuck = equal<kBytes>(adv, none);
       next = (next & ~stuck) | ((one + (table & one)) & stuck);
       started = equal<kBytes>(next, one + one);
-    } else {
-      started = equal<kBytes>(adv, one);
     }
     Lanes done = equal<kBytes>(next, end);
     hits -= done;
@@ -343,7 +341,7 @@ void scan_tracked(const Job& job) {
   const std::int64_t window = job.window;
   // Symbols past the table's last symbol row read its zero row.
   const std::size_t zero_row = stride - 1;
-  std::uint16_t row[kRunEvents];
+  std::uint16_t row[kRunEvents] = {};
   for (std::size_t at = 0; block_count > 0 && at < events; at += kRunEvents) {
     const std::size_t run = events - at < kRunEvents ? events - at : kRunEvents;
     for (std::size_t i = 0; i < run; ++i) {

@@ -318,18 +318,24 @@ ScanFn<kBytes> scan_for(int levels) {
   return &scan_run<kBytes, kLevels, kContiguous>;
 }
 
+/// The scan_tracked_run for one semantics and expiry setting.
+template <int kBytes>
+TrackedScanFn<kBytes> tracked_scan_for(bool contiguous, bool expiring) {
+  if (contiguous) {
+    return expiring ? &scan_tracked_run<kBytes, true, true>
+                    : &scan_tracked_run<kBytes, true, false>;
+  }
+  return expiring ? &scan_tracked_run<kBytes, false, true>
+                  : &scan_tracked_run<kBytes, false, false>;
+}
+
 /// Count a tracked `job` at kBytes-wide vectors.  Runs outermost: each run's
 /// events are turned into match-table rows once, then every block steps
 /// through them with its automata held in registers.
 template <int kBytes>
 void scan_tracked(const Job& job) {
   using Lanes = Vector<kBytes>;
-  const bool expiring = job.window > 0;
-  const TrackedScanFn<kBytes> scan_fn =
-      job.contiguous ? (expiring ? &scan_tracked_run<kBytes, true, true>
-                                 : &scan_tracked_run<kBytes, true, false>)
-                     : (expiring ? &scan_tracked_run<kBytes, false, true>
-                                 : &scan_tracked_run<kBytes, false, false>);
+  const TrackedScanFn<kBytes> scan_fn = tracked_scan_for<kBytes>(job.contiguous, job.window > 0);
   // Copied out of `job`: stores through uint8 vectors may alias anything.
   Lanes* const blocks = reinterpret_cast<Lanes*>(job.columns);
   const std::size_t stride = kTableRow + job.rows;  // vectors per block

@@ -565,19 +565,16 @@ TEST(ServiceSession, FixedBackendsAreBuiltFromTheirCandidate) {
   // make_backend gives stay those of the backends' own constructors.
   const std::string threads = std::to_string(gm::resolved_thread_count(0));
   const std::string gtx = gpusim::geforce_gtx_280().name;
+  const std::string algo1 =
+      "gpusim/" + kernels::to_string(kernels::Algorithm::kThreadTexture) + "/t128/" + gtx;
   const std::map<std::string, std::pair<std::string, std::string>> expected = {
       {"cpu-serial", {"cpu-serial", "cpu-serial"}},
       {"cpu-parallel", {"cpu-parallel-x" + threads, "cpu-parallel-x" + threads}},
       {"cpu-single-scan", {"cpu-single-scan", "cpu-single-scan"}},
       {"cpu-lane-scan", {"cpu-lane-scan", "cpu-lane-scan"}},
       {"distrib", {"distrib-x" + threads + "[cpu-single-scan]", "distrib-x" + threads}},
-      {"distrib-gpu",
-       {"distrib-x2[gpusim/" + kernels::to_string(kernels::Algorithm::kThreadTexture) +
-            "/t128/" + gtx + "]",
-        "distrib-gpu-x2"}},
-      {"gpusim", {"gpusim/" + kernels::to_string(kernels::Algorithm::kThreadTexture) +
-                      "/t128/" + gtx,
-                  "gpusim-algo1/t128"}},
+      {"distrib-gpu", {"distrib-x2[" + algo1 + "]", "distrib-gpu-x2"}},
+      {"gpusim", {algo1, "gpusim-algo1/t128"}},
   };
   for (const std::string_view name : backend_names()) {
     const BackendSpec spec{.name = std::string(name)};

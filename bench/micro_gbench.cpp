@@ -152,9 +152,9 @@ int run_counting_lane(const CountingOptions& opt) {
 
   bool gate_failed = false;
   std::printf("lane engine: %s kernel\n", std::string(gm::core::lane_isa()).c_str());
-  std::printf("%9s %7s %12s %6s %8s | %11s %11s %11s %11s | %8s %8s\n", "alphabet",
-              "expiry", "prefix_pool", "rho", "episodes", "serial_ev/s", "flat_ev/s",
-              "lane_ev/s", "tracked_ev/s", "flat_x", "lane_x");
+  std::printf("%9s %7s %12s %6s %8s | %11s %11s %11s %11s | %8s %8s\n", "alphabet", "expiry",
+              "prefix_pool", "rho", "episodes", "serial_ev/s", "flat_ev/s", "lane_ev/s",
+              "tracked_ev/s", "flat_x", "lane_x");
   for (const Shape& shape : shapes) {
     gm::Rng rng(opt.seed + static_cast<std::uint64_t>(shape.alphabet) * 1000 +
                 static_cast<std::uint64_t>(shape.expiry) * 7 +

@@ -67,8 +67,7 @@ struct Columns {
     check_lane_episodes(episodes);
     for (std::size_t e = 0; e < levels.size() * per_block; ++e) {
       // Column c of this lane is lane[c * per_block].
-      std::uint8_t* lane =
-          bytes() + e / per_block * lanes::kColumns * per_block + e % per_block;
+      std::uint8_t* lane = bytes() + e / per_block * lanes::kColumns * per_block + e % per_block;
       lane[lanes::kLengthColumn * per_block] = 1;
       if (e >= episodes.size()) continue;
       const std::span<const Symbol> symbols = episodes[e].symbols();

@@ -306,8 +306,8 @@ void scan_tracked_run(Vector<kBytes>* block, const std::uint16_t* row, std::size
 template <int kBytes>
 using ScanFn = void (*)(Block<kBytes>&, const Vector<kBytes>*, std::size_t, std::int64_t*);
 template <int kBytes>
-using TrackedScanFn = void (*)(Vector<kBytes>*, const std::uint16_t*, std::size_t,
-                               std::int64_t*, std::int64_t*, std::int64_t, std::int64_t);
+using TrackedScanFn = void (*)(Vector<kBytes>*, const std::uint16_t*, std::size_t, std::int64_t*,
+                               std::int64_t*, std::int64_t, std::int64_t);
 
 /// The scan_run of a block whose longest episode is `levels`.
 template <int kBytes, bool kContiguous, int kLevels = 1>

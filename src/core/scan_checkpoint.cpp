@@ -9,9 +9,6 @@
 namespace gm::core {
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
 /// The tracked lanes when they count every episode, else the flat scan.
 std::variant<LaneCounter, MultiCounter> make_counter(std::span<const Episode> episodes,
                                                      Semantics semantics, ExpiryPolicy expiry) {
@@ -24,13 +21,8 @@ std::variant<LaneCounter, MultiCounter> make_counter(std::span<const Episode> ep
 
 }  // namespace
 
-std::uint64_t stream_digest_seed() { return kFnvOffset; }
-
 std::uint64_t stream_digest_extend(std::uint64_t digest, std::span<const Symbol> events) {
-  for (const Symbol s : events) {
-    digest ^= static_cast<std::uint64_t>(s);
-    digest *= kFnvPrime;
-  }
+  for (const Symbol s : events) digest = stream_digest_step(digest, s);
   return digest;
 }
 
@@ -38,7 +30,6 @@ StreamScan::StreamScan(std::vector<Episode> episodes, Semantics semantics, Expir
     : episodes_(std::move(episodes)),
       semantics_(semantics),
       expiry_(expiry),
-      prefix_digest_(stream_digest_seed()),
       counter_(make_counter(episodes_, semantics_, expiry_)) {}
 
 StreamScan::StreamScan(const ScanCheckpoint& checkpoint)
@@ -53,7 +44,6 @@ StreamScan::StreamScan(const ScanCheckpoint& checkpoint)
   // or a state outside an episode's automaton.
   std::visit([&](auto& counter) { counter.restore(checkpoint.progress); }, counter_);
   high_water_ = checkpoint.high_water;
-  prefix_digest_ = checkpoint.prefix_digest;
 }
 
 StreamScan::StreamScan(StreamScan&&) noexcept = default;
@@ -66,7 +56,6 @@ void StreamScan::feed(std::span<const Symbol> events) {
               "stream positions would overflow int64");
   std::visit([&](auto& counter) { counter.advance_batch(events, high_water_); }, counter_);
   high_water_ += static_cast<std::int64_t>(events.size());
-  prefix_digest_ = stream_digest_extend(prefix_digest_, events);
 }
 
 ScanCheckpoint StreamScan::checkpoint(std::uint64_t generation) const {
@@ -74,7 +63,6 @@ ScanCheckpoint StreamScan::checkpoint(std::uint64_t generation) const {
   out.semantics = semantics_;
   out.expiry = expiry_;
   out.high_water = high_water_;
-  out.prefix_digest = prefix_digest_;
   out.generation = generation;
   out.episodes = episodes_;
   out.progress = std::visit([](const auto& counter) { return counter.progress(); }, counter_);

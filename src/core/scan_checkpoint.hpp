@@ -14,10 +14,12 @@
 // A `ScanCheckpoint` bundles the progress records with everything needed to
 // refuse a bogus resume: the scan parameters (semantics + expiry), the
 // episode list itself, the event high-water mark (count of consumed events ==
-// the next absolute position), a running FNV-1a digest of the consumed
-// prefix, and the caller's database generation.  `StreamScan` is the live
-// object: construct fresh or from a checkpoint, `feed()` event batches as
-// they arrive, `checkpoint()` at any batch boundary.
+// the next absolute position), an FNV-1a digest of the consumed prefix, and
+// the caller's database generation.  `StreamScan` is the live object:
+// construct fresh or from a checkpoint, `feed()` event batches as they
+// arrive, `checkpoint()` at any batch boundary.  It keeps no digest: the
+// stream's owner digests each event once for all of its scans and stamps the
+// checkpoints it hands out (service::MiningSession, distrib::StreamAssembler).
 //
 // Mid-window captures are first-class: an in-flight match whose expiry
 // deadline lies beyond the checkpoint re-arms on restore from its absolute
@@ -38,7 +40,8 @@ namespace gm::core {
 
 /// A paused scan, serializable.  `high_water` is the number of events
 /// consumed so far (== the absolute position the next fed event must carry);
-/// `prefix_digest` is FNV-1a over those events' symbols, so a resume against
+/// `prefix_digest` is FNV-1a over those events' symbols, stamped by the
+/// stream's owner (StreamScan::checkpoint() leaves it 0), so a resume against
 /// a database whose retained prefix changed is refused by callers that track
 /// digests; `generation` is whatever database version tag the caller wants
 /// round-tripped (the service layer stores its session generation here).
@@ -53,7 +56,16 @@ struct ScanCheckpoint {
 };
 
 /// FNV-1a seed for an empty event prefix.
-[[nodiscard]] std::uint64_t stream_digest_seed();
+[[nodiscard]] constexpr std::uint64_t stream_digest_seed() noexcept {
+  return 14695981039346656037ull;
+}
+
+/// Extends a running FNV-1a event digest by one event: the one definition of
+/// the stream digest, inline so an owner's per-event loop can carry it.
+[[nodiscard]] constexpr std::uint64_t stream_digest_step(std::uint64_t digest,
+                                                         Symbol event) noexcept {
+  return (digest ^ static_cast<std::uint64_t>(event)) * 1099511628211ull;
+}
 
 /// Extends a running FNV-1a event digest by one batch.  Chunked digesting is
 /// associative-by-concatenation: digesting a stream in any batching yields
@@ -72,8 +84,8 @@ class StreamScan {
   /// Continues a captured scan.  Validates internal consistency (progress
   /// parallel to episodes, counts non-negative, states inside each
   /// episode's automaton, in-flight first positions before the high-water
-  /// mark); database prefix identity is the caller's check via
-  /// `prefix_digest()`.
+  /// mark) and ignores `prefix_digest`: database prefix identity is the
+  /// stream owner's check.
   explicit StreamScan(const ScanCheckpoint& checkpoint);
 
   StreamScan(StreamScan&&) noexcept;
@@ -85,7 +97,8 @@ class StreamScan {
   /// one uninterrupted scan.
   void feed(std::span<const Symbol> events);
 
-  /// Captures the paused scan.  `generation` is round-tripped verbatim.
+  /// Captures the paused scan.  `generation` is round-tripped verbatim;
+  /// `prefix_digest` is left 0 for the stream's owner to stamp.
   [[nodiscard]] ScanCheckpoint checkpoint(std::uint64_t generation = 0) const;
 
   /// Per-episode occurrence counts over everything fed so far, in episode
@@ -96,14 +109,12 @@ class StreamScan {
   [[nodiscard]] Semantics semantics() const { return semantics_; }
   [[nodiscard]] ExpiryPolicy expiry() const { return expiry_; }
   [[nodiscard]] std::int64_t high_water() const { return high_water_; }
-  [[nodiscard]] std::uint64_t prefix_digest() const { return prefix_digest_; }
 
  private:
   std::vector<Episode> episodes_;
   Semantics semantics_ = Semantics::kNonOverlappedSubsequence;
   ExpiryPolicy expiry_;
   std::int64_t high_water_ = 0;
-  std::uint64_t prefix_digest_ = 0;
   // Built from episodes_, so declared after it.
   std::variant<LaneCounter, MultiCounter> counter_;
 };

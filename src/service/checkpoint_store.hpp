@@ -1,11 +1,12 @@
 // JSON persistence for scan checkpoints and streaming monitors.
 //
 // Sessions survive restarts by writing their monitors to disk: each snapshot
-// pairs a MonitorSpec with the ScanCheckpoint of its scan at capture time.
-// On reload the session verifies the checkpoint's stream-prefix digest
-// against the reloaded database (a resume against different data is refused,
-// not silently wrong), restores the scan, and replays only the events
-// appended since the capture.
+// pairs a MonitorSpec with the ScanCheckpoint of its scan at capture time,
+// stamped with the session's stream digest (a bare StreamScan checkpoint
+// carries 0 there).  On reload the session verifies the checkpoint's
+// stream-prefix digest against the reloaded database (a resume against
+// different data is refused, not silently wrong), restores the scan, and
+// replays only the events appended since the capture.
 //
 // Format notes: documents are tagged "gm-checkpoint/1"; 64-bit digests are
 // hex strings because JSON numbers are doubles and would silently round

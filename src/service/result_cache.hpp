@@ -2,7 +2,8 @@
 // instead of re-counting.
 //
 // Keys are 64-bit FNV-1a digests over every field that changes the answer —
-// database generation + content digest, episode-set digest, semantics,
+// database generation, the session's stream digest (the one its monitor
+// checkpoints carry) and alphabet size, episode-set digest, semantics,
 // expiry window, support threshold, level cap, pruning flag — so two
 // requests collide only when they would produce bit-identical results.
 // Values are whole responses (MiningResult / count vectors); the cache is a

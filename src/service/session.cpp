@@ -72,6 +72,24 @@ struct BudgetObserver final : core::LevelObserver {
   Rejection stop;
 };
 
+/// What register_monitor and restore_monitor both require before the session
+/// changes: a name no registered monitor has, at least one episode, every
+/// symbol inside the session alphabet, and a threshold of at least 1.
+void check_monitor_spec(const MonitorSpec& spec, const core::Alphabet& alphabet,
+                        std::span<const StreamingMonitor> registered) {
+  for (const StreamingMonitor& monitor : registered) {
+    gm::expects(monitor.spec().name != spec.name,
+                "a monitor with this name is already registered");
+  }
+  gm::expects(!spec.episodes.empty(), "monitor must watch at least one episode");
+  for (const core::Episode& episode : spec.episodes) {
+    for (const core::Symbol s : episode.symbols()) {
+      gm::expects(alphabet.contains(s), "monitor episode symbol outside the session alphabet");
+    }
+  }
+  gm::expects(spec.threshold >= 1, "monitor threshold must be at least 1");
+}
+
 }  // namespace
 
 MiningSession::MiningSession(data::Dataset dataset, SessionOptions options)
@@ -91,18 +109,16 @@ void MiningSession::load_locked(data::Dataset dataset) {
   gm::expects(!dataset.events.empty(), "session database must be non-empty");
   // One pass validates, digests and counts into locals, so a rejected
   // dataset leaves the session untouched.
-  Digest digest;
-  digest.mix(static_cast<std::uint64_t>(dataset.alphabet.size()));
+  std::uint64_t digest = core::stream_digest_seed();
   std::vector<std::int64_t> counts(static_cast<std::size_t>(dataset.alphabet.size()), 0);
   for (const core::Symbol s : dataset.events) {
     gm::expects(dataset.alphabet.contains(s), "session database symbol outside its alphabet");
-    digest.mix(static_cast<std::uint64_t>(s));
+    digest = core::stream_digest_step(digest, s);
     ++counts[s];
   }
   dataset_ = std::move(dataset);
   ++generation_;
-  db_digest_state_ = digest;
-  db_digest_ = digest.value();
+  stream_digest_ = digest;
   symbol_counts_ = std::move(counts);
   monitors_.clear();  // their scans describe the replaced stream
 }
@@ -125,11 +141,12 @@ MiningSession::AppendOutcome MiningSession::append_events(std::span<const core::
   }
   dataset_.events.insert(dataset_.events.end(), events.begin(), events.end());
   ++generation_;
+  std::uint64_t digest = stream_digest_;  // a local: the count stores may alias a member
   for (const core::Symbol s : events) {
-    db_digest_state_.mix(static_cast<std::uint64_t>(s));
+    digest = core::stream_digest_step(digest, s);
     ++symbol_counts_[s];
   }
-  db_digest_ = db_digest_state_.value();
+  stream_digest_ = digest;
   // Deliberately no cache clear: the new generation is mixed into every
   // future cache key, so stale entries can never hit again — they simply age
   // out of the LRU.  Telling the caches the new generation lets them book
@@ -150,16 +167,7 @@ MiningSession::AppendOutcome MiningSession::append_events(std::span<const core::
 
 std::vector<Alert> MiningSession::register_monitor(MonitorSpec spec) {
   std::unique_lock db_lock(db_mutex_);
-  for (const StreamingMonitor& monitor : monitors_) {
-    gm::expects(monitor.spec().name != spec.name,
-                "a monitor with this name is already registered");
-  }
-  for (const core::Episode& episode : spec.episodes) {
-    for (const core::Symbol s : episode.symbols()) {
-      gm::expects(dataset_.alphabet.contains(s),
-                  "monitor episode symbol outside the session alphabet");
-    }
-  }
+  check_monitor_spec(spec, dataset_.alphabet, monitors_);
   StreamingMonitor monitor(std::move(spec));
   std::vector<Alert> alerts;
   monitor.on_append(dataset_.events, generation_, alerts);
@@ -169,10 +177,7 @@ std::vector<Alert> MiningSession::register_monitor(MonitorSpec spec) {
 
 std::vector<Alert> MiningSession::restore_monitor(const MonitorSnapshot& snapshot) {
   std::unique_lock db_lock(db_mutex_);
-  for (const StreamingMonitor& monitor : monitors_) {
-    gm::expects(monitor.spec().name != snapshot.spec.name,
-                "a monitor with this name is already registered");
-  }
+  check_monitor_spec(snapshot.spec, dataset_.alphabet, monitors_);
   const auto db_size = static_cast<std::int64_t>(dataset_.events.size());
   gm::expects(snapshot.checkpoint.high_water <= db_size,
               "monitor checkpoint is ahead of the loaded database");
@@ -204,7 +209,12 @@ std::vector<MonitorSnapshot> MiningSession::monitor_snapshots() const {
   std::vector<MonitorSnapshot> snapshots;
   snapshots.reserve(monitors_.size());
   for (const StreamingMonitor& monitor : monitors_) {
+    // Registration and restore feed a monitor to the stream's end, and every
+    // append feeds every monitor, so each one's prefix is the whole stream.
+    gm::expects(monitor.high_water() == static_cast<std::int64_t>(dataset_.events.size()),
+                "monitor scan stopped short of the session stream");
     snapshots.push_back({monitor.spec(), monitor.checkpoint(generation_)});
+    snapshots.back().checkpoint.prefix_digest = stream_digest_;
   }
   return snapshots;
 }
@@ -244,13 +254,13 @@ std::uint64_t MiningSession::mine_key(const core::MinerConfig& config) const {
   return Digest()
       .mix(std::uint64_t{1})  // request-type tag
       .mix(generation_)
-      .mix(db_digest_)
+      .mix(stream_digest_)
+      .mix(dataset_.alphabet.size())
       .mix(static_cast<int>(config.semantics))
       .mix(config.expiry.window)
       .mix(config.support_threshold)
       .mix(config.max_level)
       .mix(config.apriori_prune)
-      .mix(dataset_.alphabet.size())
       .value();
 }
 
@@ -258,7 +268,8 @@ std::uint64_t MiningSession::count_key(const CountRequest& request) const {
   Digest digest;
   digest.mix(std::uint64_t{2})
       .mix(generation_)
-      .mix(db_digest_)
+      .mix(stream_digest_)
+      .mix(dataset_.alphabet.size())
       .mix(static_cast<int>(request.semantics))
       .mix(request.expiry.window)
       .mix(static_cast<std::int64_t>(request.episodes.size()));

@@ -25,12 +25,16 @@
 // MiningService does.
 //
 // Streaming: append_events() extends the database in place — generation
-// bumps, the content digest and symbol counts update incrementally, and
-// registered StreamingMonitors advance by exactly the new events.  Unlike reload(), an append does NOT clear the result caches:
-// cache keys mix the generation, so entries for earlier generations can
-// never be returned for a new request, yet a client that pinned an old
-// response's cache key still observes it until LRU age-out.  Monitors
-// persist across restarts via monitor_snapshots()/restore_monitor()
+// bumps, the stream digest and symbol counts update incrementally, and
+// registered StreamingMonitors advance by exactly the new events.  The
+// session hashes each event once, in the loop that counts it: that one
+// FNV-1a stream digest (core::stream_digest_step) keys the result caches and
+// is stamped on every monitor checkpoint it hands out, so monitors spend
+// their feed on counting alone.  Unlike reload(), an append does NOT clear
+// the result caches: cache keys mix the generation, so entries for earlier
+// generations can never be returned for a new request, yet a client that
+// pinned an old response's cache key still observes it until LRU age-out.
+// Monitors persist across restarts via monitor_snapshots()/restore_monitor()
 // (service/checkpoint_store serializes them as gm-checkpoint/1 JSON).
 #pragma once
 
@@ -88,7 +92,7 @@ class MiningSession {
   };
 
   /// Extend the database with a batch of new events (all inside the session
-  /// alphabet).  Bumps the generation and incrementally updates the content
+  /// alphabet).  Bumps the generation and incrementally updates the stream
   /// digest and symbol counts; still-cached results from earlier generations
   /// stay resident (their keys can no longer be produced) instead of being
   /// invalidated wholesale like reload() does.
@@ -97,21 +101,25 @@ class MiningSession {
 
   /// Register a streaming monitor.  Its scan consumes the current database
   /// immediately, so counts always cover the whole stream; episodes already
-  /// at threshold fire their alerts in the returned list.  Names must be
-  /// unique within the session.
+  /// at threshold fire their alerts in the returned list.  The spec needs a
+  /// name unique within the session, at least one episode, only symbols
+  /// inside the session alphabet and a threshold of at least 1; anything
+  /// else throws gm::Error and leaves the session unchanged.
   std::vector<Alert> register_monitor(MonitorSpec spec);
 
-  /// Resume a persisted monitor: verifies the checkpoint's prefix digest
-  /// against the loaded database (throws gm::Error on mismatch), then scans
-  /// only the events appended since the capture.  Alerts the catch-up fires
-  /// are returned; episodes already at threshold at capture stay quiet.
+  /// Resume a persisted monitor: refuses every spec register_monitor
+  /// refuses, recomputes the digest of the checkpoint's stream prefix and
+  /// refuses a mismatch (gm::Error, session unchanged), then scans only the
+  /// events appended since the capture.  Alerts the catch-up fires are
+  /// returned; episodes already at threshold at capture stay quiet.
   std::vector<Alert> restore_monitor(const MonitorSnapshot& snapshot);
 
   /// Current counts of a registered monitor (throws on unknown name).
   [[nodiscard]] std::vector<std::int64_t> monitor_counts(std::string_view name) const;
 
-  /// Every registered monitor, captured for persistence.  The embedded
-  /// checkpoints carry the current generation.
+  /// Every registered monitor, captured for persistence.  Each embedded
+  /// checkpoint covers the whole stream and carries the current generation
+  /// and the session's stream digest as its prefix digest.
   [[nodiscard]] std::vector<MonitorSnapshot> monitor_snapshots() const;
 
   /// The smoothed symbol distribution of the loaded stream, computed from
@@ -183,8 +191,9 @@ class MiningSession {
   mutable std::shared_mutex db_mutex_;
   data::Dataset dataset_;
   std::uint64_t generation_ = 0;
-  Digest db_digest_state_;  ///< running content digest; appends extend it
-  std::uint64_t db_digest_ = 0;
+  /// FNV-1a over the whole stream (core::stream_digest_step), extended by
+  /// appends: cache keys mix it, and every monitor snapshot carries it.
+  std::uint64_t stream_digest_ = 0;
   std::vector<std::int64_t> symbol_counts_;  ///< raw occurrence counts per symbol
   std::vector<StreamingMonitor> monitors_;
 

@@ -13,7 +13,9 @@
 // (service/checkpoint_store) and resume after a restart: restore verifies the
 // stream prefix via the checkpoint digest, replays only the events appended
 // since the capture, and re-derives alert state from the counts — an episode
-// already over threshold at restore does not re-fire.
+// already over threshold at restore does not re-fire.  A monitor keeps no
+// digest of its own: every monitor of a session reads the same stream, so
+// the session digests each event once and stamps the snapshots it hands out.
 #pragma once
 
 #include <cstdint>
@@ -80,6 +82,7 @@ class StreamingMonitor {
   StreamingMonitor(MonitorSpec spec, const core::ScanCheckpoint& checkpoint);
 
   /// Advance over one append batch; threshold crossings append to `alerts`.
+  /// Counts only: the stream's owner digests the batch.
   void on_append(std::span<const core::Symbol> events, std::uint64_t generation,
                  std::vector<Alert>& alerts);
 
@@ -87,6 +90,7 @@ class StreamingMonitor {
   [[nodiscard]] std::vector<std::int64_t> counts() const { return scan_.counts(); }
   [[nodiscard]] std::int64_t high_water() const { return scan_.high_water(); }
   [[nodiscard]] const std::vector<MonitorTick>& ticks() const { return ticks_; }
+  /// The scan's capture, `prefix_digest` 0 for the stream's owner to stamp.
   [[nodiscard]] core::ScanCheckpoint checkpoint(std::uint64_t generation = 0) const {
     return scan_.checkpoint(generation);
   }

@@ -364,6 +364,44 @@ TEST(StreamingMonitorTest, CheckpointRefusesNegativeCountsWindowsAndWideStates) 
   EXPECT_TRUE(session.monitor_snapshots().empty());
 }
 
+TEST(StreamingMonitorTest, RestoreRefusesWhatRegisterRefuses) {
+  // gm-checkpoint/1 crosses a trust boundary, so a restored spec passes the
+  // check a registered one does.  Each snapshot is consistent in itself: a
+  // scan of its spec's episodes at high-water mark 0, whose digest every
+  // stream shares.
+  MiningSession session(make_dataset(26, 300, 0x2626), serial_options());
+  MonitorSpec kept;
+  kept.name = "kept";
+  kept.episodes = {core::Episode({0, 1})};
+  (void)session.register_monitor(kept);
+  const std::string before = monitors_to_json(session.monitor_snapshots());
+
+  MonitorSpec foreign;
+  foreign.name = "foreign";
+  foreign.episodes = {core::Episode({3, 200})};
+  MonitorSpec empty;
+  empty.name = "empty";
+  for (const MonitorSpec& spec : {foreign, empty}) {
+    EXPECT_THROW((void)session.register_monitor(spec), gm::Error) << spec.name;
+    core::ScanCheckpoint checkpoint;
+    checkpoint.prefix_digest = core::stream_digest_seed();
+    checkpoint.episodes = spec.episodes;
+    checkpoint.progress.resize(spec.episodes.size());
+    const MonitorSnapshot snapshot{spec, checkpoint};
+    const auto restored = monitors_from_json(monitors_to_json({&snapshot, 1}));
+    ASSERT_EQ(restored.size(), 1u);
+    EXPECT_THROW((void)session.restore_monitor(restored.front()), gm::Error) << spec.name;
+    EXPECT_EQ(monitors_to_json(session.monitor_snapshots()), before) << spec.name;
+  }
+  // Neither refusal took its name.
+  for (const std::string name : {"foreign", "empty"}) {
+    MonitorSpec valid = kept;
+    valid.name = name;
+    EXPECT_NO_THROW((void)session.register_monitor(valid)) << name;
+  }
+  EXPECT_EQ(session.monitor_snapshots().size(), 3u);
+}
+
 TEST(StreamingMonitorTest, EarlierBuildsTrieMonitorRestoresExactly) {
   // A gm-checkpoint/1 document in the format earlier builds wrote: the spec
   // names the retired trie scan engine ("engine": 1) and carries no idle

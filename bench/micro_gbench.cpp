@@ -272,6 +272,7 @@ constexpr const char* kUsage =
 #ifdef GM_HAVE_GBENCH
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <type_traits>
 
 #include "core/scan_checkpoint.hpp"
@@ -279,6 +280,7 @@ constexpr const char* kUsage =
 #include "kernels/cost_constants.hpp"
 #include "kernels/mining_kernels.hpp"
 #include "kernels/workload_model.hpp"
+#include "service/session.hpp"
 #include "sim/cache.hpp"
 #include "sim/engine.hpp"
 
@@ -356,7 +358,8 @@ BENCHMARK(BM_TrieKernelGroupSlice);
 // absolute positions, expiry 32: StreamScan counts on LaneCounter whenever
 // every episode is at most kLaneMaxLevel long, and MultiCounter is the flat
 // scan it falls back to otherwise.  The StreamScan row is a monitor's whole
-// feed: its LaneCounter plus the FNV-1a digest of each batch.  Args:
+// feed: its LaneCounter plus StreamScan's bookkeeping (the session, not the
+// scan, digests each batch; see BM_SessionAppend).  Args:
 // episodes, alphabet, longest level (levels are drawn from 2..longest).
 // {24, 26, 3} is perfbench stream_append's monitor shape; {4096, 250, 3}, a
 // large set over a large alphabet, is where the flat scan's bucket index
@@ -399,6 +402,57 @@ BENCHMARK_TEMPLATE(BM_StreamScanFeed, gm::core::LaneCounter)
     ->Args({24, 26, 3})
     ->Args({4096, 250, 3});
 BENCHMARK_TEMPLATE(BM_StreamScanFeed, gm::core::StreamScan)->Args({24, 26, 3});
+
+// MiningSession::append_events of 1,500-event batches on a 20k-event,
+// 26-symbol session watched by Arg monitors of perfbench stream_append's
+// shape: 24 level-2/3 episodes each, expiry 32.  The session validates,
+// counts and digests each batch once whatever the monitor count, so the
+// slope per monitor is one monitor's feed.  Every 200 batches the session is
+// rebuilt outside the timed region, which bounds the stream it holds.
+void BM_SessionAppend(benchmark::State& state) {
+  constexpr std::int64_t kBatch = 1'500;
+  constexpr int kBatchesPerSession = 200;
+  constexpr int kEpisodesPerMonitor = 24;
+  gm::Rng rng(0x5E55A99E);
+  const auto initial = gm::data::uniform_database(kAlphabet, 20'000, rng());
+  std::vector<gm::core::Sequence> batches;
+  for (int b = 0; b < kBatchesPerSession; ++b) {
+    batches.push_back(gm::data::uniform_database(kAlphabet, kBatch, rng()));
+  }
+  std::vector<gm::service::MonitorSpec> specs(static_cast<std::size_t>(state.range(0)));
+  for (std::size_t m = 0; m < specs.size(); ++m) {
+    specs[m].name = "monitor-" + std::to_string(m);
+    for (int e = 0; e < kEpisodesPerMonitor; ++e) {
+      std::vector<Symbol> symbols(2 + rng.below(2));
+      for (Symbol& s : symbols) {
+        s = static_cast<Symbol>(rng.below(static_cast<std::uint64_t>(kAlphabet.size())));
+      }
+      specs[m].episodes.emplace_back(std::move(symbols));
+    }
+    specs[m].expiry = {32};
+  }
+  const auto fresh_session = [&] {
+    auto session = std::make_unique<gm::service::MiningSession>(
+        gm::data::Dataset{kAlphabet, initial},
+        gm::service::SessionOptions{.backend = {.name = "cpu-single-scan", .threads = 1}});
+    for (const gm::service::MonitorSpec& spec : specs) (void)session->register_monitor(spec);
+    return session;
+  };
+  auto session = fresh_session();
+  std::size_t next = 0;
+  for (auto _ : state) {
+    if (next == batches.size()) {
+      state.PauseTiming();
+      session = fresh_session();
+      next = 0;
+      state.ResumeTiming();
+    }
+    const auto outcome = session->append_events(batches[next++]);
+    benchmark::DoNotOptimize(outcome.database_size);
+  }
+  state.SetItemsProcessed(state.iterations() * kBatch);
+}
+BENCHMARK(BM_SessionAppend)->Arg(0)->Arg(1)->Arg(4);
 
 void BM_CacheSimStream(benchmark::State& state) {
   gpusim::CacheSim cache(8192, 32, 4);

@@ -421,10 +421,10 @@ TEST(StreamingMonitorTest, EarlierBuildsTrieMonitorRestoresExactly) {
   const MonitorSpec& spec = snapshots.front().spec;
   EXPECT_EQ(spec.idle_eviction_generations, 0);
 
-  // The reloaded stream also holds events appended after the capture, which
-  // the restore replays before live appends continue.
-  data::Dataset dataset{core::Alphabet(5), {0, 1, 2, 0, 3, 1, 0, 2, 4, 1, 0, 3, 0, 4}};
-  dataset.events.insert(dataset.events.end(), {3, 2, 0});
+  // The reloaded stream also holds events appended after the capture (the
+  // last three, past the high-water mark of 14), which the restore replays
+  // before live appends continue.
+  data::Dataset dataset{core::Alphabet(5), {0, 1, 2, 0, 3, 1, 0, 2, 4, 1, 0, 3, 0, 4, 3, 2, 0}};
   std::vector<core::Symbol> full = dataset.events;
   MiningSession session(std::move(dataset), serial_options());
   (void)session.restore_monitor(snapshots.front());

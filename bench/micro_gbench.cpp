@@ -281,7 +281,6 @@ constexpr const char* kUsage =
 #include "kernels/mining_kernels.hpp"
 #include "kernels/workload_model.hpp"
 #include "service/session.hpp"
-#include "sim/cache.hpp"
 #include "sim/engine.hpp"
 
 namespace {
@@ -454,21 +453,9 @@ void BM_SessionAppend(benchmark::State& state) {
 }
 BENCHMARK(BM_SessionAppend)->Arg(0)->Arg(1)->Arg(4);
 
-void BM_CacheSimStream(benchmark::State& state) {
-  gpusim::CacheSim cache(8192, 32, 4);
-  std::uint64_t address = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cache.access(address));
-    address += 1;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_CacheSimStream);
-
 void BM_FunctionalEngineLaunch(benchmark::State& state) {
   gpusim::EngineOptions opts;
   opts.host_threads = 1;
-  opts.simulate_texture_cache = false;
   const gpusim::Engine engine(gpusim::geforce_8800_gts_512(), opts);
   const auto db = gm::data::uniform_database(kAlphabet, 2'000, 3);
   const auto episodes = gm::core::all_distinct_episodes(kAlphabet, 1);

@@ -8,7 +8,7 @@ namespace gm::kernels {
 
 SimGpuBackend::SimGpuBackend(gpusim::DeviceSpec device, MiningLaunchParams params,
                              gpusim::CostParams cost_params)
-    : engine_(std::move(device), {.simulate_texture_cache = false}),
+    : engine_(std::move(device)),
       params_(params),
       cost_model_(cost_params) {}
 

@@ -2,11 +2,8 @@
 // functional execution for exact counts plus a cost-model prediction of the
 // kernel time on the configured card.  Plugs into core::mine_frequent_episodes
 // so the full miner (paper Algorithm 1) can run "on" any of the three cards
-// with any of the four algorithms.
-//
-// It launches without the texture-cache model: a CountResult carries no
-// cache statistic, and CostModel reads a block's measured misses only when
-// the block declares no texture pattern, which every mining kernel does.
+// with any of the four algorithms.  Every mining kernel declares its texture
+// pattern, from which CostModel prices the texture traffic.
 #pragma once
 
 #include <string>

@@ -85,12 +85,11 @@ struct WorkloadSpec {
 /// The launch configuration run_mining_kernel would use for this spec.
 [[nodiscard]] gpusim::LaunchConfig model_launch_config(const WorkloadSpec& spec);
 
-/// The kernel profile the functional engine would measure for this spec
-/// (tex_miss_bytes is left 0: declared texture patterns drive the traffic
-/// model instead).  `costs` supplies the per-loop instruction charges; the
-/// default profile carries the shipped cost_constants.hpp values and predicts
-/// bit-identically to the pre-profile code (pinned by test), while a fitted
-/// profile (see calib/) adapts the model to a measured host.
+/// The kernel profile the functional engine would measure for this spec.
+/// `costs` supplies the per-loop instruction charges; the default profile
+/// carries the shipped cost_constants.hpp values and predicts bit-identically
+/// to the pre-profile code (pinned by test), while a fitted profile (see
+/// calib/) adapts the model to a measured host.
 [[nodiscard]] gpusim::KernelProfile model_profile(const gpusim::DeviceSpec& device,
                                                   const WorkloadSpec& spec,
                                                   const KernelCostProfile& costs = {});

@@ -116,9 +116,8 @@ TimeBreakdown CostModel::predict(const DeviceSpec& device, const LaunchConfig& l
           }
           break;
         case TexAccessKind::kNone:
-          // No declared pattern: fall back to the engine-measured traffic.
-          sm.friendly_requests += block.tex_requests;
-          sm.friendly_private_bytes += block.tex_miss_bytes;
+          gm::expects(block.tex_requests == 0,
+                      "a block that fetches texture must declare its TexturePattern");
           break;
       }
 

@@ -11,8 +11,9 @@
 //    wave cannot finish before its slowest warp (explains why 2 warps and 12
 //    warps can take the same time: latency is only hidden once enough warps
 //    supply issue work — paper Fig 6(a) vs 6(b)).
-//  * texture-cache behaviour — per-SM working set = concurrent streams x line
-//    size; overflowing the 8 KB cache multiplies traffic (paper C5/C8).
+//  * texture-cache behaviour — priced from each block's declared
+//    TexturePattern: per-SM working set = concurrent streams x line size;
+//    overflowing the 8 KB cache multiplies traffic (paper C5/C8).
 //  * bandwidth contention — device bytes/cycle shared by busy SMs (C8).
 //  * occupancy waves + per-block dispatch and per-barrier costs (C2/C3/C6).
 //

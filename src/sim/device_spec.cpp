@@ -21,8 +21,7 @@ void DeviceSpec::validate() const {
               "warp limit below thread limit");
   gm::expects(shared_mem_per_block <= shared_mem_per_sm,
               "per-block shared memory exceeds per-SM shared memory");
-  gm::expects(tex_cache_line_bytes > 0 && tex_cache_bytes >= tex_cache_line_bytes,
-              "texture cache must hold at least one line");
+  gm::expects(tex_cache_line_bytes > 0, "texture cache line size must be positive");
 }
 
 DeviceSpec geforce_8800_gts_512() {

@@ -2,7 +2,7 @@
 //
 // The fields mirror Table 2 of Archuleta et al. (IPPS 2009) plus the handful
 // of micro-architectural constants the paper's analysis invokes (warp issue
-// rate, texture-cache working set, memory latencies).  Everything the cost
+// rate, texture-cache line size, memory latencies).  Everything the cost
 // model and functional engine need about a card lives here; the three cards
 // evaluated in the paper are provided as named presets.
 #pragma once
@@ -49,9 +49,7 @@ struct DeviceSpec {
   int warp_size = 32;
   int shared_mem_per_sm = 16 * 1024;    ///< bytes
   int shared_mem_per_block = 16 * 1024; ///< bytes available to one block
-  int tex_cache_bytes = 8 * 1024;       ///< per-SM texture cache working set
   int tex_cache_line_bytes = 32;
-  int tex_cache_assoc = 4;              ///< set associativity (model choice)
   int register_alloc_unit = 256;        ///< register file allocation granularity
 
   /// Cycles for one warp instruction to complete on an SM (8 cores x 4 =

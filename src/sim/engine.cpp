@@ -1,7 +1,6 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
-#include <optional>
 #include <vector>
 
 #include "common/error.hpp"
@@ -26,13 +25,9 @@ Snapshot snap(const ThreadCounters& c) {
 class BlockRunner {
  public:
   BlockRunner(const DeviceSpec& spec, const LaunchConfig& config, const KernelFn& kernel,
-              int block_index, bool simulate_cache)
+              int block_index)
       : spec_(spec), config_(config), kernel_(kernel), block_index_(block_index) {
     env_.shared_mem.assign(static_cast<std::size_t>(config.shared_mem_per_block), std::byte{0});
-    if (simulate_cache) {
-      cache_.emplace(spec.tex_cache_bytes, spec.tex_cache_line_bytes, spec.tex_cache_assoc);
-      env_.texture_cache = &*cache_;
-    }
   }
 
   BlockProfile run() {
@@ -94,16 +89,7 @@ class BlockRunner {
       profile.global_bytes += static_cast<double>(c.global_bytes);
       profile.atomic_requests += static_cast<double>(c.atomic_ops);
     }
-    if (cache_) {
-      profile.tex_miss_bytes = static_cast<double>(cache_->miss_bytes());
-    }
-    if (env_.pattern_declared) {
-      profile.texture = env_.declared_pattern;
-    } else if (cache_) {
-      // Without a declared pattern, approximate the footprint by the isolated
-      // miss traffic (exact when the block streams without capacity misses).
-      profile.texture.footprint_bytes = profile.tex_miss_bytes;
-    }
+    if (env_.pattern_declared) profile.texture = env_.declared_pattern;
     return profile;
   }
 
@@ -148,7 +134,6 @@ class BlockRunner {
   const KernelFn& kernel_;
   int block_index_;
   BlockEnv env_;
-  std::optional<CacheSim> cache_;
   std::vector<ThreadCtx> contexts_;
   std::vector<KernelTask> tasks_;
   std::vector<Snapshot> snapshots_;
@@ -168,20 +153,11 @@ LaunchResult Engine::launch(const LaunchConfig& config, const KernelFn& kernel) 
   const std::int64_t blocks = config.total_blocks();
   std::vector<BlockProfile> per_block(static_cast<std::size_t>(blocks));
   gm::parallel_for(options_.host_threads, blocks, [&](int, std::int64_t b) {
-    BlockRunner runner(spec_, config, kernel, static_cast<int>(b),
-                       options_.simulate_texture_cache);
+    BlockRunner runner(spec_, config, kernel, static_cast<int>(b));
     per_block[static_cast<std::size_t>(b)] = runner.run();
   });
 
-  for (const auto& bp : per_block) {
-    result.profile.add_block(bp);
-    result.texture_cache.accesses += static_cast<std::uint64_t>(bp.tex_requests);
-    result.texture_cache.misses +=
-        static_cast<std::uint64_t>(bp.tex_miss_bytes / spec_.tex_cache_line_bytes);
-  }
-  result.texture_cache.hits = result.texture_cache.accesses >= result.texture_cache.misses
-                                  ? result.texture_cache.accesses - result.texture_cache.misses
-                                  : 0;
+  for (const auto& bp : per_block) result.profile.add_block(bp);
   result.totals = aggregate(result.profile);
   return result;
 }

@@ -8,6 +8,8 @@
 //
 // The engine produces *counters*, not time — `CostModel` (sim/cost_model.hpp)
 // turns a `KernelProfile` into predicted execution time for a given card.
+// Texture fetches are counted, not cached: the cost model prices their
+// traffic from the `TexturePattern` each fetching block declares.
 #pragma once
 
 #include <cstdint>
@@ -24,22 +26,12 @@ struct EngineOptions {
   /// Host threads used to execute independent blocks; 0 = hardware default
   /// (gm::resolved_thread_count).
   int host_threads = 0;
-  /// Feed every texture fetch through a per-block CacheSim, for
-  /// LaunchResult::texture_cache and BlockProfile::tex_miss_bytes.  CostModel
-  /// reads the misses only for blocks that declare no texture pattern; every
-  /// mining kernel declares one, so kernels::SimGpuBackend launches without
-  /// the model.  Disable it wherever the miss counts are not read.
-  bool simulate_texture_cache = true;
 };
 
 struct LaunchResult {
   KernelProfile profile;
   ProfileTotals totals;
   Occupancy occupancy;
-  /// Texture-cache statistics accumulated over all blocks (each block is
-  /// simulated against its own cache instance; co-residency sharing is a
-  /// cost-model concern).
-  CacheSim::Stats texture_cache;
 };
 
 class Engine {

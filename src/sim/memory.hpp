@@ -1,8 +1,9 @@
 // Simulated device memory spaces.
 //
 // `DeviceBuffer<T>` owns storage "on the device"; kernels access it through
-// cost-charging views: `TextureView` (read-only, served by the per-SM texture
-// cache), `GlobalView` (read/write device memory, optional atomics), and
+// cost-charging views: `TextureView` (read-only texture fetches, whose cache
+// traffic the cost model prices from the block's declared TexturePattern),
+// `GlobalView` (read/write device memory, optional atomics), and
 // `SharedArray` (per-block on-chip scratch).  Host code moves data in and out
 // via `host()` — transfers are not part of kernel time, matching the paper's
 // measurement methodology (kernel-invocation to kernel-return).
@@ -18,11 +19,6 @@
 
 namespace gpusim {
 
-namespace detail {
-/// Process-wide allocator of disjoint simulated address ranges.
-[[nodiscard]] std::uint64_t allocate_address_range(std::uint64_t bytes);
-}  // namespace detail
-
 template <typename T>
 class TextureView;
 template <typename T>
@@ -32,12 +28,10 @@ class GlobalView;
 template <typename T>
 class DeviceBuffer {
  public:
-  explicit DeviceBuffer(std::size_t count)
-      : storage_(count), base_(detail::allocate_address_range(count * sizeof(T))) {}
+  explicit DeviceBuffer(std::size_t count) : storage_(count) {}
 
   explicit DeviceBuffer(std::span<const T> host_data)
-      : storage_(host_data.begin(), host_data.end()),
-        base_(detail::allocate_address_range(host_data.size() * sizeof(T))) {}
+      : storage_(host_data.begin(), host_data.end()) {}
 
   DeviceBuffer(DeviceBuffer&&) noexcept = default;
   DeviceBuffer& operator=(DeviceBuffer&&) noexcept = default;
@@ -45,45 +39,41 @@ class DeviceBuffer {
   DeviceBuffer& operator=(const DeviceBuffer&) = delete;
 
   [[nodiscard]] std::size_t size() const noexcept { return storage_.size(); }
-  [[nodiscard]] std::uint64_t base_address() const noexcept { return base_; }
 
   /// Host-side access (cudaMemcpy analogue; free of kernel-time charges).
   [[nodiscard]] std::span<T> host() noexcept { return storage_; }
   [[nodiscard]] std::span<const T> host() const noexcept { return storage_; }
 
   [[nodiscard]] TextureView<T> texture() const noexcept {
-    return TextureView<T>(storage_.data(), storage_.size(), base_);
+    return TextureView<T>(storage_.data(), storage_.size());
   }
   [[nodiscard]] GlobalView<T> global() noexcept {
-    return GlobalView<T>(storage_.data(), storage_.size(), base_);
+    return GlobalView<T>(storage_.data(), storage_.size());
   }
 
  private:
   std::vector<T> storage_;
-  std::uint64_t base_;
 };
 
-/// Read-only view served through the texture unit and its per-SM cache.
+/// Read-only view served through the texture unit.
 template <typename T>
 class TextureView {
  public:
   TextureView() = default;
-  TextureView(const T* data, std::size_t size, std::uint64_t base)
-      : data_(data), size_(size), base_(base) {}
+  TextureView(const T* data, std::size_t size) : data_(data), size_(size) {}
 
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
 
   /// tex1Dfetch analogue: charges one texture fetch to the calling lane.
   [[nodiscard]] T fetch(ThreadCtx& ctx, std::size_t index) const {
     gm::ensure(index < size_, "texture fetch out of bounds");
-    ctx.note_tex_fetch(base_ + index * sizeof(T), sizeof(T));
+    ctx.note_tex_fetch();
     return data_[index];
   }
 
  private:
   const T* data_ = nullptr;
   std::size_t size_ = 0;
-  std::uint64_t base_ = 0;
 };
 
 /// Read/write view of device ("global") memory.
@@ -91,8 +81,7 @@ template <typename T>
 class GlobalView {
  public:
   GlobalView() = default;
-  GlobalView(T* data, std::size_t size, std::uint64_t base)
-      : data_(data), size_(size), base_(base) {}
+  GlobalView(T* data, std::size_t size) : data_(data), size_(size) {}
 
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
 
@@ -137,7 +126,6 @@ class GlobalView {
  private:
   T* data_ = nullptr;
   std::size_t size_ = 0;
-  std::uint64_t base_ = 0;
 };
 
 /// Typed window into the block's shared-memory arena.  Loads and stores are

@@ -20,7 +20,6 @@ ProfileTotals aggregate(const KernelProfile& profile) {
     t.warp_instructions += n * g.block.warp_instructions;
     t.lane_instructions += n * g.block.lane_instructions;
     t.tex_requests += n * g.block.tex_requests;
-    t.tex_miss_bytes += n * g.block.tex_miss_bytes;
     t.shared_requests += n * g.block.shared_requests;
     t.global_requests += n * g.block.global_requests;
     t.atomic_requests += n * g.block.atomic_requests;

@@ -68,8 +68,7 @@ struct BlockProfile {
 
   double lane_instructions = 0.0;
 
-  double tex_requests = 0.0;      ///< lane-level texture fetches
-  double tex_miss_bytes = 0.0;    ///< device traffic measured/modelled in isolation
+  double tex_requests = 0.0;  ///< lane-level texture fetches
   double shared_requests = 0.0;
   double global_requests = 0.0;
   double global_bytes = 0.0;
@@ -113,7 +112,6 @@ struct ProfileTotals {
   double warp_instructions = 0.0;
   double lane_instructions = 0.0;
   double tex_requests = 0.0;
-  double tex_miss_bytes = 0.0;
   double shared_requests = 0.0;
   double global_requests = 0.0;
   double atomic_requests = 0.0;

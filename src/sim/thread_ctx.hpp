@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "sim/cache.hpp"
 #include "sim/device_spec.hpp"
 #include "sim/launch.hpp"
 #include "sim/profile.hpp"
@@ -32,7 +31,6 @@ struct ThreadCounters {
   std::uint64_t shared_ops = 0;
   std::uint64_t global_ops = 0;
   std::uint64_t atomic_ops = 0;
-  std::uint64_t tex_bytes = 0;
   std::uint64_t global_bytes = 0;
   std::uint64_t syncs = 0;
 
@@ -101,7 +99,6 @@ class KernelTask {
 /// State shared by all threads of one block (the simulated SM slice).
 struct BlockEnv {
   std::vector<std::byte> shared_mem;
-  CacheSim* texture_cache = nullptr;  ///< null when cache simulation is off
   TexturePattern declared_pattern;
   bool pattern_declared = false;
 };
@@ -129,13 +126,9 @@ class ThreadCtx {
   // slot.  The count-taking forms charge `n` identical accesses at once: the
   // engine reads lane counters only at barriers and at block end, so a view
   // may charge a whole staged buffer's accesses in one call.
-  void note_tex_fetch(std::uint64_t address, int bytes) noexcept {
+  void note_tex_fetch() noexcept {
     ++counters_.instructions;
     ++counters_.tex_ops;
-    counters_.tex_bytes += static_cast<std::uint64_t>(bytes);
-    if (env_->texture_cache != nullptr) {
-      env_->texture_cache->access_range(address, bytes);
-    }
   }
   void note_shared_access(std::uint64_t n = 1) noexcept {
     counters_.instructions += n;
@@ -156,7 +149,8 @@ class ThreadCtx {
   }
 
   /// Kernels declare their texture access pattern so the analytic cost model
-  /// can reason about cross-block cache sharing (see TexturePattern).
+  /// can price the block's texture traffic and cross-block cache sharing (see
+  /// TexturePattern).  A block that fetches texture must declare one.
   void declare_texture_pattern(const TexturePattern& pattern) noexcept {
     env_->declared_pattern = pattern;
     env_->pattern_declared = true;

@@ -41,7 +41,6 @@ using core::Symbol;
 gpusim::Engine small_engine() {
   gpusim::EngineOptions opts;
   opts.host_threads = 2;
-  opts.simulate_texture_cache = false;
   return gpusim::Engine(gpusim::geforce_8800_gts_512(), opts);
 }
 
@@ -391,7 +390,7 @@ TEST(TrieBuckets, SharedPrefixSetDrainsFewerInstructionsThanFlat) {
 // ---------------------------------------------------------------------------
 // Functional profile pin: every simulated counter of the data-dependent
 // formulations, so a host-side rewrite of a kernel's scan loop must leave
-// each BlockProfile field, group count, texture-cache stat and count alone.
+// each BlockProfile field, group count and count alone.
 // ---------------------------------------------------------------------------
 
 struct PinCase {
@@ -402,15 +401,13 @@ struct PinCase {
   int window;
   int level;
   int threads_per_block;
-  std::uint64_t cache_digest;  ///< FNV-1a of profile_text(with_cache), model on
-  std::uint64_t digest;        ///< FNV-1a of profile_text(), model off
+  std::uint64_t digest;  ///< FNV-1a of profile_text(); a mismatch prints the text
 };
 
-/// Every group's count and BlockProfile field and the counts as text; with
-/// `with_cache`, also each block's tex_miss_bytes and the launch's
-/// texture-cache stats.  The doubles hold integer sums, so the text is exact
-/// and the same under any conforming toolchain.
-std::string profile_text(const MiningRun& run, bool with_cache = false) {
+/// Every group's count and BlockProfile field and the counts as text.  The
+/// doubles hold integer sums, so the text is exact and the same under any
+/// conforming toolchain.
+std::string profile_text(const MiningRun& run) {
   std::ostringstream out;
   out << std::setprecision(17);
   for (const auto& group : run.launch.profile.groups) {
@@ -421,16 +418,10 @@ std::string profile_text(const MiningRun& run, bool with_cache = false) {
         << b.warp_global_ops << ' ' << b.warp_atomic_ops << '\n'
         << b.path_instructions << ' ' << b.path_tex_ops << ' ' << b.path_shared_ops << ' '
         << b.path_global_ops << '\n'
-        << b.lane_instructions << ' ' << b.tex_requests << ' ';
-    if (with_cache) out << b.tex_miss_bytes << ' ';
-    out << b.shared_requests << ' ' << b.global_requests << ' ' << b.global_bytes << ' '
-        << b.atomic_requests << '\n'
+        << b.lane_instructions << ' ' << b.tex_requests << ' ' << b.shared_requests << ' '
+        << b.global_requests << ' ' << b.global_bytes << ' ' << b.atomic_requests << '\n'
         << static_cast<int>(b.texture.kind) << ' ' << b.texture.footprint_bytes << ' '
         << b.texture.sharing_key << '\n';
-  }
-  if (with_cache) {
-    const auto& cache = run.launch.texture_cache;
-    out << "cache " << cache.accesses << ' ' << cache.hits << ' ' << cache.misses << '\n';
   }
   out << "counts";
   for (const std::int64_t count : run.counts) out << ' ' << count;
@@ -451,9 +442,7 @@ TEST(ProfilePin, DataDependentFormulationsKeepEverySimulatedCounter) {
   // Every level-3 episode over six symbols (the paper's dense Apriori shape
   // in miniature, repeated-symbol episodes included) handed over in
   // scrambled order, and the six level-1 episodes.  The 1,200-symbol stream
-  // goes through eight 160-byte staging buffers.  `digest` pins a launch
-  // with the texture-cache model off; `cache_digest` pins one with it on,
-  // cache fields included.
+  // goes through eight 160-byte staging buffers.
   constexpr int kAlphabet = 6;
   const Alphabet alphabet(kAlphabet);
   const Sequence db = data::uniform_database(alphabet, 1200, 0x9A9E5);
@@ -480,38 +469,31 @@ TEST(ProfilePin, DataDependentFormulationsKeepEverySimulatedCounter) {
   // pads 216 to 7 blocks of 32, and the six level-1 episodes to 2 blocks of 4
   // with two sentinel threads; algo4 runs one 16-thread block per episode.
   const std::vector<PinCase> cases = {
-      {"algo5-flat/sub/W0", k5, false, kSub, 0, 3, 8, 0xb07471507041526b, 0x24bf7426a77990a7},
-      {"algo5-flat/sub/W7", k5, false, kSub, 7, 3, 8, 0x35fece05fccaad53, 0xbb149203e0bcf5ed},
-      {"algo5-flat/restart/W0", k5, false, kRestart, 0, 3, 8, 0x0d3e60ef4157b2e1,
-       0x58b761ee9241b1a1},
-      {"algo5-flat/restart/W7", k5, false, kRestart, 7, 3, 8, 0x0d3e60ef4157b2e1,
-       0x58b761ee9241b1a1},
-      {"algo5-trie/sub/W0", k5, true, kSub, 0, 3, 8, 0xa3b99d57d1fa4646, 0xb3d1cd7633009d6a},
-      {"algo5-trie/sub/W7", k5, true, kSub, 7, 3, 8, 0x5d54ed898873313b, 0x0cfe002803e979fb},
-      {"algo5-trie/sub/W0/t20", k5, true, kSub, 0, 3, 20, 0xc7ec1240cf7725f7, 0x2cf02bea06a4a9f3},
-      {"algo5-trie/sub/W7/t20", k5, true, kSub, 7, 3, 20, 0xf8a21e9eb46fe126, 0xd501af3976921304},
-      {"algo5-trie/restart/W0", k5, true, kRestart, 0, 3, 8, 0x0d3e60ef4157b2e1,
-       0x58b761ee9241b1a1},
-      {"algo5-trie/restart/W7", k5, true, kRestart, 7, 3, 8, 0x0d3e60ef4157b2e1,
-       0x58b761ee9241b1a1},
-      {"algo2/sub/W0", k2, false, kSub, 0, 3, 32, 0xf20bca1948db4f1d, 0xc2c461b555f0365d},
-      {"algo2/sub/W7", k2, false, kSub, 7, 3, 32, 0x55b04b3f8c26e06b, 0x2668e2db993bc7ab},
-      {"algo2/restart/W0", k2, false, kRestart, 0, 3, 32, 0x790befdb89420053, 0x8c2b300c74474213},
-      {"algo2/restart/W7", k2, false, kRestart, 7, 3, 32, 0x790befdb89420053, 0x8c2b300c74474213},
-      {"algo2-level1/sub/W0/t4", k2, false, kSub, 0, 1, 4, 0xeb9a3134ff8b8899, 0x6f545070008d9277},
-      {"algo4/sub/W0", k4, false, kSub, 0, 3, 16, 0x53fe1409e6fc4820, 0xa2e71d7e050704c3},
-      {"algo4/sub/W7", k4, false, kSub, 7, 3, 16, 0x18a19483fb25535a, 0xd6fe51819834cd4a},
-      {"algo4/restart/W0", k4, false, kRestart, 0, 3, 16, 0xa7d14f2bada16f60, 0xde9f419b1c08ce81},
-      {"algo4/restart/W7", k4, false, kRestart, 7, 3, 16, 0x49ffa93a9c9fcf54, 0x6edaa12d4adbbc84},
-      {"algo4-level1/sub/W0", k4, false, kSub, 0, 1, 16, 0x913efb0a2049fea0, 0xb5c62a5aa7ced987},
+      {"algo5-flat/sub/W0", k5, false, kSub, 0, 3, 8, 0x24bf7426a77990a7},
+      {"algo5-flat/sub/W7", k5, false, kSub, 7, 3, 8, 0xbb149203e0bcf5ed},
+      {"algo5-flat/restart/W0", k5, false, kRestart, 0, 3, 8, 0x58b761ee9241b1a1},
+      {"algo5-flat/restart/W7", k5, false, kRestart, 7, 3, 8, 0x58b761ee9241b1a1},
+      {"algo5-trie/sub/W0", k5, true, kSub, 0, 3, 8, 0xb3d1cd7633009d6a},
+      {"algo5-trie/sub/W7", k5, true, kSub, 7, 3, 8, 0x0cfe002803e979fb},
+      {"algo5-trie/sub/W0/t20", k5, true, kSub, 0, 3, 20, 0x2cf02bea06a4a9f3},
+      {"algo5-trie/sub/W7/t20", k5, true, kSub, 7, 3, 20, 0xd501af3976921304},
+      {"algo5-trie/restart/W0", k5, true, kRestart, 0, 3, 8, 0x58b761ee9241b1a1},
+      {"algo5-trie/restart/W7", k5, true, kRestart, 7, 3, 8, 0x58b761ee9241b1a1},
+      {"algo2/sub/W0", k2, false, kSub, 0, 3, 32, 0xc2c461b555f0365d},
+      {"algo2/sub/W7", k2, false, kSub, 7, 3, 32, 0x2668e2db993bc7ab},
+      {"algo2/restart/W0", k2, false, kRestart, 0, 3, 32, 0x8c2b300c74474213},
+      {"algo2/restart/W7", k2, false, kRestart, 7, 3, 32, 0x8c2b300c74474213},
+      {"algo2-level1/sub/W0/t4", k2, false, kSub, 0, 1, 4, 0x6f545070008d9277},
+      {"algo4/sub/W0", k4, false, kSub, 0, 3, 16, 0xa2e71d7e050704c3},
+      {"algo4/sub/W7", k4, false, kSub, 7, 3, 16, 0xd6fe51819834cd4a},
+      {"algo4/restart/W0", k4, false, kRestart, 0, 3, 16, 0xde9f419b1c08ce81},
+      {"algo4/restart/W7", k4, false, kRestart, 7, 3, 16, 0x6edaa12d4adbbc84},
+      {"algo4-level1/sub/W0", k4, false, kSub, 0, 1, 16, 0xb5c62a5aa7ced987},
   };
 
   gpusim::EngineOptions options;
   options.host_threads = 2;
-  options.simulate_texture_cache = false;
   const gpusim::Engine engine(gpusim::geforce_8800_gts_512(), options);
-  options.simulate_texture_cache = true;
-  const gpusim::Engine cache_engine(gpusim::geforce_8800_gts_512(), options);
   for (const PinCase& c : cases) {
     const std::vector<Episode>& episodes = c.level == 3 ? level3 : level1;
     MiningLaunchParams params;
@@ -532,13 +514,6 @@ TEST(ProfilePin, DataDependentFormulationsKeepEverySimulatedCounter) {
     EXPECT_EQ(fnv1a(text), c.digest)
         << c.name << ": digest 0x" << std::hex << fnv1a(text) << std::dec << " of\n"
         << text;
-
-    const std::string cache_text =
-        profile_text(run_mining_kernel(cache_engine, db, episodes, params), true);
-    EXPECT_EQ(fnv1a(cache_text), c.cache_digest)
-        << c.name << ": cache digest 0x" << std::hex << fnv1a(cache_text) << std::dec
-        << " of\n"
-        << cache_text;
   }
 }
 

@@ -22,7 +22,6 @@ using core::Sequence;
 gpusim::Engine small_engine() {
   gpusim::EngineOptions opts;
   opts.host_threads = 2;
-  opts.simulate_texture_cache = false;  // speed: miss counts unused here
   return gpusim::Engine(gpusim::geforce_8800_gts_512(), opts);
 }
 

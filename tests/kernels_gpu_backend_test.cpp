@@ -84,20 +84,19 @@ TEST(SimGpuBackend, RequestSemanticsOverrideLaunchDefaults) {
             core::count_all(request.episodes, db, core::Semantics::kContiguousRestart));
 }
 
-TEST(SimGpuBackend, OutputsDoNotDependOnTheTextureCacheModel) {
-  // The backend launches without the texture-cache model.  Every mining
-  // kernel declares its texture pattern, which the cost model prices in
-  // place of measured misses, so counts and price must equal a launch with
-  // the model on; a kernel that declared no pattern would be priced from
-  // its misses and fail here.
+TEST(SimGpuBackend, EveryFormulationDeclaresItsTexturePattern) {
+  // The cost model prices texture traffic from the pattern each block
+  // declares, and refuses a fetching block that declares none.  Every
+  // formulation fetches texture, so every fetching group must declare a
+  // pattern, and the backend's counts and price must be the functional run's
+  // priced by CostModel::predict.
   const Alphabet alphabet(6);
   const auto db = data::uniform_database(alphabet, 3000, 17);
   const auto episodes = core::all_distinct_episodes(alphabet, 2);
   const gpusim::DeviceSpec device = gpusim::geforce_gtx_280();
-  gpusim::EngineOptions with_cache;
-  with_cache.host_threads = 2;
-  with_cache.simulate_texture_cache = true;
-  const gpusim::Engine engine(device, with_cache);
+  gpusim::EngineOptions options;
+  options.host_threads = 2;
+  const gpusim::Engine engine(device, options);
   const gpusim::CostModel cost_model;
 
   std::vector<MiningLaunchParams> launches;
@@ -121,7 +120,12 @@ TEST(SimGpuBackend, OutputsDoNotDependOnTheTextureCacheModel) {
     const MiningRun run = run_mining_kernel(engine, db, episodes, params);
     const DeviceProblem problem(db, episodes, params);
     const std::string label = gpu.name();
-    EXPECT_GT(run.launch.texture_cache.misses, 0u) << label;
+    EXPECT_GT(run.launch.totals.tex_requests, 0.0) << label;
+    for (const auto& group : run.launch.profile.groups) {
+      if (group.block.tex_requests > 0) {
+        EXPECT_NE(group.block.texture.kind, gpusim::TexAccessKind::kNone) << label;
+      }
+    }
     EXPECT_EQ(result.counts, run.counts) << label;
     EXPECT_EQ(result.simulated_kernel_ms,
               cost_model.predict(device, problem.launch_config(), run.launch.profile).total_ms)

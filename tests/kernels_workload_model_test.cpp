@@ -50,7 +50,6 @@ TEST_P(WorkloadModelExact, ProfileEqualsEngineMeasurement) {
 
   gpusim::EngineOptions opts;
   opts.host_threads = 2;
-  opts.simulate_texture_cache = false;
   const gpusim::Engine engine(gpusim::geforce_8800_gts_512(), opts);
 
   const MiningRun run = run_mining_kernel(engine, db, episodes, params);
@@ -70,14 +69,10 @@ TEST_P(WorkloadModelExact, ProfileEqualsEngineMeasurement) {
                              : launch.grid);
   ASSERT_EQ(modeled.total_blocks(), run.launch.profile.total_blocks());
 
-  // Every block's profile must match exactly (excluding tex_miss_bytes,
-  // which the engine measures with the cache simulator and the model leaves
-  // to the declared access pattern).
+  // Every block's profile must match exactly.
   for (std::int64_t b = 0; b < modeled.total_blocks(); ++b) {
-    gpusim::BlockProfile expected = run.launch.profile.block_at(b);
-    gpusim::BlockProfile actual = modeled.block_at(b);
-    expected.tex_miss_bytes = 0.0;
-    actual.tex_miss_bytes = 0.0;
+    const gpusim::BlockProfile& expected = run.launch.profile.block_at(b);
+    const gpusim::BlockProfile& actual = modeled.block_at(b);
     ASSERT_EQ(actual.warps, expected.warps) << c << " block " << b;
     ASSERT_EQ(actual.syncs, expected.syncs) << c << " block " << b;
     ASSERT_DOUBLE_EQ(actual.warp_instructions, expected.warp_instructions)
@@ -180,7 +175,6 @@ TEST(WorkloadModel, BucketedSubseqModelTracksEngineOnUniformData) {
 
   gpusim::EngineOptions opts;
   opts.host_threads = 2;
-  opts.simulate_texture_cache = false;
   const gpusim::Engine engine(gpusim::geforce_8800_gts_512(), opts);
   const MiningRun run = run_mining_kernel(engine, db, episodes, params);
   const auto measured = gpusim::aggregate(run.launch.profile);
@@ -252,7 +246,6 @@ TEST(WorkloadModel, BucketedSkewAwareModelTracksEngineOnZipfData) {
 
   gpusim::EngineOptions opts;
   opts.host_threads = 2;
-  opts.simulate_texture_cache = false;
   const gpusim::Engine engine(gpusim::geforce_8800_gts_512(), opts);
   const MiningRun run = run_mining_kernel(engine, db, episodes, params);
   const auto measured = gpusim::aggregate(run.launch.profile);
@@ -300,7 +293,6 @@ TEST(WorkloadModel, BucketedExpiryReBucketModelTracksEngineAcrossWindows) {
 
     gpusim::EngineOptions opts;
     opts.host_threads = 2;
-    opts.simulate_texture_cache = false;
     const gpusim::Engine engine(gpusim::geforce_8800_gts_512(), opts);
 
     const auto run_both = [&](std::int64_t window) {

@@ -132,6 +132,30 @@ TEST(CostModel, RejectsMismatchedProfile) {
   EXPECT_THROW((void)model.predict(gtx, launch, profile), gm::PreconditionError);
 }
 
+TEST(CostModel, RefusesTextureFetchesWithoutADeclaredPattern) {
+  // Texture traffic is priced from the block's declared pattern alone, so a
+  // block that fetches texture without one is refused, not priced as if
+  // every fetch hit the cache.
+  const CostModel model;
+  const auto gtx = geforce_gtx_280();
+  LaunchConfig launch;
+  launch.block = Dim3(32);
+  BlockProfile block;
+  block.warps = 1;
+  block.warp_instructions = 64.0;
+  block.warp_tex_ops = 32.0;
+  block.path_instructions = 64.0;
+  block.path_tex_ops = 32.0;
+  block.lane_instructions = 2048.0;
+  block.tex_requests = 1024.0;
+  KernelProfile profile;
+  profile.add_block(block);
+  EXPECT_THROW((void)model.predict(gtx, launch, profile), gm::PreconditionError);
+
+  profile.groups.front().block.texture = {TexAccessKind::kCoalescedStream, 1024.0, 0};
+  EXPECT_GT(model.predict(gtx, launch, profile).total_ms, 0.0);
+}
+
 // --------------------------------------------------------------------------
 // Calibration pin: the model must stay within the accuracy band recorded in
 // EXPERIMENTS.md against readings of the paper's figures.

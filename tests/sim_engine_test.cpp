@@ -156,14 +156,14 @@ TEST(Engine, AtomicsAggregateAcrossBlocks) {
   EXPECT_EQ(result.totals.atomic_requests, 256.0);
 }
 
-TEST(Engine, TextureFetchesFeedPerBlockCache) {
+TEST(Engine, TextureFetchesChargeOneOpEach) {
   EngineOptions opts;
   opts.host_threads = 1;
   const Engine engine(geforce_8800_gts_512(), opts);
   std::vector<std::uint8_t> data(4096, 7);
   DeviceBuffer<std::uint8_t> buf{std::span<const std::uint8_t>(data)};
   auto tex = buf.texture();
-  // One thread streams the whole buffer: one miss per 32-byte line.
+  // One thread streams the whole buffer: one texture request per fetch.
   const KernelFn kernel = [=](ThreadCtx& ctx) -> KernelTask {
     std::uint32_t sum = 0;
     for (std::size_t i = 0; i < 4096; ++i) sum += tex.fetch(ctx, i);
@@ -171,9 +171,7 @@ TEST(Engine, TextureFetchesFeedPerBlockCache) {
     co_return;
   };
   const auto result = engine.launch(cfg(1, 1), kernel);
-  EXPECT_EQ(result.texture_cache.accesses, 4096u);
-  EXPECT_EQ(result.texture_cache.misses, 4096u / 32u);
-  EXPECT_DOUBLE_EQ(result.profile.groups[0].block.tex_miss_bytes, 4096.0);
+  EXPECT_EQ(result.profile.groups[0].block.tex_requests, 4096.0);
 }
 
 TEST(Engine, IdenticalBlocksCoalesceIntoOneGroup) {

@@ -89,7 +89,7 @@ class BlockRunner {
       profile.global_bytes += static_cast<double>(c.global_bytes);
       profile.atomic_requests += static_cast<double>(c.atomic_ops);
     }
-    if (env_.pattern_declared) profile.texture = env_.declared_pattern;
+    profile.texture = env_.declared_pattern;
     return profile;
   }
 

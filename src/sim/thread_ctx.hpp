@@ -99,8 +99,7 @@ class KernelTask {
 /// State shared by all threads of one block (the simulated SM slice).
 struct BlockEnv {
   std::vector<std::byte> shared_mem;
-  TexturePattern declared_pattern;
-  bool pattern_declared = false;
+  TexturePattern declared_pattern;  ///< kNone until the kernel declares one
 };
 
 class ThreadCtx {
@@ -153,7 +152,6 @@ class ThreadCtx {
   /// TexturePattern).  A block that fetches texture must declare one.
   void declare_texture_pattern(const TexturePattern& pattern) noexcept {
     env_->declared_pattern = pattern;
-    env_->pattern_declared = true;
   }
 
   // --- synchronization -------------------------------------------------------

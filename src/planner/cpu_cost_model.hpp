@@ -63,7 +63,7 @@ struct CpuCostConstants {
   /// level 3 on the same host: 46.5-58.0 ms against 91.4-115.3 ms at 16
   /// bytes).  The price stays at the baseline width on purpose: charged per
   /// 128-lane block it would predict 1.92 ms for paper_sim's level 2 and
-  /// take it off the GTX 280 (2.00 ms); ROADMAP item 4 keeps the ISA-aware
+  /// take it off the GTX 280 (2.00 ms); ROADMAP item 6 keeps the ISA-aware
   /// price open.
   double lane_block_ns = 6.4;
   /// Expiry bookkeeping per match start (monotone deadline-FIFO append +

@@ -3,15 +3,18 @@
 // backend returns bit-identical counts to the serial reference.
 //
 // The interesting axes are the ones the paper characterizes:
-//   * stream length (--db): favors database sharding (distrib, --shard-sweep)
-//   * candidate count (--episodes): favors episode parallelism (cpu-parallel)
+//   * stream length (--db): favors cutting the stream into chunks
+//     (cpu-parallel on host workers, distrib-gpu on cards, --shard-sweep)
+//   * candidate count (--episodes): grows every formulation's work; the
+//     episode-lane engine shares it 64 or 128 episodes per step
 //   * alphabet size (--alphabet): favors the waiting-symbol bucket index
 //     (cpu-single-scan), whose per-symbol work is |episodes|/|alphabet|, on
 //     large alphabets and the episode-lane engine (cpu-lane-scan), whose
 //     per-symbol work is |episodes|/64 block steps, on small ones
 //
 // The default configuration is a large-alphabet, long-stream shape where the
-// single-scan engine should beat the episode-parallel backend outright.
+// bucket index does little work per event and cpu-parallel splits it over
+// the workers.
 //
 //   backend_shootout [--db N] [--alphabet N] [--episodes N] [--level L]
 //                    [--threads T] [--expiry W] [--semantics subseq|contig]
@@ -50,12 +53,13 @@
 // skew-aware occupancy terms end to end.
 //
 // --shard-sweep A..B (or a comma list) switches to the distrib scaling mode:
-// for each device count N it runs the chunked shard engine twice — host
-// workers (wall-clock) and simulated cards (deterministic kernel-time) —
-// cross-checks both against the serial reference, and reports per-count
-// throughput, scaling efficiency base_ms / (N * ms_N), the chunk count and
-// the fold's rescanned symbols.  --json writes the table as a BENCH artifact
-// (BENCH_scaling.json in CI); --min-efficiency E gates on the *simulated*
+// for each device count N it builds one N-card DistribBackend and reads both
+// clocks from its runs — host_ms is the shared host map on N workers
+// (wall-clock), simulated_kernel_ms the cards (deterministic kernel time) —
+// cross-checks the counts against the serial reference, and reports
+// per-count throughput, scaling efficiency base_ms / (N * ms_N), the chunk
+// count and the fold's rescanned symbols.  --json writes the table as a
+// BENCH artifact (BENCH_scaling.json in CI); --min-efficiency E gates on the *simulated*
 // efficiency at 4 cards (kernel time is deterministic, so the gate holds on
 // a 2-core CI runner where wall-clock efficiency cannot).
 //
@@ -422,12 +426,13 @@ int run_planner_validation(const Options& opt, const gm::core::Alphabet& alphabe
   return 0;
 }
 
-/// Distrib scaling mode: run the chunked shard engine at every swept device
-/// count, twice per count (host workers by wall-clock, simulated cards by
-/// deterministic kernel time), and report throughput + scaling efficiency +
-/// fold telemetry.  The --min-efficiency gate reads the simulated efficiency
-/// at 4 cards: kernel time is a pure model output, so the gate holds on CI
-/// runners with fewer host cores than shards.
+/// Distrib scaling mode: run one DistribBackend at every swept device count
+/// and read both clocks from it (the host map on N workers by wall-clock,
+/// the N simulated cards by deterministic kernel time), then report
+/// throughput + scaling efficiency + fold telemetry.  The --min-efficiency
+/// gate reads the simulated efficiency at 4 cards: kernel time is a pure
+/// model output, so the gate holds on CI runners with fewer host cores than
+/// shards.
 int run_shard_sweep(const Options& opt, const gm::core::Alphabet& alphabet,
                     const gm::core::Sequence& db, gm::Rng& rng) {
   namespace distrib = gm::distrib;
@@ -479,41 +484,27 @@ int run_shard_sweep(const Options& opt, const gm::core::Alphabet& alphabet,
   int gate_shards = 0;
 
   for (const int shards : opt.shard_sweep) {
+    distrib::DistribOptions options;
+    options.shards = shards;
+    options.device = gpusim::device_by_name(opt.card);
+    options.launch.threads_per_block = opt.tpb;
+    distrib::DistribBackend backend(options);
+    // The simulated kernel time is deterministic; the host time is the best
+    // of the repetitions.
+    gm::core::CountResult result;
     double host_ms = 0.0;
-    double sim_ms = 0.0;
-    std::int64_t rescanned = 0;
-    int chunks = 0;
-
-    for (const bool gpu : {false, true}) {
-      distrib::DistribOptions options;
-      options.shards = shards;
-      options.worker =
-          gpu ? distrib::WorkerKind::kGpuSim : distrib::WorkerKind::kSingleScan;
-      options.device = gpusim::device_by_name(opt.card);
-      options.launch.threads_per_block = opt.tpb;
-      distrib::DistribBackend backend(options);
-      // The simulated kernel time is deterministic: one repetition suffices.
-      const int reps = gpu ? 1 : opt.repeat;
-      gm::core::CountResult result;
-      double best_ms = 0.0;
-      for (int r = 0; r < reps; ++r) {
-        result = backend.count(request);
-        const double ms = gpu ? result.simulated_kernel_ms : result.host_ms;
-        best_ms = (r == 0) ? ms : std::min(best_ms, ms);
-      }
-      if (result.counts != reference) {
-        std::printf("%7d %s DISAGREES with the reference counts\n", shards,
-                    backend.name().c_str());
-        all_agree = false;
-      }
-      if (gpu) {
-        sim_ms = best_ms;
-      } else {
-        host_ms = best_ms;
-        rescanned = backend.last_run().rescanned_symbols;
-        chunks = backend.last_run().chunks;
-      }
+    for (int r = 0; r < opt.repeat; ++r) {
+      result = backend.count(request);
+      host_ms = (r == 0) ? result.host_ms : std::min(host_ms, result.host_ms);
     }
+    if (result.counts != reference) {
+      std::printf("%7d %s DISAGREES with the reference counts\n", shards,
+                  backend.name().c_str());
+      all_agree = false;
+    }
+    const double sim_ms = result.simulated_kernel_ms;
+    const std::int64_t rescanned = backend.last_run().rescanned_symbols;
+    const int chunks = backend.last_run().chunks;
 
     if (shards == 1) {
       host_base_ms = host_ms;
@@ -805,7 +796,8 @@ int main(int argc, char** argv) {
   }
 
   if (parallel_ms > 0 && single_scan_ms > 0) {
-    std::printf("\nsingle-scan vs episode-parallel: %.2fx\n", parallel_ms / single_scan_ms);
+    std::printf("\nsingle-scan vs stream-chunk parallel: %.2fx\n",
+                parallel_ms / single_scan_ms);
   }
   if (!all_agree) {
     std::cerr << "\nERROR: backend disagreement against the serial reference\n";

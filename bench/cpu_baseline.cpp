@@ -1,5 +1,5 @@
 // CPU baselines vs. the simulated GPU: the single-core reference miner (the
-// GMiner-class tool the paper motivates against) and the episode-parallel
+// GMiner-class tool the paper motivates against) and the stream-chunk
 // multicore backend, on a reduced database so the bench completes in seconds.
 // The GPU side reports the *predicted device time* for the same workload at
 // full paper scale, for context.

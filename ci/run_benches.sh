@@ -82,6 +82,20 @@ step_planner_devices() {
     --json BENCH_shootout_devices.json
 }
 
+# Host-parallel race, report only: few episodes on a long stream, where
+# cpu-parallel's stream-chunk map on 4 workers should be the pick and the
+# measured best, without and with expiry.  No --max-regret: CI runners rarely
+# give four real cores, so the measured times say more about the runner than
+# about the planner.
+step_host_parallel() {
+  "$BENCH/backend_shootout" --validate-planner \
+    --db 2000000 --alphabet 26 --episodes 8 --level 2 --threads 4 \
+    --repeat 3 --json BENCH_shootout_parallel.json
+  "$BENCH/backend_shootout" --validate-planner \
+    --db 2000000 --alphabet 26 --episodes 8 --level 2 --threads 4 \
+    --repeat 3 --expiry 24 --json BENCH_shootout_parallel_expiry.json
+}
+
 # Distrib scaling sweep gated on the *simulated* efficiency at 4 cards
 # (deterministic kernel time); host wall-clock efficiency is reported ungated
 # because CI runners have fewer cores than the sweep has shards.
@@ -139,8 +153,8 @@ step_streaming_replay() {
 }
 
 ALL_STEPS=(counting planner-cpu planner-gpu planner-trie planner-devices
-  scaling fit-calibration planner-fitted planner-tables calibration-table
-  service-replay streaming-replay)
+  host-parallel scaling fit-calibration planner-fitted planner-tables
+  calibration-table service-replay streaming-replay)
 
 if [[ $# -eq 1 && $1 == list ]]; then
   printf '%s\n' "${ALL_STEPS[@]}"

@@ -6,11 +6,12 @@
 //                                  names from service::backend_names();
 //                                  "auto" re-plans the formulation at every
 //                                  mining level from the analytic cost models)
-//     --threads <n>                CPU backend threads, 0 = hw (default 0)
-//     --shards <n>                 distrib backends: shard/device count
-//                                  (0 = hw threads, or 2 cards for
-//                                  distrib-gpu); with "auto": score distrib
-//                                  candidates at 1..n devices (default 0)
+//     --threads <n>                cpu-parallel stream-chunk workers and
+//                                  "auto"'s CPU budget, 0 = hw (default 0)
+//     --shards <n>                 distrib-gpu: simulated card count
+//                                  (0 = 2 cards, the GX2); with "auto":
+//                                  score distrib-gpu candidates at 1..n
+//                                  cards (default 0)
 //     --card <8800|gx2|gtx280>     simulated card         (default gtx280)
 //     --algo <1|2|3|4|5>           GPU algorithm          (default 3;
 //                                  5 = block-bucketed single-scan)

@@ -1,5 +1,9 @@
 #include "calib/calibration.hpp"
 
+#include <cstdint>
+#include <limits>
+#include <string>
+
 #include "bench_support/json.hpp"
 #include "common/error.hpp"
 #include "planner/planner.hpp"
@@ -125,7 +129,12 @@ CalibrationProfile profile_from_value(const bench::JsonValue& doc) {
   if (const bench::JsonValue* source = doc.find("source")) profile.source = source->as_string();
   if (const bench::JsonValue* host = doc.find("host")) profile.host = host->as_string();
   if (const bench::JsonValue* samples = doc.find("samples")) {
-    profile.sample_count = static_cast<int>(samples->as_int64());
+    const std::int64_t count = samples->as_int64();
+    gm::expects(count >= 0 && count <= std::numeric_limits<int>::max(),
+                "calibration 'samples' must be a count in [0, " +
+                    std::to_string(std::numeric_limits<int>::max()) + "], got " +
+                    std::to_string(count));
+    profile.sample_count = static_cast<int>(count);
   }
   // Unknown parameter names are rejected (a typo would otherwise silently
   // leave the shipped default in place); absent ones keep their defaults so

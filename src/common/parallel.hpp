@@ -1,12 +1,12 @@
 // The host worker pool: one fork-join loop for every layer that spreads
 // independent tasks over host threads.
 //
-// cpu-parallel runs one task per episode (the paper's thread-level mapping),
-// DistribBackend one per chunk of its shard plan (the block-level mapping),
-// and the functional GPU engine one per simulated block.  All three claim
-// tasks the same way, resolve a request of 0 threads the same way, and see a
-// worker's exception the same way: rethrown on the calling thread, never a
-// terminated process.
+// cpu-parallel's stream-chunk map (core::count_all_stream_chunks, which
+// distrib-gpu shares) runs one task per stream chunk and then one per run of
+// episodes to fold, and the functional GPU engine one per simulated block.
+// Both claim tasks the same way, resolve a request of 0 threads the same
+// way, and see a worker's exception the same way: rethrown on the calling
+// thread, never a terminated process.
 #pragma once
 
 #include <cstdint>

@@ -1,13 +1,15 @@
 #include "core/cpu_backend.hpp"
 
+#include <algorithm>
 #include <chrono>
-#include <utility>
+#include <optional>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
 #include "core/lane_counter.hpp"
 #include "core/multi_counter.hpp"
+#include "core/segment_counter.hpp"
 #include "core/serial_counter.hpp"
 
 namespace gm::core {
@@ -30,6 +32,69 @@ CountResult SerialCpuBackend::count(const CountRequest& request) {
   return result;
 }
 
+std::vector<std::int64_t> count_all_stream_chunks(std::span<const Episode> episodes,
+                                                  std::span<const Symbol> database,
+                                                  Semantics semantics, ExpiryPolicy expiry,
+                                                  int workers, std::int64_t* rescanned_symbols) {
+  gm::expects(workers >= 1, "need at least one worker");
+  for (const auto& e : episodes) gm::expects(!e.empty(), "cannot count an empty episode");
+  if (rescanned_symbols != nullptr) *rescanned_symbols = 0;
+  std::vector<std::int64_t> counts(episodes.size(), 0);
+  if (episodes.empty() || database.empty()) return counts;
+
+  const int chunks = workers * kChunksPerShard;
+  const auto bounds = chunk_boundaries(static_cast<std::int64_t>(database.size()), chunks);
+
+  // Map: every chunk scanned cold at its absolute offset by whichever worker
+  // claims it.  Each writes only its chunk's slot, read after the pool
+  // joins; a worker keeps one arena across its chunks (reset() re-files the
+  // automata but keeps all capacity).
+  std::vector<std::vector<EpisodeProgress>> cold(static_cast<std::size_t>(chunks));
+  std::vector<std::optional<MultiCounter>> arenas(static_cast<std::size_t>(workers));
+  gm::parallel_for(workers, chunks, [&](int worker, std::int64_t chunk) {
+    const auto c = static_cast<std::size_t>(chunk);
+    auto& arena = arenas[static_cast<std::size_t>(worker)];
+    if (arena.has_value()) {
+      arena->reset();
+    } else {
+      arena.emplace(episodes, semantics, expiry);
+    }
+    arena->advance_batch(database.subspan(static_cast<std::size_t>(bounds[c]),
+                                          static_cast<std::size_t>(bounds[c + 1] - bounds[c])),
+                         bounds[c]);
+    cold[c] = arena->progress();
+  });
+
+  // Reduce: each task folds a contiguous run of episodes, so workers write
+  // disjoint runs of `counts` and keep their gather buffer and rescan tally
+  // private.
+  const int runs = static_cast<int>(
+      std::min<std::int64_t>(chunks, static_cast<std::int64_t>(episodes.size())));
+  std::vector<std::vector<EpisodeProgress>> gathered(static_cast<std::size_t>(workers));
+  std::vector<std::int64_t> rescanned(static_cast<std::size_t>(workers), 0);
+  gm::parallel_for(workers, runs, [&](int worker, std::int64_t run) {
+    auto& records = gathered[static_cast<std::size_t>(worker)];
+    records.resize(static_cast<std::size_t>(chunks));
+    const ChunkRange range = chunk_range(static_cast<std::int64_t>(episodes.size()), runs,
+                                         static_cast<int>(run));
+    std::int64_t run_rescanned = 0;
+    for (auto e = static_cast<std::size_t>(range.begin);
+         e < static_cast<std::size_t>(range.end); ++e) {
+      for (std::size_t c = 0; c < cold.size(); ++c) records[c] = cold[c][e];
+      std::int64_t replayed = 0;
+      counts[e] = fold_cold_scans(episodes[e].symbols(), semantics, expiry, database,
+                                  /*base=*/0, bounds, records, /*entry=*/{}, /*exit=*/nullptr,
+                                  &replayed);
+      run_rescanned += replayed;
+    }
+    rescanned[static_cast<std::size_t>(worker)] += run_rescanned;
+  });
+  if (rescanned_symbols != nullptr) {
+    for (const std::int64_t r : rescanned) *rescanned_symbols += r;
+  }
+  return counts;
+}
+
 ParallelCpuBackend::ParallelCpuBackend(int threads)
     : threads_(gm::resolved_thread_count(threads)) {}
 
@@ -39,26 +104,9 @@ std::string ParallelCpuBackend::name() const {
 
 CountResult ParallelCpuBackend::count(const CountRequest& request) {
   const auto start = Clock::now();
-  // Validate the whole request up front, so a bad one fails before any
-  // episode is counted.
-  for (const auto& e : request.episodes) gm::expects(!e.empty(), "cannot count an empty episode");
   CountResult result;
-  result.counts.assign(request.episodes.size(), 0);
-  // One task per episode.  Workers accumulate (episode, count) pairs
-  // privately, so no two threads ever write adjacent result slots (false
-  // sharing); the merge runs after the join.
-  std::vector<std::vector<std::pair<std::size_t, std::int64_t>>> partials(
-      static_cast<std::size_t>(threads_));
-  gm::parallel_for(threads_, static_cast<std::int64_t>(request.episodes.size()),
-                   [&](int worker, std::int64_t task) {
-                     const auto i = static_cast<std::size_t>(task);
-                     partials[static_cast<std::size_t>(worker)].emplace_back(
-                         i, count_occurrences(request.episodes[i], request.database,
-                                              request.semantics, request.expiry));
-                   });
-  for (const auto& local : partials) {
-    for (const auto& [episode, occurrences] : local) result.counts[episode] = occurrences;
-  }
+  result.counts = count_all_stream_chunks(request.episodes, request.database, request.semantics,
+                                          request.expiry, threads_);
   result.host_ms = elapsed_ms(start);
   return result;
 }

@@ -4,24 +4,30 @@
 //
 //   backend            parallel axis     per-level cost (t threads)
 //   cpu-serial         —                 O(|DB| * |eps|)
-//   cpu-parallel       episodes          O(|DB| * |eps| / t)
+//   cpu-parallel       stream chunks     O(|DB| * (1 + |eps|/|alphabet|) / t) + fold
 //   cpu-single-scan    — (indexed)       O(|DB| * (1 + |eps|/|alphabet|))
 //   cpu-lane-scan      episodes (SIMD)   O(|DB| * ceil(|eps| / W)), W = 64 or 128
 //
-// cpu-parallel scales with the candidate count over real cores (it wins with
-// few episodes over a long stream), cpu-single-scan replaces brute-force
-// rescans with one pass driving all automata through a waiting-symbol bucket
-// index, and cpu-lane-scan runs one episode per SIMD lane, 64 lanes per step
-// in 16-byte vectors or 128 with AVX2, picked at run time
-// (core/lane_counter.hpp): its cost ignores the alphabet, so it wins on small
-// alphabets where the bucket index drains |eps|/|alphabet| automata per
-// event.  The database axis belongs to distrib/ (chunked shards with an exact
-// fold).  cpu-parallel's episodes and distrib's chunks both run on the one
-// host worker pool, common/parallel.hpp.
+// cpu-parallel is the one host-parallel formulation, the paper's block-level
+// mapping (Patnaik et al.'s MapConcatenate): it cuts the stream into equal
+// chunks, cold-scans each on the single-scan engine over the host worker
+// pool (common/parallel.hpp) and folds the chunk records exactly
+// (core::fold_cold_scans), so it scales with the stream length whatever the
+// candidate count.  cpu-single-scan replaces brute-force rescans with one
+// pass driving all automata through a waiting-symbol bucket index, and
+// cpu-lane-scan runs one episode per SIMD lane, 64 lanes per step in 16-byte
+// vectors or 128 with AVX2, picked at run time (core/lane_counter.hpp): its
+// cost ignores the alphabet, so it wins on small alphabets where the bucket
+// index drains |eps|/|alphabet| automata per event.  distrib-gpu
+// (distrib/distrib_backend.hpp) counts through cpu-parallel's map and adds
+// only the simulated cards' charge.
 #pragma once
 
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <string_view>
+#include <vector>
 
 #include "core/counting.hpp"
 
@@ -34,10 +40,26 @@ class SerialCpuBackend final : public CountingBackend {
   [[nodiscard]] CountResult count(const CountRequest& request) override;
 };
 
-/// Episodes partitioned across `threads` host threads (thread-level
-/// parallelism in the paper's taxonomy: one worker = one episode at a time,
-/// identity reduce).  Workers accumulate privately and merge at the end, so
-/// no two threads ever write adjacent result slots (no false sharing).
+/// Stream chunks per worker in the host-parallel map: more chunks than
+/// workers, so a worker that finishes early claims more.  The one rule
+/// ParallelCpuBackend, DistribBackend's card charge (chunk c bills card
+/// c / kChunksPerShard) and the planner's cpu-parallel price share.
+inline constexpr int kChunksPerShard = 4;
+
+/// The host-parallel map: cut `database` into workers x kChunksPerShard
+/// equal chunks (chunk_boundaries), cold-scan each chunk at its absolute
+/// offset on a per-worker MultiCounter arena (reset per chunk) over
+/// gm::parallel_for, then fold every episode's chunk records in chunk order
+/// with fold_cold_scans, the fold split across the same pool by episode.
+/// Equals count_all element for element for every semantics x expiry.
+/// `rescanned_symbols`, when non-null, receives the symbols the fold
+/// replayed at chunk boundaries.  Every episode is validated on the calling
+/// thread before any chunk is scanned.
+[[nodiscard]] std::vector<std::int64_t> count_all_stream_chunks(
+    std::span<const Episode> episodes, std::span<const Symbol> database, Semantics semantics,
+    ExpiryPolicy expiry, int workers, std::int64_t* rescanned_symbols = nullptr);
+
+/// count_all_stream_chunks on `threads` host workers.
 class ParallelCpuBackend final : public CountingBackend {
  public:
   /// `threads` = 0 picks the hardware concurrency (gm::resolved_thread_count).

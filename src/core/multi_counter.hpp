@@ -33,9 +33,10 @@
 // feeds batches at absolute positions — the resumable object behind
 // streaming scan checkpoints (core/scan_checkpoint.hpp), whose per-episode
 // progress can be captured mid-stream and reinstated later to continue
-// bit-exactly, and the distrib layer's one cold-scan map (a chunk scanned
-// from a reset counter at its absolute offset yields the EpisodeProgress
-// records core::fold_cold_scans recombines).
+// bit-exactly, and the one cold-scan map of cpu-parallel and distrib-gpu
+// (core::count_all_stream_chunks: a chunk scanned from a reset counter at its
+// absolute offset yields the EpisodeProgress records core::fold_cold_scans
+// recombines).
 #pragma once
 
 #include <cstdint>

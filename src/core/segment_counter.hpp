@@ -73,10 +73,12 @@ struct SegmentTransfer {
                                          std::int64_t overlap_window = 0);
 
 /// Exact fold of cold-start chunk scans over a window of the stream — the
-/// distrib layer's recombination primitive, and the piece that makes
-/// database-partitioned counting exact UNDER EXPIRY (where blind
-/// transfer-function composition is not well-defined: a nonzero entry state
-/// carries an absolute first-match position the cold scan could not know).
+/// recombination primitive of the stream-chunk map (count_all_stream_chunks,
+/// behind cpu-parallel and distrib-gpu) and the stream assembler, and the
+/// piece that makes database-partitioned counting exact UNDER EXPIRY (where
+/// blind transfer-function composition is not well-defined: a nonzero entry
+/// state carries an absolute first-match position the cold scan could not
+/// know).
 ///
 /// `events` holds positions [base, base + events.size()) of the stream,
 /// `bounds` are absolute chunk boundaries with `bounds.front() == base`, and
@@ -101,7 +103,7 @@ struct SegmentTransfer {
 /// is `entry.count` plus the window's completions).  Exact for all
 /// semantics x expiry combinations.  `rescanned_symbols`, when non-null,
 /// receives the number of lockstep-replayed symbols (the fix-up work the
-/// distrib cost model charges for).
+/// cpu-parallel cost model charges for).
 [[nodiscard]] std::int64_t fold_cold_scans(std::span<const Symbol> episode,
                                            Semantics semantics, ExpiryPolicy expiry,
                                            std::span<const Symbol> events, std::int64_t base,

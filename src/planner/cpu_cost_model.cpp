@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "distrib/shard_plan.hpp"
+#include "core/cpu_backend.hpp"
 #include "kernels/workload_model.hpp"
 
 namespace gm::planner {
@@ -50,9 +50,18 @@ double predict_cpu_serial_ms(const Workload& w, const CpuCostConstants& c) {
 
 double predict_cpu_parallel_ms(const Workload& w, int threads, const CpuCostConstants& c) {
   gm::expects(threads >= 1, "cpu cost model needs a positive thread count");
-  const int workers =
-      static_cast<int>(std::min<std::int64_t>(threads, w.episode_count));
-  return predict_cpu_serial_ms(w, c) / workers + spawn_ms(workers, c);
+  const int chunks = threads * core::kChunksPerShard;
+  // Map: the workers cold-scan equal chunks claimed on demand, so the
+  // single-scan work divides evenly.
+  const double map_ms = predict_cpu_single_scan_ms(w, c) / static_cast<double>(threads);
+  // Reduce: one fold step per (episode, chunk) plus the expected boundary
+  // rescans, split across the workers by episode.
+  const double fold_ms = (static_cast<double>(w.episode_count) *
+                              static_cast<double>(chunks) * c.distrib_merge_ns * kNsToMs +
+                          distrib_rescan_ms(w, chunks, c)) /
+                         static_cast<double>(std::min<std::int64_t>(threads, w.episode_count));
+  const double claim_ms = static_cast<double>(chunks) * c.distrib_steal_ns * kNsToMs;
+  return map_ms + fold_ms + claim_ms + spawn_ms(threads, c);
 }
 
 double predict_cpu_single_scan_ms(const Workload& w, const CpuCostConstants& c) {
@@ -80,22 +89,6 @@ double predict_cpu_lane_scan_ms(const Workload& w, const CpuCostConstants& c) {
   const double units = std::ceil(static_cast<double>(w.episode_count) /
                                  static_cast<double>(kLanePriceEpisodes));
   return static_cast<double>(w.db_size) * units * c.lane_block_ns * kNsToMs;
-}
-
-double predict_cpu_distrib_ms(const Workload& w, int shards, const CpuCostConstants& c) {
-  gm::expects(shards >= 1, "cpu cost model needs a positive shard count");
-  const int chunks = shards * distrib::kChunksPerShard;
-
-  // Map: each worker cold-scans its claimed chunks with the single-scan
-  // engine; dynamic claims keep the split near-perfect, so divide by shards.
-  const double map_ms = predict_cpu_single_scan_ms(w, c) / static_cast<double>(shards);
-
-  // Reduce: one fold step per (episode, chunk), plus the expected serial
-  // rescan where a chunk boundary lands inside a live match.
-  const double fold_ms = static_cast<double>(w.episode_count) *
-                         static_cast<double>(chunks) * c.distrib_merge_ns * kNsToMs;
-  const double claim_ms = static_cast<double>(chunks) * c.distrib_steal_ns * kNsToMs;
-  return map_ms + fold_ms + distrib_rescan_ms(w, chunks, c) + claim_ms + spawn_ms(shards, c);
 }
 
 double distrib_rescan_ms(const Workload& w, int chunks, const CpuCostConstants& c) {

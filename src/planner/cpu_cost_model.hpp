@@ -6,7 +6,9 @@
 // The curves mirror the complexity table in core/cpu_backend.hpp:
 //
 //   cpu-serial        |DB| * |eps| automaton steps
-//   cpu-parallel      serial work / min(t, |eps|) + per-worker spawn cost
+//   cpu-parallel      (single-scan work + fold) / t over t x
+//                     core::kChunksPerShard equal chunks, plus per-chunk
+//                     claims and per-worker spawn cost
 //   cpu-single-scan   |DB| probes + |DB| * |eps| * drain_rate drains
 //                     (contiguous restart falls back to the dense scan)
 //   cpu-lane-scan     |DB| * ceil(|eps| / 64) price units (episode-lane SIMD
@@ -71,15 +73,16 @@ struct CpuCostConstants {
   double expiry_heap_ns = 25.0;
   /// Spawn + join cost per worker thread.
   double thread_spawn_us = 60.0;
-  /// Distrib reduce: folding one (episode, chunk) cold outcome in chunk
+  /// Stream-chunk fold: folding one (episode, chunk) cold outcome in chunk
   /// order (branch + count add; matches the scale model's merge charge).
+  /// The distrib_* names predate cpu-parallel's chunk map; gm-calibration/2
+  /// profiles serialize them as-is.
   double distrib_merge_ns = 12.0;
-  /// Distrib reduce: one serially re-stepped symbol when a chunk entered
+  /// Stream-chunk fold: one serially re-stepped symbol when a chunk entered
   /// with live automaton state (twin-replay until convergence).
   double distrib_rescan_ns = 2.5;
-  /// Distrib map: claiming one chunk (an atomic cursor bump in the host
-  /// worker pool) plus dispatch into the worker closure.  The name predates
-  /// the pool; gm-calibration/2 profiles serialize it as-is.
+  /// Stream-chunk map: claiming one chunk (an atomic cursor bump in the host
+  /// worker pool) plus dispatch into the worker closure.
   double distrib_steal_ns = 400.0;
 };
 
@@ -90,7 +93,10 @@ inline constexpr int kLanePriceEpisodes = 64;
 
 /// Predicted wall-clock (ms) of one counting level on each CPU backend.
 /// `threads` is the worker count the backend would actually use (callers
-/// should pass gm::resolved_thread_count(requested)).  The constants
+/// should pass gm::resolved_thread_count(requested)).  cpu-parallel's curve
+/// is the single-scan map and the chunk-ordered fold with its expected
+/// boundary rescans, both divided across the workers (the fold by episode,
+/// so at most |eps| ways), plus one claim per chunk and the spawn.  The constants
 /// default to the shipped profile; pass a fitted CalibrationProfile's cpu
 /// part (calib/) to predict for the measured host instead.
 [[nodiscard]] double predict_cpu_serial_ms(const Workload& w, const CpuCostConstants& c = {});
@@ -101,19 +107,11 @@ inline constexpr int kLanePriceEpisodes = 64;
 [[nodiscard]] double predict_cpu_lane_scan_ms(const Workload& w,
                                               const CpuCostConstants& c = {});
 
-/// The distrib backend's host curve: the single-scan map split over `shards`
-/// workers claiming chunks of the backend's own grid (shards x
-/// distrib::kChunksPerShard chunks), plus the chunk-ordered fold, the
-/// expected boundary rescans (bounded by the expiry window or the typical
-/// automaton reset distance), and per-chunk claim overhead.
-[[nodiscard]] double predict_cpu_distrib_ms(const Workload& w, int shards,
-                                            const CpuCostConstants& c = {});
-
 /// Expected host-fold boundary fix-up for a `chunks`-way database split: the
 /// twin replay per (episode, interior boundary), bounded by the expiry
-/// window or the typical automaton reset distance.  Charged by both distrib
-/// flavors — counts always come from the host fold, so simulated-card
-/// candidates pay it too.
+/// window or the typical automaton reset distance.  cpu-parallel pays it
+/// across its workers, and distrib-gpu pays it too: its counts come from
+/// the same host fold.
 [[nodiscard]] double distrib_rescan_ms(const Workload& w, int chunks,
                                        const CpuCostConstants& c = {});
 

@@ -39,16 +39,13 @@ ScoredCandidate score_cpu(const Workload& w, BackendKind kind, int threads,
   return price_candidate(w, c.config, options);
 }
 
-/// One distrib candidate per device count.  Host flavor: the single-scan
-/// shard curve.  Card flavor: the cheapest price over the launch sweep, so
-/// the candidate carries the launch each card would actually run.
-ScoredCandidate score_distrib(const Workload& w, int devices, bool gpu,
-                              const PlannerOptions& options) {
+/// One distrib-gpu candidate per card count: the cheapest price over the
+/// launch sweep, so the candidate carries the launch each card would
+/// actually run.
+ScoredCandidate score_distrib(const Workload& w, int devices, const PlannerOptions& options) {
   ScoredCandidate c;
   c.config.kind = BackendKind::kDistrib;
   c.config.threads = devices;
-  c.config.distrib_gpu = gpu;
-  if (!gpu) return price_candidate(w, c.config, options);
   if (w.level > kernels::kMaxLevel) {
     c.reason = "backend max_level " + std::to_string(kernels::kMaxLevel) +
                " < requested level " + std::to_string(w.level) +
@@ -164,7 +161,7 @@ ScoredCandidate price_candidate(const Workload& w, const CandidateConfig& config
       break;
     case BackendKind::kCpuParallel:
       c.predicted_ms = predict_cpu_parallel_ms(w, config.threads, cpu);
-      c.reason = "episode-parallel map";
+      c.reason = "stream-chunk map, exact fold";
       break;
     case BackendKind::kCpuSingleScan:
       c.predicted_ms = predict_cpu_single_scan_ms(w, cpu);
@@ -192,16 +189,10 @@ ScoredCandidate price_candidate(const Workload& w, const CandidateConfig& config
       break;
     }
     case BackendKind::kDistrib: {
-      if (!config.distrib_gpu) {
-        c.predicted_ms = predict_cpu_distrib_ms(w, config.threads, cpu);
-        c.reason = "single-scan shards, chunks claimed on demand";
-        break;
-      }
       // The scale model's database-axis split: per-card kernel time, merge
-      // and imbalance.  Counts come from the host fold even on simulated
-      // cards, so the card flavor pays the boundary fix-up too — on
-      // kernel-bound shapes it is noise, but it keeps tiny workloads from
-      // drifting onto the device axis.
+      // and imbalance.  Counts come from the host fold, so the cards pay the
+      // boundary fix-up too — on kernel-bound shapes it is noise, but it
+      // keeps tiny workloads from drifting onto the device axis.
       const gpusim::CostModel model(options.cost_params);
       const auto scaled = distrib::predict_scaled_mining(
           options.device, config.threads,
@@ -226,15 +217,13 @@ std::string_view backend_kind_name(BackendKind kind) {
     case BackendKind::kCpuSingleScan: return "cpu-single-scan";
     case BackendKind::kCpuLaneScan: return "cpu-lane-scan";
     case BackendKind::kGpuSim: return "gpusim";
-    case BackendKind::kDistrib: return "distrib";
+    case BackendKind::kDistrib: return "distrib-gpu";
   }
   gm::raise_precondition("unknown backend kind");
 }
 
 std::string CandidateConfig::label() const {
-  if (kind == BackendKind::kDistrib) {
-    return std::string(distrib_gpu ? "distrib-gpu-x" : "distrib-x") + std::to_string(threads);
-  }
+  if (kind == BackendKind::kDistrib) return "distrib-gpu-x" + std::to_string(threads);
   if (kind == BackendKind::kGpuSim) {
     return "gpusim-algo" + std::to_string(kernels::algorithm_number(algorithm)) +
            (trie_buckets ? "-trie" : "") + "/t" + std::to_string(threads_per_block);
@@ -276,16 +265,11 @@ Plan plan_level(const Workload& workload, const PlannerOptions& options) {
       }
     }
   }
-  // The device-count axis: one distrib candidate per flavor per sweep entry,
-  // so the table answers "when does 2x card beat 1x card at this level".
+  // The card-count axis: one distrib-gpu candidate per sweep entry, so the
+  // table answers "when does 2x card beat 1x card at this level".
   for (const int devices : options.device_sweep) {
     gm::expects(devices >= 1, "device_sweep entries must be positive");
-    if (options.enable_cpu) {
-      plan.table.push_back(score_distrib(workload, devices, false, options));
-    }
-    if (options.enable_gpu) {
-      plan.table.push_back(score_distrib(workload, devices, true, options));
-    }
+    if (options.enable_gpu) plan.table.push_back(score_distrib(workload, devices, options));
   }
 
   // Fold in any online-feedback multipliers before ranking, and say so in
@@ -347,15 +331,11 @@ std::unique_ptr<core::CountingBackend> make_planned_backend(const CandidateConfi
   if (config.kind == BackendKind::kDistrib) {
     distrib::DistribOptions d;
     d.shards = config.threads;
-    d.worker = config.distrib_gpu ? distrib::WorkerKind::kGpuSim
-                                  : distrib::WorkerKind::kSingleScan;
     d.device = options.device;
     d.cost_params = options.cost_params;
     d.kernel_costs = options.kernel_costs;
-    if (config.distrib_gpu) {
-      d.launch.algorithm = config.algorithm;
-      d.launch.threads_per_block = config.threads_per_block;
-    }
+    d.launch.algorithm = config.algorithm;
+    d.launch.threads_per_block = config.threads_per_block;
     return std::make_unique<distrib::DistribBackend>(d);
   }
   if (config.kind == BackendKind::kGpuSim) {

@@ -3,7 +3,8 @@
 // turned into a subsystem.  Given one level's workload shape and a device,
 // enumerate every counting formulation the repo implements (four CPU
 // backends x five simulated-GPU algorithms x a threads-per-block sweep,
-// plus a shared-prefix trie variant of the block-bucketed kernel),
+// plus a shared-prefix trie variant of the block-bucketed kernel and, when
+// the caller names a device count, the multi-card distrib-gpu axis),
 // score each analytically (kernels::predict_mining_time for the device,
 // planner/cpu_cost_model for the host), and return a Plan: the winner, the
 // full scored decision table, and the reason every loser lost.
@@ -40,38 +41,36 @@ enum class BackendKind {
   /// Episode-lane SIMD engine (core::LaneCpuBackend).
   kCpuLaneScan,
   kGpuSim,
-  /// Chunked shard engine over N devices (distrib::DistribBackend): host
-  /// single-scan workers, or simulated cards when distrib_gpu is set.
+  /// The stream split over N simulated cards (distrib::DistribBackend):
+  /// cpu-parallel's host map for the counts, the cards for the time.
   kDistrib,
 };
 
 /// The make_cpu_backend / BackendSpec name of a kind ("cpu-serial", ...,
-/// "gpusim").
+/// "gpusim", "distrib-gpu").
 [[nodiscard]] std::string_view backend_kind_name(BackendKind kind);
 
 /// One point of the candidate space: enough to both predict and construct
 /// the backend it names.
 struct CandidateConfig {
   BackendKind kind = BackendKind::kCpuSerial;
-  /// CPU backends: resolved worker count.  kDistrib: the device/shard count.
+  /// CPU backends: resolved worker count.  kDistrib: the card count.
   int threads = 1;
-  /// gpusim only (kDistrib with distrib_gpu: the launch each card runs).
+  /// gpusim and kDistrib (the launch each card runs).
   kernels::Algorithm algorithm = kernels::Algorithm::kThreadTexture;
   int threads_per_block = 0;
   /// gpusim + algo5 only: bucket shared-prefix trie tokens instead of flat
   /// per-episode automata (MiningLaunchParams::trie_buckets).
   bool trie_buckets = false;
-  /// kDistrib only: shards run as simulated cards instead of host workers.
-  bool distrib_gpu = false;
 
   /// Stable display / cache key, e.g. "cpu-parallel-x8", "gpusim-algo5/t128",
-  /// "gpusim-algo5-trie/t128", "distrib-x4", or "distrib-gpu-x2".
+  /// "gpusim-algo5-trie/t128", or "distrib-gpu-x2".
   [[nodiscard]] std::string label() const;
   /// Priced and measured on the simulated clock (CountResult's
   /// simulated_kernel_ms): gpusim and distrib-gpu.  Every other candidate is
   /// priced and measured in host wall time.
   [[nodiscard]] bool simulated() const {
-    return kind == BackendKind::kGpuSim || (kind == BackendKind::kDistrib && distrib_gpu);
+    return kind == BackendKind::kGpuSim || kind == BackendKind::kDistrib;
   }
 };
 
@@ -79,7 +78,7 @@ struct ScoredCandidate {
   CandidateConfig config;
   bool feasible = false;
   double predicted_ms = 0.0;
-  /// Feasible: the dominant-cost note ("bound by issue", "episode-parallel
+  /// Feasible: the dominant-cost note ("bound by issue", "stream-chunk
   /// map").  Infeasible: why the candidate was rejected (never empty).
   std::string reason;
   /// gpusim candidates: the full mechanism breakdown behind predicted_ms.
@@ -110,12 +109,13 @@ struct PlannerOptions {
   int cpu_threads = 0;
   /// threads-per-block sweep for the gpusim candidates.
   std::vector<int> tpb_sweep = {32, 64, 128, 256, 512};
-  /// Device counts to score distrib (chunked shard) candidates at:
-  /// each entry N adds "distrib-xN" (host workers, enable_cpu) and
-  /// "distrib-gpu-xN" (simulated cards, enable_gpu) to the table, so the
-  /// plan answers "when does 2x card beat 1x card at this level".  Empty
-  /// (the default) keeps the single-device candidate space — the planner
-  /// must not assume extra hardware exists unless the caller says so.
+  /// Card counts to score distrib candidates at: with enable_gpu, each
+  /// entry N adds "distrib-gpu-xN" (the stream split over N simulated
+  /// cards) to the table, so the plan answers "when does 2x card beat 1x
+  /// card at this level".  Host workers are cpu_threads' business (the one
+  /// cpu-parallel candidate).  Empty (the default) keeps the single-device
+  /// candidate space — the planner must not assume extra hardware exists
+  /// unless the caller says so.
   std::vector<int> device_sweep = {};
   /// Candidate-space gates (a shootout validating only host backends turns
   /// the GPU off; both off is a precondition error in plan_level).

@@ -9,8 +9,8 @@
 namespace gm::service {
 
 std::vector<std::string_view> backend_names() {
-  return {"cpu-serial", "cpu-parallel", "cpu-single-scan", "cpu-lane-scan", "distrib",
-          "distrib-gpu", "gpusim", "auto"};
+  return {"cpu-serial", "cpu-parallel", "cpu-single-scan", "cpu-lane-scan", "distrib-gpu",
+          "gpusim", "auto"};
 }
 
 planner::PlannerOptions planner_options_for(const BackendSpec& spec) {
@@ -51,15 +51,12 @@ planner::CandidateConfig candidate_for(const BackendSpec& spec) {
             .threads_per_block = launch.threads_per_block,
             .trie_buckets = launch.trie_buckets};
   }
-  if (name == "distrib" || name == "distrib-gpu") {
-    // Host flavor defaults to one shard per hardware thread; the card flavor
-    // to the paper's dual-die 9800 GX2 deployment.
-    const bool gpu = name == "distrib-gpu";
+  if (name == "distrib-gpu") {
+    // Defaults to the paper's dual-die 9800 GX2 deployment.
     return {.kind = BackendKind::kDistrib,
-            .threads = spec.shards > 0 ? spec.shards : gpu ? 2 : gm::resolved_thread_count(0),
+            .threads = spec.shards > 0 ? spec.shards : 2,
             .algorithm = launch.algorithm,
-            .threads_per_block = launch.threads_per_block,
-            .distrib_gpu = gpu};
+            .threads_per_block = launch.threads_per_block};
   }
   gm::expects(name != "auto", "'auto' plans a formulation per level, not one candidate");
   std::string known;

@@ -20,13 +20,15 @@ namespace gm::service {
 /// Everything needed to name a counting backend on a command line.
 struct BackendSpec {
   /// "cpu-serial" | "cpu-parallel" | "cpu-single-scan" | "cpu-lane-scan" |
-  /// "distrib" | "distrib-gpu" | "gpusim" | "auto" (unprefixed cpu aliases
-  /// accepted).  "auto" plans the formulation per counting level
+  /// "distrib-gpu" | "gpusim" | "auto" (unprefixed cpu aliases accepted).
+  /// "cpu-parallel" is the one host-parallel formulation (`threads` stream
+  /// chunk workers); "distrib-gpu" counts through the same host map and
+  /// charges `shards` simulated cards.  "auto" plans the formulation per counting level
   /// (planner::AutoBackend): `card` names the device its GPU candidates are
   /// scored for and `threads` its CPU worker budget; `launch` is ignored
   /// (the planner sweeps algorithms and threads-per-block itself).
   std::string name = "gpusim";
-  int threads = 0;  ///< CPU backends: 0 = hardware concurrency
+  int threads = 0;  ///< cpu-parallel and "auto": 0 = hardware concurrency
   std::string card = "gtx280";
   /// gpusim and distrib-gpu: algorithm and threads_per_block (gpusim also
   /// trie_buckets); other fields keep the kernel defaults.
@@ -35,10 +37,9 @@ struct BackendSpec {
   /// `backend_shootout --fit-calibration`) whose constants replace the
   /// shipped cost-model defaults the planner scores with.  Empty = shipped.
   std::string calibration = {};
-  /// "distrib"/"distrib-gpu": shard/device count (0 = hardware concurrency
-  /// for host workers, 2 cards — the GX2 — for the gpu flavor).  "auto":
-  /// shards > 0 opens the planner's device axis, scoring distrib candidates
-  /// at every count in 1..shards.  Other backends ignore it.
+  /// "distrib-gpu": card count (0 = 2 cards, the GX2).  "auto": shards > 0
+  /// opens the planner's card axis, scoring distrib-gpu candidates at every
+  /// count in 1..shards.  Other backends ignore it.
   int shards = 0;
 };
 

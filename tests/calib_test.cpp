@@ -165,6 +165,14 @@ TEST(CalibrationProfile, JsonRejectsWrongSchemaUnknownParamsAndNegatives) {
       (void)profile_from_json(
           R"({"schema":"gm-calibration/2","params":{"cpu.serial_step_ns":-1}})"),
       gm::PreconditionError);
+  // A sample count is a non-negative int: neither a negative one nor one
+  // that an int cast would wrap to -1,294,967,296 loads.
+  EXPECT_THROW(
+      (void)profile_from_json(R"({"schema":"gm-calibration/2","samples":-5,"params":{}})"),
+      gm::PreconditionError);
+  EXPECT_THROW((void)profile_from_json(
+                   R"({"schema":"gm-calibration/2","samples":3000000000,"params":{}})"),
+               gm::PreconditionError);
   // Missing params keep their shipped defaults (forward compatibility).
   const CalibrationProfile partial = profile_from_json(
       R"({"schema":"gm-calibration/2","params":{"cpu.serial_step_ns":2.5}})");
@@ -318,9 +326,9 @@ TEST(CalibrationFitter, LowersLossOnGpuKernelSamples) {
 }
 
 TEST(CalibrationFitter, PricesEveryFeasibleRowAsThePlannerRanksIt) {
-  // The fitter must fit constants to the curve the planner ranks with.  Both
-  // flavors of the device axis are in the table: the card flavor also pays
-  // the host fold's boundary rescans, which the fitter once left out.
+  // The fitter must fit constants to the curve the planner ranks with.  The
+  // card axis is in the table: distrib-gpu also pays the host fold's
+  // boundary rescans, which the fitter once left out.
   const core::Alphabet alphabet(26);
   const core::Sequence db = data::uniform_database(alphabet, 20'000, 1);
   const std::vector<core::Episode> episodes = core::all_distinct_episodes(alphabet, 2);
@@ -343,7 +351,7 @@ TEST(CalibrationFitter, PricesEveryFeasibleRowAsThePlannerRanksIt) {
     sample.cost_params = options.cost_params;
     EXPECT_EQ(predict_sample_ms(CalibrationProfile{}, sample), row.predicted_ms)
         << row.config.label();
-    distrib_gpu_rows += row.config.distrib_gpu ? 1 : 0;
+    distrib_gpu_rows += row.config.kind == planner::BackendKind::kDistrib ? 1 : 0;
   }
   EXPECT_EQ(distrib_gpu_rows, 3);
 }

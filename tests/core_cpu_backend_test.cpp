@@ -1,6 +1,7 @@
 // CPU counting backend tests: bit-exact agreement of the single-scan backend
-// with the serial reference, regressions for the episode-parallel backend
-// (thread-count narrowing, private accumulation), and name resolution.
+// with the serial reference, regressions for the stream-chunk parallel
+// backend (more workers than episodes, every count slot filled, refusals on
+// the calling thread), and name resolution.
 #include <gtest/gtest.h>
 
 #include <vector>

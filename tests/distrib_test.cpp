@@ -1,12 +1,12 @@
 // Distribution-layer tests: the exact cold-scan fold and the single-scan
-// map's cold records it consumes, the weighted shard plan, DistribBackend's
-// bit-exact equivalence with the serial reference across
-// semantics x expiry x shard counts (the block-level MapReduce granularity,
-// exact under expiry where the seed-era overlap rescan was approximate), both
-// granularities against the oracle at several widths, and the out-of-order
-// stream fold.
+// map's cold records it consumes, DistribBackend's bit-exact equivalence
+// with the serial reference across semantics x expiry x shard counts (the
+// block-level MapReduce granularity, exact under expiry where the seed-era
+// overlap rescan was approximate), the one host stream-chunk map against
+// the oracle at several widths, and the out-of-order stream fold.
 #include <gtest/gtest.h>
 
+#include <span>
 #include <vector>
 
 #include "common/error.hpp"
@@ -20,7 +20,6 @@
 #include "data/generators.hpp"
 #include "distrib/distrib_backend.hpp"
 #include "distrib/scale_model.hpp"
-#include "distrib/shard_plan.hpp"
 #include "distrib/stream_fold.hpp"
 #include "kernels/mining_kernels.hpp"
 
@@ -30,6 +29,7 @@ namespace {
 using core::Alphabet;
 using core::Episode;
 using core::ExpiryPolicy;
+using core::kChunksPerShard;
 using core::Semantics;
 
 std::vector<Episode> random_episodes(Rng& rng, int count, int max_level, int alphabet) {
@@ -113,40 +113,6 @@ TEST(SingleScanExits, MatchTheSerialAutomatonConfiguration) {
   }
 }
 
-// --- shard plan -------------------------------------------------------------
-
-TEST(ShardPlan, WeightedCutsShrinkDrainHeavyChunks) {
-  // First half of the stream is all symbol 0 — which every episode contains —
-  // so its estimated drain work dwarfs the second half's (symbol 3 appears in
-  // no episode).  Weighted cuts must put the midpoint boundary well before
-  // the symbol midpoint.
-  core::Sequence db;
-  for (int i = 0; i < 2000; ++i) db.push_back(0);
-  for (int i = 0; i < 2000; ++i) db.push_back(3);
-  std::vector<Episode> episodes;
-  episodes.emplace_back(core::Sequence{0, 1});
-  episodes.emplace_back(core::Sequence{0, 2});
-  episodes.emplace_back(core::Sequence{1, 0});
-
-  const auto plan = make_shard_plan(db, episodes, 2);
-  ASSERT_EQ(plan.chunk_count(), 2 * kChunksPerShard);
-  EXPECT_EQ(plan.home_shard(0), 0);
-  EXPECT_EQ(plan.home_shard(kChunksPerShard - 1), 0);
-  EXPECT_EQ(plan.home_shard(kChunksPerShard), 1);
-  EXPECT_EQ(plan.chunk_bounds.front(), 0);
-  EXPECT_EQ(plan.chunk_bounds.back(), 4000);
-  const std::int64_t cut = plan.chunk_bounds[kChunksPerShard];
-  EXPECT_LT(cut, 1500);
-  // The drain estimate itself (1 per position plus 1 per episode holding
-  // its symbol: 4 for symbol 0, 1 for symbol 3) is near-balanced across the
-  // shard cut.
-  double weight[2] = {0.0, 0.0};
-  for (std::int64_t i = 0; i < 4000; ++i) {
-    weight[i < cut ? 0 : 1] += db[static_cast<std::size_t>(i)] == 0 ? 4.0 : 1.0;
-  }
-  EXPECT_NEAR(weight[0], weight[1], weight[0] * 0.1);
-}
-
 // --- DistribBackend ---------------------------------------------------------
 
 TEST(DistribBackendProperty, BitExactVsSerialAcrossShardsSemanticsExpiry) {
@@ -194,7 +160,8 @@ TEST(DistribBackend, NameAndTelemetryDescribeTheRun) {
   DistribOptions options;
   options.shards = 4;
   DistribBackend backend(options);
-  EXPECT_EQ(backend.name(), "distrib-x4[cpu-single-scan]");
+  EXPECT_EQ(backend.name(),
+            "distrib-x4[gpusim/algo1-thread-texture/t128/GeForce GTX 280 (GT200)]");
 
   const Alphabet alphabet(4);
   const auto db = data::uniform_database(alphabet, 800, 3);
@@ -223,7 +190,6 @@ TEST(DistribBackend, SimulatedCardsScaleAndStayExact) {
   auto run_with = [&](int shards) {
     DistribOptions options;
     options.shards = shards;
-    options.worker = WorkerKind::kGpuSim;
     options.launch.threads_per_block = 128;
     DistribBackend backend(options);
     EXPECT_EQ(backend.max_level(), kernels::kMaxLevel);
@@ -266,11 +232,14 @@ TEST(ScaleModel, DatabaseAxisChargesMergeAndSplitsTheStream) {
   EXPECT_NEAR(four.imbalance, 1.0, 0.05);
 }
 
-// --- both MapReduce granularities (paper section 3.3.1) ---------------------
+// --- the one host stream-chunk map -----------------------------------------
 
-// Thread level is cpu-parallel (workers split the episodes), block level is
-// DistribBackend (workers split the stream and the fold reconciles the
-// cuts); at every width both must equal the oracle, expiry included.
+// cpu-parallel is the paper's block level on host workers: it cuts the
+// stream into workers x kChunksPerShard equal chunks, cold-scans them on the
+// pool and folds the chunk records exactly.  DistribBackend counts through
+// the same map and only adds the simulated cards' charge.  At every width
+// both must equal the oracle under both semantics, expiry included, and on
+// streams shorter than the chunk grid, where most chunks are empty.
 class DistribGranularityProperty : public ::testing::TestWithParam<int /*workers*/> {};
 
 TEST_P(DistribGranularityProperty, BothGranularitiesMatchTheOracleIncludingExpiry) {
@@ -278,30 +247,49 @@ TEST_P(DistribGranularityProperty, BothGranularitiesMatchTheOracleIncludingExpir
   const Alphabet alphabet(5);
   const auto db = data::uniform_database(alphabet, 3001, 77);
 
-  core::ParallelCpuBackend thread_level(workers);
+  core::ParallelCpuBackend host_map(workers);
   DistribOptions options;
   options.shards = workers;
-  DistribBackend block_level(options);
-  for (int level = 1; level <= 3; ++level) {
-    const auto episodes = core::all_distinct_episodes(alphabet, level);
-    for (const std::int64_t window : {std::int64_t{0}, std::int64_t{5}, std::int64_t{29}}) {
-      core::CountRequest request;
-      request.database = db;
-      request.episodes = episodes;
-      request.expiry = ExpiryPolicy{window};
-      const auto expected =
-          core::count_all(episodes, db, Semantics::kNonOverlappedSubsequence, request.expiry);
-      EXPECT_EQ(thread_level.count(request).counts, expected)
-          << "thread level, L" << level << " workers " << workers << " window " << window;
-      EXPECT_EQ(block_level.count(request).counts, expected)
-          << "block level, L" << level << " shards " << workers << " window " << window;
+  DistribBackend cards(options);
+  const auto check = [&](const core::Sequence& stream, std::span<const Episode> episodes,
+                         Semantics semantics, std::int64_t window) {
+    core::CountRequest request;
+    request.database = stream;
+    request.episodes = episodes;
+    request.semantics = semantics;
+    request.expiry = ExpiryPolicy{window};
+    const auto expected = core::count_all(episodes, stream, semantics, request.expiry);
+    EXPECT_EQ(host_map.count(request).counts, expected) << "cpu-parallel";
+    EXPECT_EQ(cards.count(request).counts, expected) << "distrib";
+  };
+  for (const Semantics semantics :
+       {Semantics::kNonOverlappedSubsequence, Semantics::kContiguousRestart}) {
+    for (int level = 1; level <= 3; ++level) {
+      const auto episodes = core::all_distinct_episodes(alphabet, level);
+      for (const std::int64_t window : {std::int64_t{0}, std::int64_t{5}, std::int64_t{29}}) {
+        SCOPED_TRACE(testing::Message() << "L" << level << " workers " << workers << " window "
+                                        << window << " " << core::to_string(semantics));
+        check(db, episodes, semantics, window);
+      }
+    }
+    // 0-20 events against workers x kChunksPerShard chunks (16 at 4
+    // workers): most chunks are empty, and an occurrence can span several.
+    const auto episodes = core::all_distinct_episodes(alphabet, 2);
+    for (std::int64_t size = 0; size <= 20; ++size) {
+      const core::Sequence stream(db.begin(), db.begin() + size);
+      for (const std::int64_t window : {std::int64_t{0}, std::int64_t{3}}) {
+        SCOPED_TRACE(testing::Message() << "|DB|=" << size << " workers " << workers
+                                        << " window " << window << " "
+                                        << core::to_string(semantics));
+        check(stream, episodes, semantics, window);
+      }
     }
   }
 }
 
-// Widths 1..16: a 1-shard plan still has kChunksPerShard chunks, and 16
-// shards cut the 3001-symbol stream into 64.
-INSTANTIATE_TEST_SUITE_P(Sweep, DistribGranularityProperty, ::testing::Values(1, 3, 7, 16));
+// Widths 1..16: one worker still cuts kChunksPerShard chunks, and 16 cut the
+// 3001-symbol stream into 64.
+INSTANTIATE_TEST_SUITE_P(Sweep, DistribGranularityProperty, ::testing::Values(1, 3, 4, 7, 16));
 
 TEST(DistribBackend, BlockLevelExpiryBitExactRandomized) {
   // The seed-era block-level job was only approximate under expiry (overlap

@@ -11,6 +11,7 @@
 #include <set>
 #include <string>
 
+#include "common/error.hpp"
 #include "core/candidate_gen.hpp"
 #include "core/cpu_backend.hpp"
 #include "core/lane_counter.hpp"
@@ -42,7 +43,10 @@ PlannerOptions deterministic_options() {
 }
 
 bool is_bucket_indexed(const CandidateConfig& config) {
-  if (config.kind == BackendKind::kCpuSingleScan) return true;
+  // cpu-parallel runs the single-scan engine on every stream chunk.
+  if (config.kind == BackendKind::kCpuSingleScan || config.kind == BackendKind::kCpuParallel) {
+    return true;
+  }
   return config.kind == BackendKind::kGpuSim && kernels::is_bucketed(config.algorithm);
 }
 
@@ -61,7 +65,8 @@ TEST(Planner, PicksDenseGpuPathForSmallAlphabetHugeEpisodeShapes) {
 
 TEST(Planner, PicksBucketedPathForLargeAlphabetShapes) {
   // Large alphabet, few candidates: per-symbol bucket occupancy is tiny, so
-  // a bucket-indexed formulation (host single-scan or Algorithm 5) wins.
+  // a bucket-indexed formulation (host single-scan, cpu-parallel's chunks of
+  // it, or Algorithm 5) wins.
   Workload w;
   w.db_size = 2'000'000;
   w.episode_count = 400;
@@ -175,6 +180,40 @@ TEST(Planner, LargeAlphabetCountingReferenceKeepsSingleScan) {
   w.alphabet_size = 250;
   const Plan plan = plan_level(w, cpu_only_options());
   EXPECT_EQ(plan.winner().config.kind, BackendKind::kCpuSingleScan) << plan.explanation;
+}
+
+TEST(Planner, HostParallelPriceIsTheStreamChunkMap) {
+  // Few candidates on a long stream: 8 level-2 episodes over 2,000,000
+  // events and 26 symbols.  On four workers the stream-chunk map divides the
+  // single scan four ways and its fold costs next to nothing, so it is the
+  // pick with and without expiry.  On one worker it runs the same single
+  // scan plus the fold and the chunk claims, so it is priced above it.
+  Workload w;
+  w.db_size = 2'000'000;
+  w.episode_count = 8;
+  w.level = 2;
+  w.alphabet_size = 26;
+  PlannerOptions options;
+  options.enable_gpu = false;
+  options.cpu_threads = 4;
+  for (const std::int64_t window : {std::int64_t{0}, std::int64_t{24}}) {
+    w.expiry = core::ExpiryPolicy{window};
+    const Plan plan = plan_level(w, options);
+    EXPECT_EQ(plan.winner().config.label(), "cpu-parallel-x4")
+        << "expiry " << window << ": " << plan.explanation;
+  }
+
+  w.expiry = {};
+  options.cpu_threads = 1;
+  const Plan plan = plan_level(w, options);
+  const auto predicted = [&](BackendKind kind) {
+    for (const ScoredCandidate& c : plan.table) {
+      if (c.config.kind == kind) return c.predicted_ms;
+    }
+    ADD_FAILURE() << backend_kind_name(kind) << " missing from the table";
+    return 0.0;
+  };
+  EXPECT_GT(predicted(BackendKind::kCpuParallel), predicted(BackendKind::kCpuSingleScan));
 }
 
 TEST(Planner, LaneCandidateIsRejectedUnderExpiryAndAboveItsLevelCap) {
@@ -614,7 +653,7 @@ TEST(Planner, DeviceSweepFlipsToMultiCardOnTheLargeEvaluationShape) {
 
   ASSERT_TRUE(plan.winner().feasible);
   EXPECT_EQ(plan.winner().config.kind, BackendKind::kDistrib);
-  EXPECT_TRUE(plan.winner().config.distrib_gpu);
+  EXPECT_TRUE(plan.winner().config.simulated());
   EXPECT_GT(plan.winner().config.threads, 1);
 
   auto predicted = [&](const std::string& label) {
@@ -629,7 +668,6 @@ TEST(Planner, DeviceSweepFlipsToMultiCardOnTheLargeEvaluationShape) {
   };
   EXPECT_LT(predicted("distrib-gpu-x4"), predicted("distrib-gpu-x2"));
   EXPECT_LT(predicted("distrib-gpu-x2"), predicted("distrib-gpu-x1"));
-  EXPECT_LT(predicted("distrib-x4"), predicted("distrib-x2"));
 }
 
 TEST(Planner, TinyShapesResistTheDeviceAxis) {
@@ -661,31 +699,21 @@ TEST(Planner, PlannedDistribBackendsCountExactly) {
   request.expiry = expiry;
   const auto expected = reference.count(request);
 
-  for (const bool gpu : {false, true}) {
-    CandidateConfig config;
-    config.kind = BackendKind::kDistrib;
-    config.threads = 3;
-    config.distrib_gpu = gpu;
-    config.threads_per_block = 128;
-    const auto backend = make_planned_backend(config, deterministic_options());
-    const std::string expected_name =
-        gpu ? "distrib-x3[gpusim/algo1-thread-texture/t128/GeForce GTX 280 (GT200)]"
-            : "distrib-x3[cpu-single-scan]";
-    EXPECT_EQ(backend->name(), expected_name);
-    const auto result = backend->count(request);
-    EXPECT_EQ(result.counts, expected.counts) << expected_name;
-    if (gpu) {
-      EXPECT_GT(result.simulated_kernel_ms, 0.0);
-    }
-  }
+  CandidateConfig config;
+  config.kind = BackendKind::kDistrib;
+  config.threads = 3;
+  config.threads_per_block = 128;
+  const auto backend = make_planned_backend(config, deterministic_options());
+  const std::string expected_name =
+      "distrib-x3[gpusim/algo1-thread-texture/t128/GeForce GTX 280 (GT200)]";
+  EXPECT_EQ(backend->name(), expected_name);
+  const auto result = backend->count(request);
+  EXPECT_EQ(result.counts, expected.counts) << expected_name;
+  EXPECT_GT(result.simulated_kernel_ms, 0.0);
 }
 
 TEST(AutoBackend, MakeBackendSpellsDistribAndOpensTheDeviceAxis) {
   service::BackendSpec spec;
-  spec.name = "distrib";
-  spec.shards = 3;
-  EXPECT_EQ(service::make_backend(spec)->name(), "distrib-x3[cpu-single-scan]");
-
   spec.name = "distrib-gpu";
   spec.shards = 0;  // defaults to the GX2's two dies
   EXPECT_EQ(service::make_backend(spec)->name(),
@@ -696,9 +724,11 @@ TEST(AutoBackend, MakeBackendSpellsDistribAndOpensTheDeviceAxis) {
   const PlannerOptions options = service::planner_options_for(spec);
   EXPECT_EQ(options.device_sweep, (std::vector<int>{1, 2, 3}));
 
+  // Host workers are cpu-parallel's: "distrib" names no backend.
   const auto names = service::backend_names();
-  EXPECT_NE(std::find(names.begin(), names.end(), "distrib"), names.end());
+  EXPECT_EQ(std::find(names.begin(), names.end(), "distrib"), names.end());
   EXPECT_NE(std::find(names.begin(), names.end(), "distrib-gpu"), names.end());
+  EXPECT_THROW((void)service::candidate_for({.name = "distrib"}), gm::PreconditionError);
 }
 
 TEST(AutoBackend, MakeBackendSpellsAuto) {

@@ -280,7 +280,8 @@ TEST(ServiceSession, InvalidConfigsAreRejectedWithStableCodes) {
 TEST(ServiceSession, RetiredBackendNamesAreRefusedWithTheValidList) {
   // Configs naming a deleted host backend fail at construction with the
   // precondition code and the list of names that do exist.
-  for (const char* retired : {"cpu-sharded", "cpu-trie-scan", "sharded", "trie-scan"}) {
+  for (const char* retired :
+       {"cpu-sharded", "cpu-trie-scan", "sharded", "trie-scan", "distrib"}) {
     try {
       (void)make_backend({.name = retired});
       ADD_FAILURE() << retired << " should be refused";
@@ -294,7 +295,7 @@ TEST(ServiceSession, RetiredBackendNamesAreRefusedWithTheValidList) {
       }
     }
   }
-  EXPECT_EQ(backend_names().size(), 8u);
+  EXPECT_EQ(backend_names().size(), 7u);
 }
 
 TEST(ServiceSession, AdmissionRejectsWorkOverTheLatencyBudget) {
@@ -536,7 +537,6 @@ TEST(ServiceSession, OtherLaunchDistribBackendIsNotPricedAsTheSessions) {
   const BackendSpec spec{.name = "distrib-gpu"};
   MiningSession session(dataset, {.backend = spec});
   distrib::DistribOptions options;
-  options.worker = distrib::WorkerKind::kGpuSim;
   options.launch.algorithm = kernels::Algorithm::kThreadBuffered;
   options.launch.threads_per_block = 32;
   distrib::DistribBackend other(options);
@@ -572,7 +572,6 @@ TEST(ServiceSession, FixedBackendsAreBuiltFromTheirCandidate) {
       {"cpu-parallel", {"cpu-parallel-x" + threads, "cpu-parallel-x" + threads}},
       {"cpu-single-scan", {"cpu-single-scan", "cpu-single-scan"}},
       {"cpu-lane-scan", {"cpu-lane-scan", "cpu-lane-scan"}},
-      {"distrib", {"distrib-x" + threads + "[cpu-single-scan]", "distrib-x" + threads}},
       {"distrib-gpu", {"distrib-x2[" + algo1 + "]", "distrib-gpu-x2"}},
       {"gpusim", {algo1, "gpusim-algo1/t128"}},
   };

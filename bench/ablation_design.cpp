@@ -85,10 +85,8 @@ int main() {
   spec.params.algorithm = Algorithm::kThreadTexture;
   spec.params.threads_per_block = 128;
   const auto gx2 = gpusim::geforce_9800_gx2();
-  const auto one = gm::distrib::predict_scaled_mining(
-      gx2, 1, spec, gm::distrib::ShardAxis::kEpisodes, model);
-  const auto two = gm::distrib::predict_scaled_mining(
-      gx2, 2, spec, gm::distrib::ShardAxis::kEpisodes, model);
+  const auto one = gm::distrib::predict_scaled_mining(gx2, 1, spec, model);
+  const auto two = gm::distrib::predict_scaled_mining(gx2, 2, spec, model);
   std::cout << "  1 die: " << one.total_ms << " ms;  2 dies: " << two.total_ms
             << " ms  (speedup " << one.total_ms / two.total_ms << "x)\n";
   return 0;

@@ -263,9 +263,8 @@ int run_planner_validation(const Options& opt, const gm::core::Alphabet& alphabe
     std::printf("  %-24s %12s %12s %8s  %s\n", "candidate", "predicted", "measured",
                 "pred/meas", "note");
 
-    // Measure every feasible candidate; the serial oracle anchors the
-    // agreement check (the pick itself might use a documented approximation
-    // when require_exact is relaxed, so it cannot serve as the reference).
+    // Measure every feasible candidate; the serial oracle, not the pick,
+    // anchors the agreement check.
     const std::vector<std::int64_t> reference = gm::core::count_all(
         request.episodes, request.database, request.semantics, request.expiry);
     std::vector<double> measured(plan.table.size(),
@@ -300,8 +299,8 @@ int run_planner_validation(const Options& opt, const gm::core::Alphabet& alphabe
         fit_samples.push_back(std::move(sample));
       }
       // Exactness ride-along (free: the counts were just computed).  The
-      // planner's require_exact gate keeps approximate formulations out of
-      // the feasible table, so every measured candidate must agree.
+      // planner rejects the block-level kernels' approximation under expiry,
+      // so every measured candidate must agree.
       if (result.counts != reference) {
         std::printf("  %-24s DISAGREES with the reference counts\n",
                     candidate.config.label().c_str());

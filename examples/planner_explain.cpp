@@ -1,7 +1,9 @@
 // planner_explain — dump the formulation planner's decision table for a set
 // of reference workload shapes: the paper's evaluation workload at levels
-// 1-3, a large-alphabet stream (single-scan territory), a Zipf-skewed stream
-// (exercising the skew-aware occupancy term), and an expiry workload.  This
+// 1-3, its level 3 again with 1, 2 and 4 simulated cards on the device axis
+// (distrib-gpu priced at what its cards bill), a large-alphabet stream
+// (single-scan territory), a Zipf-skewed stream (exercising the skew-aware
+// occupancy term), and an expiry workload.  This
 // is the "show your work" tool for `--backend auto`: every candidate the
 // planner considered, its predicted time, and why the losers lost.
 //
@@ -29,6 +31,8 @@ namespace {
 struct Shape {
   std::string name;
   gm::planner::Workload workload;
+  /// PlannerOptions::device_sweep for this shape; empty keeps one card.
+  std::vector<int> device_sweep = {};
 };
 
 std::vector<Shape> reference_shapes() {
@@ -52,6 +56,7 @@ std::vector<Shape> reference_shapes() {
         gm::core::prefix_compression(gm::core::all_distinct_episodes(paper_alphabet, level));
     shapes.push_back({"paper-level" + std::to_string(level), w});
   }
+  shapes.push_back({"paper-level3-cards", shapes.back().workload, {1, 2, 4}});
 
   {
     planner::Workload w;
@@ -168,7 +173,9 @@ int main(int argc, char** argv) {
     json.field("calibration", have_calibration ? calibration_path : "shipped");
     json.key("shapes").begin_array();
 
-    for (const auto& [name, workload] : reference_shapes()) {
+    for (const auto& [name, workload, device_sweep] : reference_shapes()) {
+      options.device_sweep = device_sweep;
+      fitted_options.device_sweep = device_sweep;
       const gm::planner::Plan plan = gm::planner::plan_level(workload, options);
       std::cout << "=== " << name << " ===\n" << gm::planner::format_plan(plan);
       gm::planner::Plan fitted_plan;
@@ -191,6 +198,9 @@ int main(int argc, char** argv) {
           .field("expiry", workload.expiry.window)
           .field("skewed", !workload.symbol_freq.empty());
       json.end_object();
+      json.key("device_sweep").begin_array();
+      for (const int cards : device_sweep) json.value(cards);
+      json.end_array();
       json.field("pick", plan.winner().config.label());
       json.field("pick_predicted_ms", plan.winner().predicted_ms);
       json.field("explanation", plan.explanation);

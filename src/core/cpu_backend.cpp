@@ -42,7 +42,10 @@ std::vector<std::int64_t> count_all_stream_chunks(std::span<const Episode> episo
   std::vector<std::int64_t> counts(episodes.size(), 0);
   if (episodes.empty() || database.empty()) return counts;
 
-  const int chunks = workers * kChunksPerShard;
+  // No chunk without an event, and no worker without a chunk.
+  const int chunks = static_cast<int>(std::min<std::int64_t>(
+      std::int64_t{workers} * kChunksPerShard, static_cast<std::int64_t>(database.size())));
+  workers = std::min(workers, chunks);
   const auto bounds = chunk_boundaries(static_cast<std::int64_t>(database.size()), chunks);
 
   // Map: every chunk scanned cold at its absolute offset by whichever worker

@@ -47,7 +47,8 @@ class SerialCpuBackend final : public CountingBackend {
 inline constexpr int kChunksPerShard = 4;
 
 /// The host-parallel map: cut `database` into workers x kChunksPerShard
-/// equal chunks (chunk_boundaries), cold-scan each chunk at its absolute
+/// equal chunks (chunk_boundaries; one per event, on as many workers, when
+/// the stream is shorter than that), cold-scan each chunk at its absolute
 /// offset on a per-worker MultiCounter arena (reset per chunk) over
 /// gm::parallel_for, then fold every episode's chunk records in chunk order
 /// with fold_cold_scans, the fold split across the same pool by episode.

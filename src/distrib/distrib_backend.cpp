@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <utility>
-#include <vector>
 
 #include "common/error.hpp"
 #include "core/cpu_backend.hpp"
-#include "core/segment_counter.hpp"
+#include "core/episode_trie.hpp"
+#include "distrib/scale_model.hpp"
 #include "kernels/gpu_backend.hpp"
 #include "kernels/workload_model.hpp"
 
@@ -40,11 +40,11 @@ core::CountResult DistribBackend::count(const core::CountRequest& request) {
   core::CountResult result;
   telemetry_ = {};
 
-  int max_level_requested = 0;
-  for (const auto& e : request.episodes) {
-    max_level_requested = std::max(max_level_requested, e.level());
-  }
-  gm::expects(max_level_requested <= kernels::kMaxLevel,
+  // The cards' spec is measured the way planner::workload_of measures a
+  // request, so the bill equals the planner's price for it.
+  kernels::WorkloadSpec spec;
+  for (const auto& e : request.episodes) spec.level = std::max(spec.level, e.level());
+  gm::expects(spec.level <= kernels::kMaxLevel,
               "distrib cards cap the level at kernels::kMaxLevel "
               "(frame-register episode staging)");
   result.counts =
@@ -55,36 +55,22 @@ core::CountResult DistribBackend::count(const core::CountRequest& request) {
     result.host_ms = elapsed_ms(start);
     return result;
   }
-  const int chunks = options_.shards * core::kChunksPerShard;
-  telemetry_.chunks = chunks;
+  telemetry_.chunks = options_.shards * core::kChunksPerShard;
 
-  // Charge each chunk's analytic kernel time to the card that owns it, so
-  // the device time stays deterministic whichever host worker scanned the
-  // chunk.  Cards run concurrently: the backend's device time is the
-  // slowest card's total.
-  int alphabet = 1;
-  for (const core::Symbol s : request.database) {
-    alphabet = std::max(alphabet, static_cast<int>(s) + 1);
+  spec.db_size = static_cast<std::int64_t>(request.database.size());
+  spec.episode_count = static_cast<std::int64_t>(request.episodes.size());
+  spec.alphabet_size =
+      static_cast<int>(*std::max_element(request.database.begin(), request.database.end())) + 1;
+  spec.params = options_.launch;
+  spec.params.semantics = request.semantics;
+  spec.params.expiry = request.expiry;
+  if (kernels::is_bucketed(spec.params.algorithm)) {
+    spec.symbol_freq = kernels::measured_symbol_freq(request.database, spec.alphabet_size);
+    spec.prefix_compression = core::prefix_compression(request.episodes);
   }
-  const gpusim::CostModel model(options_.cost_params);
-  std::vector<double> card_ms(static_cast<std::size_t>(options_.shards), 0.0);
-  for (int c = 0; c < chunks; ++c) {
-    const core::ChunkRange range =
-        core::chunk_range(static_cast<std::int64_t>(request.database.size()), chunks, c);
-    if (range.size() == 0) continue;
-    kernels::WorkloadSpec spec;
-    spec.db_size = range.size();
-    spec.episode_count = static_cast<std::int64_t>(request.episodes.size());
-    spec.level = max_level_requested;
-    spec.alphabet_size = alphabet;
-    spec.params = options_.launch;
-    spec.params.semantics = request.semantics;
-    spec.params.expiry = request.expiry;
-    card_ms[static_cast<std::size_t>(c / core::kChunksPerShard)] +=
-        kernels::predict_mining_time(options_.device, spec, model, options_.kernel_costs)
-            .total_ms;
-  }
-  result.simulated_kernel_ms = *std::max_element(card_ms.begin(), card_ms.end());
+  result.simulated_kernel_ms =
+      card_time_ms(options_.device, spec, options_.shards,
+                   gpusim::CostModel(options_.cost_params), options_.kernel_costs);
   result.host_ms = elapsed_ms(start);
   return result;
 }

@@ -12,11 +12,13 @@
 // bit-exact against the serial reference for every semantics x expiry
 // combination, including the position-dependent expiry case that defeats
 // blind transfer composition.  On top of that map the backend keeps only the
-// simulated-card charge: chunk c is billed to card c / kChunksPerShard at
-// the kernels workload model's time for the card's launch, and
-// simulated_kernel_ms is the slowest card's accumulated time, so N cards
+// simulated-card charge, distrib::card_time_ms: chunk c is billed to card
+// c / kChunksPerShard at the kernels workload model's time for the chunk,
+// and simulated_kernel_ms is the slowest card's total, so N cards
 // halve-and-again the simulated wall-clock the way the paper's dual-die GX2
-// would.
+// would.  The planner prices distrib-gpu-xN with the same function on the
+// spec planner::workload_of measures, so a planned backend bills exactly its
+// price; host map and fold time stay on the host clock (host_ms).
 #pragma once
 
 #include <cstdint>
@@ -57,7 +59,7 @@ class DistribBackend final : public core::CountingBackend {
   /// Telemetry of the most recent count().
   struct RunTelemetry {
     std::int64_t rescanned_symbols = 0;  ///< fold fix-up work (lockstep replay)
-    int chunks = 0;
+    int chunks = 0;  ///< the billed grid, shards x kChunksPerShard
   };
   [[nodiscard]] const RunTelemetry& last_run() const noexcept { return telemetry_; }
   [[nodiscard]] const DistribOptions& options() const noexcept { return options_; }

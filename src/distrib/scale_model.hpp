@@ -1,20 +1,18 @@
 // Multi-device scaling model: when do N cards beat one?
 //
-// Subsumes the seed-era kernels/multi_gpu.* predictor.  Two shard axes are
-// modeled, matching the two ways the distribution layer can split work:
+// Subsumes the seed-era kernels/multi_gpu.* predictor.  Two splits are
+// priced, each with the kernels workload model:
 //
-//  * kEpisodes — the candidate set is split across devices and each runs the
-//    same kernel over the whole stream (the 9800 GX2 dual-die strategy the
-//    paper leaves on the table; counting is embarrassingly parallel across
-//    episodes, so the reduce is concatenation and merge_ms stays 0).
-//  * kDatabase — the stream is split across devices (the DistribBackend
-//    axis); every device counts every episode on its shard, and the host
-//    folds the per-shard cold outcomes in chunk order (exact, see
-//    core::fold_cold_scans), charged per (episode, device) fold entry.
-//
-// Total time is the slowest device plus the merge; the imbalance ratio
-// (max over mean of per-device kernel time) is reported so the planner can
-// fold a skew penalty into its device-count sweep.
+//  * card_time_ms — the stream split DistribBackend runs and bills: the
+//    stream is cut into shards x core::kChunksPerShard equal chunks and
+//    chunk c is charged to card c / kChunksPerShard.  DistribBackend::count
+//    bills with it and the planner prices distrib-gpu-xN with it, so the
+//    price is the bill.  It is simulated card time only: the host map and
+//    fold that produce the counts run on the host clock and are not in it.
+//  * predict_scaled_mining — the candidate set split across devices, each
+//    running the same kernel over the whole stream (the 9800 GX2 dual-die
+//    strategy the paper leaves on the table; counting is embarrassingly
+//    parallel across episodes, so the reduce is concatenation).
 #pragma once
 
 #include <cstdint>
@@ -24,32 +22,25 @@
 
 namespace gm::distrib {
 
-enum class ShardAxis {
-  kEpisodes,
-  kDatabase,
-};
+/// Simulated wall-clock of `spec` (a whole-stream workload) on `shards`
+/// copies of `device` under DistribBackend's chunk map: the slowest card's
+/// summed per-chunk kernel time.  Empty chunks bill nothing.  The equal cut
+/// has at most two chunk sizes, so the workload model runs at most twice.
+[[nodiscard]] double card_time_ms(const gpusim::DeviceSpec& device,
+                                  const kernels::WorkloadSpec& spec, int shards,
+                                  const gpusim::CostModel& model,
+                                  const kernels::KernelCostProfile& costs);
 
 struct ScalePrediction {
-  double total_ms = 0.0;   ///< max per-device time + merge_ms
-  double merge_ms = 0.0;   ///< host-side recombination charge (kDatabase only)
-  double imbalance = 1.0;  ///< max / mean of per-device kernel time
-  std::vector<double> per_device_ms;
-  /// Episodes (kEpisodes) or stream symbols (kDatabase) per device.
-  std::vector<std::int64_t> share_per_device;
+  double total_ms = 0.0;  ///< the slowest device's kernel time
+  std::vector<std::int64_t> share_per_device;  ///< episodes per device
 };
 
-/// Default per-entry host fold charge backing merge_ms, in nanoseconds per
-/// (episode, device) cold-outcome fold step; the planner passes its
-/// calibrated cpu.distrib_merge_ns instead.
-inline constexpr double kDefaultMergeNsPerEntry = 12.0;
-
-/// Predict kernel time when the workload is split across `devices` copies of
-/// `device` along `axis`.  devices == 1 degenerates to predict_mining_time
-/// (plus a zero merge on the episode axis).
+/// Predict kernel time when the candidate set is split across `devices`
+/// copies of `device`.  devices == 1 degenerates to predict_mining_time.
 [[nodiscard]] ScalePrediction predict_scaled_mining(
     const gpusim::DeviceSpec& device, int devices, const kernels::WorkloadSpec& spec,
-    ShardAxis axis, const gpusim::CostModel& model = gpusim::CostModel(),
-    const kernels::KernelCostProfile& costs = {},
-    double merge_ns_per_entry = kDefaultMergeNsPerEntry);
+    const gpusim::CostModel& model = gpusim::CostModel(),
+    const kernels::KernelCostProfile& costs = {});
 
 }  // namespace gm::distrib

@@ -35,9 +35,11 @@ core::CountResult AutoBackend::count(const core::CountRequest& request) {
                       r.episodes.size(), r.semantics, r.expiry);
   };
   std::optional<Plan> kept = std::exchange(kept_, std::nullopt);
-  plans_.push_back(kept && identity(request) == identity(kept_for_)
-                       ? std::move(*kept)
-                       : plan_level(workload_of(request), options_));
+  Plan plan = kept && identity(request) == identity(kept_for_)
+                  ? std::move(*kept)
+                  : plan_level(workload_of(request), options_);
+  if (plans_.size() == kPlanHistory) plans_.erase(plans_.begin());
+  plans_.push_back(std::move(plan));
   const ScoredCandidate& winner = plans_.back().winner();
   const std::string key = winner.config.label();
   std::unique_ptr<core::CountingBackend>& backend = backends_[key];

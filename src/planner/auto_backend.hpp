@@ -4,8 +4,8 @@
 // explodes) level by level — exactly the axis along which the paper observes
 // the winning formulation flipping.  AutoBackend measures the workload shape
 // of the incoming request, asks the planner for this level's winner, lazily
-// constructs that backend, and delegates.  The full per-level decision
-// history stays queryable so the CLI can report what was picked and why.
+// constructs that backend, and delegates.  The recent per-level decisions
+// stay queryable so the CLI can report what was picked and why.
 //
 // A caller that prices a level before counting it (service admission) calls
 // plan(request): the following count() of that request runs the kept plan.
@@ -48,7 +48,10 @@ class AutoBackend final : public core::CountingBackend {
   /// plan_level.
   const Plan& plan(const core::CountRequest& request);
 
-  /// One plan per count() call, in call order.
+  /// One plan per count() call, in call order, for the latest kPlanHistory
+  /// calls: a backend that outlives many requests (a service worker's) keeps
+  /// bounded memory.  An episode's level is at most 255, so every plan of
+  /// one mine on a fresh backend is kept, plans()[i] being level i + 1's.
   [[nodiscard]] const std::vector<Plan>& plans() const noexcept { return plans_; }
   [[nodiscard]] const PlannerOptions& options() const noexcept { return options_; }
 
@@ -62,6 +65,8 @@ class AutoBackend final : public core::CountingBackend {
   /// many levels picked it.
   [[nodiscard]] std::size_t constructed_backends() const noexcept { return backends_.size(); }
 
+  /// count() calls whose plans plans() keeps.
+  static constexpr std::size_t kPlanHistory = 255;
   /// EWMA weight of the newest measured/predicted observation.
   static constexpr double kFeedbackBlend = 0.4;
   /// Noise floor (ms) on both sides of the observed ratio, mirroring the

@@ -32,6 +32,25 @@ double spawn_ms(int workers, const CpuCostConstants& c) {
   return workers > 1 ? static_cast<double>(workers) * c.thread_spawn_us * kUsToMs : 0.0;
 }
 
+/// Expected fold fix-up of a `chunks`-way stream split: the twin replay per
+/// (episode, interior boundary), bounded by the expiry window or the typical
+/// automaton reset distance.
+double fold_rescan_ms(const Workload& w, int chunks, const CpuCostConstants& c) {
+  gm::expects(chunks >= 1, "cpu cost model needs a positive chunk count");
+  // Under expiry the twin replay converges within the window (a live match
+  // older than the window resets); without it, within roughly one automaton
+  // reset distance (level * alphabet symbols between drains).  Both are
+  // capped by the chunk itself.
+  const double chunk_symbols =
+      static_cast<double>(w.db_size) / static_cast<double>(chunks);
+  const double reset_distance = w.expiry.enabled()
+                                    ? static_cast<double>(w.expiry.window)
+                                    : static_cast<double>(w.level) *
+                                          static_cast<double>(w.alphabet_size);
+  return static_cast<double>(w.episode_count) * static_cast<double>(chunks - 1) *
+         std::min(reset_distance, chunk_symbols) * c.distrib_rescan_ns * kNsToMs;
+}
+
 }  // namespace
 
 double predict_cpu_serial_ms(const Workload& w, const CpuCostConstants& c) {
@@ -58,7 +77,7 @@ double predict_cpu_parallel_ms(const Workload& w, int threads, const CpuCostCons
   // rescans, split across the workers by episode.
   const double fold_ms = (static_cast<double>(w.episode_count) *
                               static_cast<double>(chunks) * c.distrib_merge_ns * kNsToMs +
-                          distrib_rescan_ms(w, chunks, c)) /
+                          fold_rescan_ms(w, chunks, c)) /
                          static_cast<double>(std::min<std::int64_t>(threads, w.episode_count));
   const double claim_ms = static_cast<double>(chunks) * c.distrib_steal_ns * kNsToMs;
   return map_ms + fold_ms + claim_ms + spawn_ms(threads, c);
@@ -89,22 +108,6 @@ double predict_cpu_lane_scan_ms(const Workload& w, const CpuCostConstants& c) {
   const double units = std::ceil(static_cast<double>(w.episode_count) /
                                  static_cast<double>(kLanePriceEpisodes));
   return static_cast<double>(w.db_size) * units * c.lane_block_ns * kNsToMs;
-}
-
-double distrib_rescan_ms(const Workload& w, int chunks, const CpuCostConstants& c) {
-  gm::expects(chunks >= 1, "cpu cost model needs a positive chunk count");
-  // Under expiry the twin replay converges within the window (a live match
-  // older than the window resets); without it, within roughly one automaton
-  // reset distance (level * alphabet symbols between drains).  Both are
-  // capped by the chunk itself.
-  const double chunk_symbols =
-      static_cast<double>(w.db_size) / static_cast<double>(chunks);
-  const double reset_distance = w.expiry.enabled()
-                                    ? static_cast<double>(w.expiry.window)
-                                    : static_cast<double>(w.level) *
-                                          static_cast<double>(w.alphabet_size);
-  return static_cast<double>(w.episode_count) * static_cast<double>(chunks - 1) *
-         std::min(reset_distance, chunk_symbols) * c.distrib_rescan_ns * kNsToMs;
 }
 
 }  // namespace gm::planner

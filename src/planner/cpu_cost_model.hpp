@@ -74,9 +74,9 @@ struct CpuCostConstants {
   /// Spawn + join cost per worker thread.
   double thread_spawn_us = 60.0;
   /// Stream-chunk fold: folding one (episode, chunk) cold outcome in chunk
-  /// order (branch + count add; matches the scale model's merge charge).
-  /// The distrib_* names predate cpu-parallel's chunk map; gm-calibration/2
-  /// profiles serialize them as-is.
+  /// order (branch + count add).  The distrib_* names predate
+  /// cpu-parallel's chunk map; gm-calibration/2 profiles serialize them
+  /// as-is.
   double distrib_merge_ns = 12.0;
   /// Stream-chunk fold: one serially re-stepped symbol when a chunk entered
   /// with live automaton state (twin-replay until convergence).
@@ -106,13 +106,5 @@ inline constexpr int kLanePriceEpisodes = 64;
                                                 const CpuCostConstants& c = {});
 [[nodiscard]] double predict_cpu_lane_scan_ms(const Workload& w,
                                               const CpuCostConstants& c = {});
-
-/// Expected host-fold boundary fix-up for a `chunks`-way database split: the
-/// twin replay per (episode, interior boundary), bounded by the expiry
-/// window or the typical automaton reset distance.  cpu-parallel pays it
-/// across its workers, and distrib-gpu pays it too: its counts come from
-/// the same host fold.
-[[nodiscard]] double distrib_rescan_ms(const Workload& w, int chunks,
-                                       const CpuCostConstants& c = {});
 
 }  // namespace gm::planner

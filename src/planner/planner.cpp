@@ -65,12 +65,12 @@ ScoredCandidate score_distrib(const Workload& w, int devices, const PlannerOptio
         ScoredCandidate priced = price_candidate(w, config, options);
         if (!best.feasible || priced.predicted_ms < best.predicted_ms) best = std::move(priced);
       } catch (const gm::Error&) {
-        // This (algorithm, tpb) cannot run on the per-card shard; skip it.
+        // This (algorithm, tpb) cannot run on the stream chunks; skip it.
       }
     }
   }
   if (!best.feasible) {
-    c.reason = "no launch in the sweep fits the per-card shard";
+    c.reason = "no launch in the sweep fits the stream chunks";
     return c;
   }
   return best;
@@ -103,9 +103,8 @@ ScoredCandidate score_gpu(const Workload& w, kernels::Algorithm algorithm, int t
                std::to_string(w.db_size) + ")";
     return c;
   }
-  if (options.require_exact && w.expiry.enabled() && kernels::is_block_level(algorithm)) {
-    c.reason = "inexact under expiry (overlap-rescan approximation); "
-               "relax require_exact to allow";
+  if (w.expiry.enabled() && kernels::is_block_level(algorithm)) {
+    c.reason = "inexact under expiry (overlap-rescan approximation)";
     return c;
   }
   try {
@@ -189,20 +188,16 @@ ScoredCandidate price_candidate(const Workload& w, const CandidateConfig& config
       break;
     }
     case BackendKind::kDistrib: {
-      // The scale model's database-axis split: per-card kernel time, merge
-      // and imbalance.  Counts come from the host fold, so the cards pay the
-      // boundary fix-up too — on kernel-bound shapes it is noise, but it
-      // keeps tiny workloads from drifting onto the device axis.
+      // What the cards bill (distrib::card_time_ms), on the simulated clock
+      // only: the host map and fold that produce the counts are host time.
       const gpusim::CostModel model(options.cost_params);
-      const auto scaled = distrib::predict_scaled_mining(
-          options.device, config.threads,
-          gpu_workload_spec(w, config.algorithm, config.threads_per_block),
-          distrib::ShardAxis::kDatabase, model, options.kernel_costs);
-      c.predicted_ms = scaled.total_ms + distrib_rescan_ms(w, config.threads, cpu);
-      char note[96];
-      std::snprintf(note, sizeof(note), "%d card(s) x algo%d/t%d, merge %.3f ms, imbalance %.2f",
-                    config.threads, kernels::algorithm_number(config.algorithm),
-                    config.threads_per_block, scaled.merge_ms, scaled.imbalance);
+      c.predicted_ms = distrib::card_time_ms(
+          options.device, gpu_workload_spec(w, config.algorithm, config.threads_per_block),
+          config.threads, model, options.kernel_costs);
+      char note[64];
+      std::snprintf(note, sizeof(note), "%d card(s) x %d chunks of algo%d/t%d", config.threads,
+                    core::kChunksPerShard, kernels::algorithm_number(config.algorithm),
+                    config.threads_per_block);
       c.reason = note;
       break;
     }

@@ -111,21 +111,17 @@ struct PlannerOptions {
   std::vector<int> tpb_sweep = {32, 64, 128, 256, 512};
   /// Card counts to score distrib candidates at: with enable_gpu, each
   /// entry N adds "distrib-gpu-xN" (the stream split over N simulated
-  /// cards) to the table, so the plan answers "when does 2x card beat 1x
-  /// card at this level".  Host workers are cpu_threads' business (the one
-  /// cpu-parallel candidate).  Empty (the default) keeps the single-device
-  /// candidate space — the planner must not assume extra hardware exists
-  /// unless the caller says so.
+  /// cards) to the table, priced at what its cards bill
+  /// (distrib::card_time_ms, simulated time only), so the plan answers
+  /// "when does 2x card beat 1x card at this level".  Host workers are
+  /// cpu_threads' business (the one cpu-parallel candidate).  Empty (the
+  /// default) keeps the single-device candidate space — the planner must not
+  /// assume extra hardware exists unless the caller says so.
   std::vector<int> device_sweep = {};
   /// Candidate-space gates (a shootout validating only host backends turns
   /// the GPU off; both off is a precondition error in plan_level).
   bool enable_cpu = true;
   bool enable_gpu = true;
-  /// Reject formulations that return approximate counts for the requested
-  /// semantics (the block-level kernels' overlap-rescan approximation under
-  /// expiry).  On by default: `--backend auto` must stay bit-exact with the
-  /// serial reference; benchmarking harnesses may relax it.
-  bool require_exact = true;
   gpusim::CostParams cost_params = {};
   CpuCostConstants cpu_constants = {};
   /// Per-loop instruction charges of the GPU workload models.  Defaults to

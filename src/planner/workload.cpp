@@ -14,7 +14,7 @@ Workload workload_of(const core::CountRequest& request, int alphabet_size_hint) 
   Workload w;
   w.db_size = static_cast<std::int64_t>(request.database.size());
   w.episode_count = static_cast<std::int64_t>(request.episodes.size());
-  w.level = request.episodes.front().level();
+  w.level = std::ranges::max_element(request.episodes, {}, &core::Episode::level)->level();
   const auto max_symbol =
       *std::max_element(request.database.begin(), request.database.end());
   w.alphabet_size = std::max(static_cast<int>(max_symbol) + 1, alphabet_size_hint);

@@ -33,9 +33,10 @@ struct Workload {
   core::ExpiryPolicy expiry = {};
 };
 
-/// Derive the workload of one counting request, measuring the alphabet size
-/// (max symbol + 1, at least `alphabet_size_hint`) and the smoothed symbol
-/// distribution from the database.  Costs one O(|DB|) pass — noise next to
+/// Derive the workload of one counting request, measuring the level (the
+/// longest episode's), the alphabet size (max symbol + 1, at least
+/// `alphabet_size_hint`) and the smoothed symbol distribution from the
+/// database.  Costs one O(|DB|) pass — noise next to
 /// the counting work the resulting plan steers, so per-request recomputation
 /// is the norm (AutoBackend does exactly that).
 [[nodiscard]] Workload workload_of(const core::CountRequest& request,

@@ -327,8 +327,8 @@ TEST(CalibrationFitter, LowersLossOnGpuKernelSamples) {
 
 TEST(CalibrationFitter, PricesEveryFeasibleRowAsThePlannerRanksIt) {
   // The fitter must fit constants to the curve the planner ranks with.  The
-  // card axis is in the table: distrib-gpu also pays the host fold's
-  // boundary rescans, which the fitter once left out.
+  // card axis is in the table: distrib-gpu rows are priced at what their
+  // cards bill.
   const core::Alphabet alphabet(26);
   const core::Sequence db = data::uniform_database(alphabet, 20'000, 1);
   const std::vector<core::Episode> episodes = core::all_distinct_episodes(alphabet, 2);

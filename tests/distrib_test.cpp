@@ -2,8 +2,9 @@
 // map's cold records it consumes, DistribBackend's bit-exact equivalence
 // with the serial reference across semantics x expiry x shard counts (the
 // block-level MapReduce granularity, exact under expiry where the seed-era
-// overlap rescan was approximate), the one host stream-chunk map against
-// the oracle at several widths, and the out-of-order stream fold.
+// overlap rescan was approximate) and its card bill against the planner's
+// price, the one host stream-chunk map against the oracle at several widths,
+// and the out-of-order stream fold.
 #include <gtest/gtest.h>
 
 #include <span>
@@ -19,9 +20,10 @@
 #include "core/serial_counter.hpp"
 #include "data/generators.hpp"
 #include "distrib/distrib_backend.hpp"
-#include "distrib/scale_model.hpp"
 #include "distrib/stream_fold.hpp"
 #include "kernels/mining_kernels.hpp"
+#include "planner/planner.hpp"
+#include "planner/workload.hpp"
 
 namespace gm::distrib {
 namespace {
@@ -210,26 +212,45 @@ TEST(DistribBackend, SimulatedCardsScaleAndStayExact) {
   EXPECT_LE(one_card / two_cards, 2.1);
 }
 
-// --- scale model ------------------------------------------------------------
-
-TEST(ScaleModel, DatabaseAxisChargesMergeAndSplitsTheStream) {
-  kernels::WorkloadSpec spec;
-  spec.db_size = 100000;
-  spec.episode_count = 500;
-  spec.level = 2;
-  spec.params.algorithm = kernels::Algorithm::kThreadTexture;
-  spec.params.threads_per_block = 128;
-
-  const auto device = gpusim::geforce_gtx_280();
-  const auto one = predict_scaled_mining(device, 1, spec, ShardAxis::kDatabase);
-  const auto four = predict_scaled_mining(device, 4, spec, ShardAxis::kDatabase);
-  ASSERT_EQ(four.share_per_device.size(), 4u);
-  EXPECT_EQ(four.share_per_device[0] + four.share_per_device[1] +
-                four.share_per_device[2] + four.share_per_device[3],
-            100000);
-  EXPECT_GT(four.merge_ms, one.merge_ms);
-  EXPECT_GT(one.total_ms / four.total_ms, 1.0);
-  EXPECT_NEAR(four.imbalance, 1.0, 0.05);
+// The planner prices distrib-gpu-xN at exactly what a planned backend bills
+// for the request: one card-charge rule, simulated card time only, for every
+// launch, card count, semantics and expiry, on a uniform and a skewed stream.
+TEST(DistribBackend, BillsWhatThePlannerPrices) {
+  const Alphabet alphabet(6);
+  const auto uniform = data::uniform_database(alphabet, 3001, 21);
+  const auto zipf = data::zipf_database(alphabet, 3001, 1.0, 22);
+  const auto episodes = core::all_distinct_episodes(alphabet, 2);
+  const planner::PlannerOptions options;
+  for (const auto* db : {&uniform, &zipf}) {
+    for (const Semantics semantics :
+         {Semantics::kNonOverlappedSubsequence, Semantics::kContiguousRestart}) {
+      for (const std::int64_t window : {std::int64_t{0}, std::int64_t{9}}) {
+        core::CountRequest request;
+        request.database = *db;
+        request.episodes = episodes;
+        request.semantics = semantics;
+        request.expiry = ExpiryPolicy{window};
+        const planner::Workload workload = planner::workload_of(request);
+        for (const kernels::Algorithm algorithm : kernels::all_algorithms()) {
+          for (int cards = 1; cards <= 3; ++cards) {
+            planner::CandidateConfig config;
+            config.kind = planner::BackendKind::kDistrib;
+            config.threads = cards;
+            config.algorithm = algorithm;
+            config.threads_per_block = 64;
+            const double billed =
+                planner::make_planned_backend(config, options)->count(request).simulated_kernel_ms;
+            EXPECT_GT(billed, 0.0);
+            EXPECT_DOUBLE_EQ(billed,
+                             planner::price_candidate(workload, config, options).predicted_ms)
+                << config.label() << " algo" << kernels::algorithm_number(algorithm) << " "
+                << core::to_string(semantics) << " window " << window
+                << (db == &zipf ? " zipf" : " uniform");
+          }
+        }
+      }
+    }
+  }
 }
 
 // --- the one host stream-chunk map -----------------------------------------
@@ -287,9 +308,11 @@ TEST_P(DistribGranularityProperty, BothGranularitiesMatchTheOracleIncludingExpir
   }
 }
 
-// Widths 1..16: one worker still cuts kChunksPerShard chunks, and 16 cut the
-// 3001-symbol stream into 64.
-INSTANTIATE_TEST_SUITE_P(Sweep, DistribGranularityProperty, ::testing::Values(1, 3, 4, 7, 16));
+// Widths 1..32: one worker still cuts kChunksPerShard chunks, 16 cut the
+// 3001-symbol stream into 64, and 32 count the 0-20-event streams with more
+// workers than events.
+INSTANTIATE_TEST_SUITE_P(Sweep, DistribGranularityProperty,
+                         ::testing::Values(1, 3, 4, 7, 16, 32));
 
 TEST(DistribBackend, BlockLevelExpiryBitExactRandomized) {
   // The seed-era block-level job was only approximate under expiry (overlap

@@ -142,10 +142,8 @@ TEST(MultiGpu, TwoDiesNearlyHalveLargeProblems) {
   spec.params.threads_per_block = 128;
 
   const auto gx2 = gpusim::geforce_9800_gx2();
-  const auto one =
-      distrib::predict_scaled_mining(gx2, 1, spec, distrib::ShardAxis::kEpisodes);
-  const auto two =
-      distrib::predict_scaled_mining(gx2, 2, spec, distrib::ShardAxis::kEpisodes);
+  const auto one = distrib::predict_scaled_mining(gx2, 1, spec);
+  const auto two = distrib::predict_scaled_mining(gx2, 2, spec);
   EXPECT_EQ(two.share_per_device.size(), 2u);
   EXPECT_EQ(two.share_per_device[0] + two.share_per_device[1], 15'600);
   EXPECT_GT(one.total_ms / two.total_ms, 1.5);
@@ -163,10 +161,8 @@ TEST(MultiGpu, SmallProblemsDoNotScale) {
   spec.params.threads_per_block = 32;
 
   const auto gx2 = gpusim::geforce_9800_gx2();
-  const auto one =
-      distrib::predict_scaled_mining(gx2, 1, spec, distrib::ShardAxis::kEpisodes);
-  const auto two =
-      distrib::predict_scaled_mining(gx2, 2, spec, distrib::ShardAxis::kEpisodes);
+  const auto one = distrib::predict_scaled_mining(gx2, 1, spec);
+  const auto two = distrib::predict_scaled_mining(gx2, 2, spec);
   EXPECT_LT(one.total_ms / two.total_ms, 1.2);
 }
 
@@ -177,8 +173,7 @@ TEST(MultiGpu, MoreDiesThanEpisodes) {
   spec.level = 1;
   spec.params.algorithm = Algorithm::kThreadTexture;
   spec.params.threads_per_block = 32;
-  const auto p = distrib::predict_scaled_mining(gpusim::geforce_gtx_280(), 4, spec,
-                                                distrib::ShardAxis::kEpisodes);
+  const auto p = distrib::predict_scaled_mining(gpusim::geforce_gtx_280(), 4, spec);
   EXPECT_EQ(p.share_per_device, (std::vector<std::int64_t>{1, 1, 0, 0}));
   EXPECT_GT(p.total_ms, 0.0);
 }

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <span>
 #include <string>
 
 #include "common/error.hpp"
@@ -556,6 +557,58 @@ TEST(AutoBackend, CountOfAnotherRequestPlansAfresh) {
   EXPECT_EQ(adaptive.plans()[2].workload.expiry, expiring.expiry);
 }
 
+TEST(AutoBackend, KeepsThePlansOfTheLatestCalls) {
+  // A service worker keeps one backend for its whole life, so the history is
+  // bounded: 300 counts leave the plans of the last kPlanHistory calls, in
+  // call order.  Call i counts the first 1 + i % 26 symbols.
+  const core::Alphabet alphabet(26);
+  const auto db = data::uniform_database(alphabet, 200, 4);
+  const auto singles = core::level1_candidates(alphabet);
+  PlannerOptions options = deterministic_options();
+  options.enable_gpu = false;
+  AutoBackend adaptive{options};
+  constexpr int kCalls = 300;
+  for (int call = 0; call < kCalls; ++call) {
+    core::CountRequest request;
+    request.database = db;
+    request.episodes = std::span(singles).first(static_cast<std::size_t>(1 + call % 26));
+    (void)adaptive.count(request);
+  }
+  ASSERT_EQ(adaptive.plans().size(), AutoBackend::kPlanHistory);
+  const int first_kept = kCalls - static_cast<int>(AutoBackend::kPlanHistory);
+  for (std::size_t i = 0; i < adaptive.plans().size(); ++i) {
+    EXPECT_EQ(adaptive.plans()[i].workload.episode_count,
+              1 + (first_kept + static_cast<int>(i)) % 26)
+        << "plan " << i;
+  }
+}
+
+TEST(AutoBackend, PlansAMixedLevelRequestAtItsLongestEpisode) {
+  // 200 level-2 episodes and one level-10 episode, in both orders.  Planned
+  // at the first episode's level, the level-2-first request went to
+  // cpu-lane-scan, which refuses level 10.
+  const core::Alphabet alphabet(26);
+  const auto db = data::uniform_database(alphabet, 2'000, 5);
+  std::vector<core::Episode> episodes = core::all_distinct_episodes(alphabet, 2);
+  episodes.resize(200);
+  episodes.emplace_back(std::vector<core::Symbol>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9});
+  PlannerOptions options = deterministic_options();
+  options.enable_gpu = false;
+  options.cpu_threads = 1;
+  for (const bool longest_first : {false, true}) {
+    if (longest_first) std::rotate(episodes.begin(), episodes.end() - 1, episodes.end());
+    core::CountRequest request;
+    request.database = db;
+    request.episodes = episodes;
+    AutoBackend adaptive{options};
+    EXPECT_EQ(adaptive.count(request).counts,
+              core::count_all(episodes, db, core::Semantics::kNonOverlappedSubsequence))
+        << "longest first: " << longest_first;
+    ASSERT_EQ(adaptive.plans().size(), 1u);
+    EXPECT_EQ(adaptive.plans()[0].workload.level, 10);
+  }
+}
+
 TEST(AutoBackend, FeedbackRecordsRecencyWeightedBias) {
   // Every delegated count() must fold measured/predicted into the winner's
   // bias.  The update is an EWMA toward the floored observed ratio, so after
@@ -641,9 +694,9 @@ TEST(Planner, DefaultCandidateSpaceHasNoDistribCandidates) {
 
 TEST(Planner, DeviceSweepFlipsToMultiCardOnTheLargeEvaluationShape) {
   // The paper's level-3 shape is kernel-bound, so splitting the stream over
-  // two (then four) simulated cards nearly halves the dominant term while
-  // the merge charge stays tiny: the device axis must flip the plan to a
-  // multi-device candidate, and more cards must keep predicting faster.
+  // two (then four) simulated cards nearly halves each card's bill: the
+  // device axis must flip the plan to a multi-device candidate, and more
+  // cards must keep predicting faster.
   Workload w = basic_workload();
   w.episode_count = 15'600;
   w.level = 3;
@@ -671,8 +724,9 @@ TEST(Planner, DeviceSweepFlipsToMultiCardOnTheLargeEvaluationShape) {
 }
 
 TEST(Planner, TinyShapesResistTheDeviceAxis) {
-  // On a small level-1 workload the per-shard spawn/merge overhead exceeds
-  // the scan itself: the winner must stay a single-device formulation.
+  // On a small level-1 workload each card's per-chunk launch overhead
+  // exceeds the scan itself: the winner must stay a single-device
+  // formulation.
   Workload w;
   w.db_size = 2'000;
   w.episode_count = 26;
